@@ -91,7 +91,6 @@ from .estimate import (
     c_numerical_radius,
     c_numerical_range_sample,
     isometry_algebra_dimension,
-    permutation_trace_values,
     skew_isometry_algebra_dimension,
     verify_preserver_forms,
 )

@@ -11,26 +11,32 @@ For the classified norms the answer is dichotomous: the adjoint-group
 dimension for genuinely invariant norms, the full rotation-group dimension
 d(d-1)/2 for the Euclidean one, never anything in between.
 
-The C-numerical range ``{tr(A X) : X in the similarity orbit of C}`` is
-sampled by Haar conjugations plus the n! permutation alignments of the two
-spectra (certified attained points), and its radius is maximized by
-multi-start gradient ascent on the unitary group.
+The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
+A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
+linear in a doubly stochastic matrix, so by Birkhoff-von Neumann and the
+rearrangement inequality W_C(A) is exactly the interval
+``[a_desc . c_asc, a_desc . c_desc]`` over the sorted eigenvalues, and the
+C-numerical radius is the larger modulus of its two endpoints (C.-K. Li,
+"C-numerical ranges and C-numerical radii", Linear Multilinear Algebra 37
+(1994); M. Goldberg and E. G. Straus, "Elementary inclusion relations for
+generalized numerical ranges", Linear Algebra Appl. 18 (1977)).  A Haar
+sample of the orbit stays available as an independent containment check.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension
+from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension, NotHermitian
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    STRUCT_TOL,
     basis_for,
+    hermiticity_defect,
     random_element,
     vectorize,
 )
@@ -60,7 +66,8 @@ class DimensionReport:
 
 @dataclass(frozen=True, eq=False)
 class RangeSample:
-    """Sampled values of a C-numerical range, with extremes and radius."""
+    """Exact endpoints and radius of a C-numerical range, with Haar-sampled
+    orbit values."""
 
     values: np.ndarray
     lo: float
@@ -111,7 +118,6 @@ def _algebra_dimension(
     num_samples: int | None,
     seed,
     adjoint_dim: int,
-    threads: int = 1,
 ) -> DimensionReport:
     basis = basis_for(spec.space, n)
     d = basis.d
@@ -121,16 +127,7 @@ def _algebra_dimension(
         raise InvalidDimension(
             f"need at least d^2 = {d * d} samples to resolve the spectrum"
         )
-    indices = np.arange(num_samples)
-    if threads > 1:
-        chunks = np.array_split(indices, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda ch: _constraint_rows(spec, n, basis, ch, seed), chunks)
-            )
-        rows = np.vstack(parts)
-    else:
-        rows = _constraint_rows(spec, n, basis, indices, seed)
+    rows = _constraint_rows(spec, n, basis, np.arange(num_samples), seed)
     svals = np.linalg.svd(rows, compute_uv=False)
     null_dim, gap_ratio = _null_space_dimension(svals)
     full_dim = d * (d - 1) // 2
@@ -153,22 +150,22 @@ def _algebra_dimension(
 
 
 def isometry_algebra_dimension(
-    spec: NormSpec, n: int, num_samples: int | None = None, seed=0, threads: int = 1
+    spec: NormSpec, n: int, num_samples: int | None = None, seed=0
 ) -> DimensionReport:
     """Estimate the Lie-algebra dimension of the isometry group of a
     Hermitian-space norm; the adjoint-group target is n**2 - 1."""
     if spec.space != HERMITIAN_TRACELESS:
         raise InvalidDimension("spec lives on the skew space; use the skew estimator")
-    return _algebra_dimension(spec, n, num_samples, seed, n * n - 1, threads)
+    return _algebra_dimension(spec, n, num_samples, seed, n * n - 1)
 
 
 def skew_isometry_algebra_dimension(
-    spec: NormSpec, n: int, num_samples: int | None = None, seed=0, threads: int = 1
+    spec: NormSpec, n: int, num_samples: int | None = None, seed=0
 ) -> DimensionReport:
     """Skew-space analogue; the adjoint-group target is n(n-1)/2."""
     if spec.space != SKEW_REAL:
         raise InvalidDimension("spec lives on the Hermitian space; use the Hermitian estimator")
-    return _algebra_dimension(spec, n, num_samples, seed, n * (n - 1) // 2, threads)
+    return _algebra_dimension(spec, n, num_samples, seed, n * (n - 1) // 2)
 
 
 def _haar_batch(n: int, count: int, seed) -> np.ndarray:
@@ -181,96 +178,59 @@ def _haar_batch(n: int, count: int, seed) -> np.ndarray:
     return Q * (diag / np.abs(diag))[:, None, :]
 
 
-def permutation_trace_values(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """All n! spectral alignment values sum_j lam_j(A) lam_pi(j)(C).
+def _range_endpoints(A: np.ndarray, C: np.ndarray) -> tuple[float, float]:
+    """Exact endpoints (lo, hi) of W_C(A) for Hermitian A and C.
 
-    Each is attained on the similarity orbit (align the eigenbases through a
-    permutation), so they are certified members of the C-numerical range.
+    With eigenvalues sorted ascending, hi pairs them in the same order and
+    lo in opposite orders (rearrangement inequality over the doubly
+    stochastic matrix |u_ij|^2).  Fails closed on non-square, mismatched or
+    non-Hermitian inputs, where the formula does not hold.
     """
-    from itertools import permutations
-
+    A = np.asarray(A)
+    C = np.asarray(C)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != C.shape:
+        raise InvalidDimension(
+            f"need two square matrices of one shape, got {A.shape} and {C.shape}"
+        )
+    for name, M in (("A", A), ("C", C)):
+        tol = STRUCT_TOL * (1.0 + float(np.max(np.abs(M), initial=0.0)))
+        defect = hermiticity_defect(M)
+        if defect > tol:
+            raise NotHermitian(f"{name}: hermiticity defect {defect:.3e} exceeds {tol:.3e}")
     lam_a = np.linalg.eigvalsh(A)
     lam_c = np.linalg.eigvalsh(C)
-    perms = np.array(list(permutations(range(len(lam_c)))))
-    return lam_c[perms] @ lam_a
+    return float(lam_a @ lam_c[::-1]), float(lam_a @ lam_c)
 
 
 def c_numerical_range_sample(
     A: np.ndarray, C: np.ndarray, trials: int, seed=0
 ) -> RangeSample:
-    """Sample tr(A U C U*) over Haar unitaries, plus all permutation values."""
-    A = np.asarray(A)
-    C = np.asarray(C)
-    if A.shape != C.shape:
-        raise InvalidDimension(f"shape mismatch: {A.shape} vs {C.shape}")
-    n = A.shape[0]
-    mc = np.empty(0)
-    if trials > 0:
-        U = _haar_batch(n, trials, seed)
-        orbit = U @ C @ np.conj(np.transpose(U, (0, 2, 1)))
-        mc = np.einsum("ij,kji->k", A, orbit).real
-    values = np.concatenate([mc, permutation_trace_values(A, C)])
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    return RangeSample(values=values, lo=lo, hi=hi, radius=max(abs(lo), abs(hi)))
+    """Exact endpoints of the C-numerical range of Hermitian A and C, plus
+    ``trials`` values tr(A U C U*) at Haar unitaries U.
 
-
-def _ascend(A, C, U0, max_iter=120, tol=1e-13):
-    """Gradient ascent for |tr(A U C U*)| on the unitary group, with an
-    exponential retraction and adaptive step."""
-    n = A.shape[0]
-    U = U0
-    X = U @ C @ U.conj().T
-    f = float(np.trace(A @ X).real)
-    step = 0.5 / (1.0 + np.linalg.norm(A) * np.linalg.norm(C))
-    for _ in range(max_iter):
-        s = 1.0 if f >= 0 else -1.0
-        G = s * (A @ X - X @ A)  # skew-Hermitian ascent direction for s*f
-        gnorm = np.linalg.norm(G)
-        if gnorm < 1e-12 * (1.0 + abs(f)):
-            break
-        improved = False
-        while step > 1e-12:
-            Unew = scipy.linalg.expm(step * G) @ U
-            Xnew = Unew @ C @ Unew.conj().T
-            fnew = float(np.trace(A @ Xnew).real)
-            if abs(fnew) > abs(f) + 1e-15:
-                U, X, f = Unew, Xnew, fnew
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        if step > 1.0:
-            step = 1.0
-    return abs(f)
-
-
-def c_numerical_radius(
-    A: np.ndarray, C: np.ndarray, restarts: int = 8, seed=0
-) -> float:
-    """Maximum modulus over the C-numerical range.
-
-    Multi-start ascent over the unitary group, warm-started from the best
-    spectral alignments; the returned value always dominates the best
-    permutation bound (those points are attained).
+    ``lo`` and ``hi`` are the closed-form endpoints (see the module
+    docstring); ``values`` holds only the Monte Carlo orbit values, an
+    independent sample that must lie in ``[lo, hi]``.
     """
     A = np.asarray(A)
     C = np.asarray(C)
-    if A.shape != C.shape:
-        raise InvalidDimension(f"shape mismatch: {A.shape} vs {C.shape}")
-    n = A.shape[0]
-    perm_best = float(np.max(np.abs(permutation_trace_values(A, C))))
-    best = perm_best
-    lam_a, Va = np.linalg.eigh(A)
-    lam_c, Vc = np.linalg.eigh(C)
-    # warm starts: eigenbasis alignments of the two extreme orderings
-    warm = [Va @ Vc.conj().T, Va[:, ::-1] @ Vc.conj().T]
-    starts = warm + [haar_unitary(n, [seed, t]) for t in range(restarts)]
-    for U0 in starts:
-        best = max(best, _ascend(A, C, U0))
-    return best
+    lo, hi = _range_endpoints(A, C)
+    values = np.empty(0)
+    if trials > 0:
+        U = _haar_batch(A.shape[0], trials, seed)
+        orbit = U @ C @ np.conj(np.transpose(U, (0, 2, 1)))
+        values = np.einsum("ij,kji->k", A, orbit).real
+    return RangeSample(values=values, lo=lo, hi=hi, radius=max(abs(lo), abs(hi)))
+
+
+def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
+    """Maximum modulus over the C-numerical range of Hermitian A and C.
+
+    W_C(A) is the interval ``[lo, hi]`` of :func:`_range_endpoints`, so the
+    radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977).
+    """
+    lo, hi = _range_endpoints(A, C)
+    return max(abs(lo), abs(hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,16 +245,16 @@ class PreserverReport:
 
 
 def verify_preserver_forms(
-    C: np.ndarray, n: int, trials: int, seed=0, restarts: int = 4, mc_trials: int = 400
+    C: np.ndarray, n: int, trials: int, seed=0, mc_trials: int = 400
 ) -> PreserverReport:
     """Check that both canonical forms preserve the C-numerical radius, and
-    that conjugation preserves the sampled range as an interval.
+    that conjugation preserves the C-numerical range as an interval.
 
     For each trial a random element A and Haar unitary U are drawn; the
     radius is compared across ``A -> eta U A U*`` and
     ``A -> eta U (-A.T) U*`` for both signs, and for the plain conjugation
-    the sampled range endpoints and the conjugation-invariance of individual
-    sampled values are checked.
+    the range endpoints and the conjugation-invariance of individual orbit
+    values are checked.
     """
     radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
     wc_interval = 0.0
@@ -302,7 +262,7 @@ def verify_preserver_forms(
     for t in range(trials):
         A = random_element(HERMITIAN_TRACELESS, n, [seed, t, 0])
         U = haar_unitary(n, [seed, t, 1])
-        r0 = c_numerical_radius(A, C, restarts=restarts, seed=[seed, t, 2])
+        r0 = c_numerical_radius(A, C)
         images = {
             "conj_plus": U @ A @ U.conj().T,
             "conj_minus": -(U @ A @ U.conj().T),
@@ -310,7 +270,7 @@ def verify_preserver_forms(
             "cartan_minus": -(U @ (-A.T) @ U.conj().T),
         }
         for key, LA in images.items():
-            r1 = c_numerical_radius(LA, C, restarts=restarts, seed=[seed, t, 3])
+            r1 = c_numerical_radius(LA, C)
             radius_dev[key] = max(radius_dev[key], abs(r1 - r0))
         scale = float(np.linalg.norm(A)) * float(np.linalg.norm(C))
         s0 = c_numerical_range_sample(A, C, mc_trials, seed=[seed, t, 4])

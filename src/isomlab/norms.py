@@ -57,7 +57,7 @@ class NormSpec:
         if self.space not in (HERMITIAN_TRACELESS, SKEW_REAL):
             raise InvalidNormSpec(f"unknown space tag {self.space!r}")
         if self.family == SCHATTEN:
-            if self.p is None or (not math.isinf(self.p) and self.p < 1):
+            if self.p is None or not self.p >= 1:
                 raise InvalidNormSpec(f"Schatten needs p >= 1, got {self.p}")
         elif self.family == KY_FAN:
             if self.k is None or self.k < 1:

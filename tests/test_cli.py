@@ -125,6 +125,15 @@ def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["invariance", "--tol", "nonsense=1"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["skew", "--seed", "-1"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["invariance", "--norm", "schatten:nan"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["invariance", "--norm", "bogus"])
+    assert err.value.code == 2
 
 
 def test_parser_defaults():
@@ -133,13 +142,3 @@ def test_parser_defaults():
     assert args.fmt == "json"
     assert args.seed == 0
 
-
-def test_worker_hint_does_not_change_records(monkeypatch):
-    cfg = SuiteConfig(suite="dimension", n_values=(3,), norms=("schatten:3",), seed=5)
-    base = [r.as_dict() for r in run_suite(cfg).records]
-    monkeypatch.setenv("ISOMLAB_THREADS", "4")
-    threaded = [r.as_dict() for r in run_suite(cfg).records]
-    assert base == threaded
-    monkeypatch.setenv("ISOMLAB_THREADS", "not-a-number")
-    fallback = [r.as_dict() for r in run_suite(cfg).records]
-    assert base == fallback
