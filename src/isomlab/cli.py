@@ -171,9 +171,8 @@ def _fmt_scalar(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         x = float(x)
-        if math.isnan(x) or math.isinf(x):
-            x = math.copysign(1.7976931348623157e308, x) if math.isinf(x) else 0.0
-        return format(x, ".17g")
+        # JSON has no NaN or infinity; a record holding one fails (_record)
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(x, str):
         return json.dumps(x)
     if x is None:
@@ -226,6 +225,8 @@ def _record(check_id, tag, n, spec, value, expected, tol, mode="abs") -> CheckRe
         passed = value == expected
     else:  # "ge": value must be at least expected - tol
         passed = value >= expected - tol
+    # a NaN or infinite entry is serialized as null and never passes
+    passed = passed and all(math.isfinite(x) for x in (value, expected, tol))
     return CheckRecord(check_id, tag, n, spec, value, expected, float(tol), bool(passed))
 
 

@@ -25,20 +25,23 @@ from .matspace import (
 UNITARY_TOL = 1e-11
 
 
-def haar_unitary(n: int, seed, special: bool = False) -> np.ndarray:
+def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix.
 
     The diagonal phases of R are absorbed into Q (Mezzadri's correction),
     which makes the law exactly Haar on U(n).  With ``special`` the result
-    is divided by an n-th root of its determinant and lands in SU(n).
+    is divided by an n-th root of its determinant and lands in SU(n).  With
+    ``count`` the result is a (count, n, n) stack of independent draws from
+    one generator: all real parts first, then all imaginary parts.
     """
     rng = np.random.default_rng(seed)
-    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    shape = (n, n) if count is None else (count, n, n)
+    Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R)
-    Q = Q * (diag / np.abs(diag))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (diag / np.abs(diag))[..., None, :]
     if special:
-        Q = Q * np.linalg.det(Q) ** (-1.0 / n)
+        Q = Q * (np.linalg.det(Q) ** (-1.0 / n))[..., None, None]
     return Q
 
 
@@ -76,9 +79,7 @@ def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
 
 def cartan_matrix(basis: Basis) -> np.ndarray:
     """Coordinate matrix of the involution A -> -A.T on the Hermitian space."""
-    n = basis.n
-    cols = [vectorize(-basis.mats[i].T, basis) for i in range(basis.d)]
-    return np.column_stack(cols)
+    return np.ascontiguousarray(vectorize(-np.swapaxes(basis.mats, 1, 2), basis).T)
 
 
 def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:

@@ -132,22 +132,30 @@ def trace_inner(A: np.ndarray, B: np.ndarray, space: str) -> float:
 
 
 def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
-    """Coordinates of A in the given basis: coords[i] = <B_i, A>."""
+    """Coordinates of A in the given basis: coords[i] = <B_i, A>.
+
+    ``A`` is one (n, n) matrix, giving a (d,) vector, or a (k, n, n) stack,
+    giving a (k, d) array of the members' coordinates.
+    """
     A = np.asarray(A)
-    if A.shape != (basis.n, basis.n):
+    if A.ndim not in (2, 3) or A.shape[-2:] != (basis.n, basis.n):
         raise InvalidDimension(
             f"matrix shape {A.shape} does not match basis n={basis.n}"
         )
     if basis.space == HERMITIAN_TRACELESS:
-        return np.einsum("ijk,kj->i", basis.mats, A).real
-    coords = np.einsum("ijk,jk->i", basis.mats, A)
+        return np.einsum("ijk,...kj->...i", basis.mats, A).real
+    coords = np.einsum("ijk,...jk->...i", basis.mats, A)
     return np.asarray(coords.real if np.iscomplexobj(coords) else coords, dtype=float)
 
 
 def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
-    """Matrix represented by coordinate vector v: sum_i v[i] B_i."""
+    """Matrix represented by coordinate vector v: sum_i v[i] B_i.
+
+    ``v`` is one (d,) vector, giving an (n, n) matrix, or a (k, d) array of
+    coordinate vectors, giving the (k, n, n) stack of their matrices.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (basis.d,):
+    if v.ndim not in (1, 2) or v.shape[-1] != basis.d:
         raise InvalidDimension(
             f"coordinate length {v.shape} does not match basis d={basis.d}"
         )
@@ -155,32 +163,41 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
 
 
 def apply_map(M: np.ndarray, A: np.ndarray, basis: Basis) -> np.ndarray:
-    """Apply a (d, d) coordinate map to a matrix-space element."""
-    return devectorize(M @ vectorize(A, basis), basis)
+    """Apply a (d, d) coordinate map to a matrix-space element, or to each
+    member of a (k, n, n) stack."""
+    return devectorize(vectorize(A, basis) @ np.transpose(M), basis)
 
 
-def hermiticity_defect(A: np.ndarray) -> float:
-    """Max-entry deviation of A from its conjugate transpose."""
-    return float(np.max(np.abs(A - A.conj().T)))
+def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:
+    """Max-entry deviation of A from its conjugate transpose; per member
+    (a (k,) array) for a (k, n, n) stack."""
+    return np.abs(A - A.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
-def skewness_defect(A: np.ndarray) -> float:
-    """Max-entry deviation of A + A.T from zero."""
-    return float(np.max(np.abs(A + A.T)))
+def skewness_defect(A: np.ndarray) -> float | np.ndarray:
+    """Max-entry deviation of A + A.T from zero; per member for a stack."""
+    return np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def is_element(A: np.ndarray, space: str, tol: float | None = None) -> bool:
-    """Whether A satisfies the structural invariants of the given space."""
+def is_element(A: np.ndarray, space: str, tol: float | np.ndarray | None = None):
+    """Whether A satisfies the structural invariants of the given space.
+
+    The answer is a numpy boolean for one matrix and a (k,) boolean array,
+    one entry per member, for a (k, n, n) stack; ``tol`` may then be a (k,)
+    array.  By default each matrix is held to ``STRUCT_TOL`` times (1 + its
+    own largest entry modulus).
+    """
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
-        return False
-    scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    tol = STRUCT_TOL * scale if tol is None else tol
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 2:
+        return np.False_
+    if tol is None:
+        tol = STRUCT_TOL * (1.0 + np.abs(A).max(axis=(-2, -1)))
     if space == HERMITIAN_TRACELESS:
-        return hermiticity_defect(A) <= tol and abs(np.trace(A)) <= tol
+        trace = np.abs(A.trace(axis1=-2, axis2=-1))
+        return (hermiticity_defect(A) <= tol) & (trace <= tol)
     if space == SKEW_REAL:
-        return (not np.iscomplexobj(A)) and skewness_defect(A) <= tol
-    return False
+        return (skewness_defect(A) <= tol) & (not np.iscomplexobj(A))
+    return np.False_
 
 
 def project_traceless(A: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -202,14 +219,17 @@ def project_traceless(A: np.ndarray, tol: float | None = None) -> np.ndarray:
     return H - (np.trace(H).real / n) * np.eye(n)
 
 
-def random_element(space: str, n: int, seed) -> np.ndarray:
+def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:
     """Random space element with i.i.d. standard normal coordinates.
 
     The distribution is invariant under the adjoint/congruence actions and
     has almost surely simple spectrum; deterministic in the seed.  (For the
     Hermitian space this coincides with symmetrizing a complex Ginibre matrix
     with unit-variance real and imaginary parts and projecting traceless.)
+    With ``count`` the result is a (count, n, n) stack of such elements,
+    drawn from one generator.
     """
     basis = basis_for(space, n)
     rng = np.random.default_rng(seed)
-    return devectorize(rng.standard_normal(basis.d), basis)
+    shape = basis.d if count is None else (count, basis.d)
+    return devectorize(rng.standard_normal(shape), basis)

@@ -130,9 +130,16 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     raise InvalidNormSpec(f"unknown norm family in token {token!r}")
 
 
-def _check_space(A: np.ndarray, spec: NormSpec) -> np.ndarray:
+def _check_space(A: np.ndarray, spec: NormSpec, batch: bool = True) -> np.ndarray:
+    """A as an array, if it is one element of the spec's space or, with
+    ``batch``, a (k, n, n) stack of them.  Each member is held to 1e-10
+    times (1 + its own largest entry modulus); one non-member fails the
+    whole argument."""
     A = np.asarray(A)
-    if not is_element(A, spec.space, tol=1e-10 * (1.0 + np.max(np.abs(A), initial=0.0))):
+    member = A.ndim in ((2, 3) if batch else (2,)) and is_element(
+        A, spec.space, tol=1e-10 * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
+    ).all()
+    if not member:
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"
         )
@@ -140,8 +147,9 @@ def _check_space(A: np.ndarray, spec: NormSpec) -> np.ndarray:
 
 
 def _hermitian_singvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of a Hermitian matrix: |eigenvalues|, descending."""
-    return np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
+    """Singular values of a Hermitian matrix: |eigenvalues|, descending
+    (along the last axis, for a stack)."""
+    return np.sort(np.abs(np.linalg.eigvalsh(A)), axis=-1)[..., ::-1]
 
 
 def _youla_values(A: np.ndarray) -> np.ndarray:
@@ -152,9 +160,9 @@ def _youla_values(A: np.ndarray) -> np.ndarray:
     value; this keeps the route independent of the eigen-based canonical
     decomposition used elsewhere.
     """
-    n = A.shape[0]
+    n = A.shape[-1]
     svals = np.linalg.svd(A, compute_uv=False)
-    return svals[::2][: n // 2]
+    return svals[..., ::2][..., : n // 2]
 
 
 def _relevant_values(A: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -163,31 +171,62 @@ def _relevant_values(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     return _youla_values(A)
 
 
-def norm_value(A: np.ndarray, spec: NormSpec) -> float:
-    """Evaluate the norm.  Degree-1 homogeneous; zero only at A = 0."""
+def _scaled(s: np.ndarray, s_max: np.ndarray):
+    """``(s / scale, scale)`` for values about to be raised to a power
+    p >= 1, so that no power overflows or underflows.  ``s_max`` holds each
+    member's largest modulus as a trailing axis of length 1; ``scale`` is
+    s_max (1 for a zero member) without that axis."""
+    scale = s_max + (s_max == 0)
+    return s / scale, scale[..., 0]
+
+
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    # x @ x.T per member is the BLAS dot that np.linalg.norm(A) takes, so a
+    # single matrix gets the value it has always had
+    x = A.reshape(A.shape[:-2] + (1, -1))
+    square = x.real @ x.real.swapaxes(-1, -2)
+    if np.iscomplexobj(A):
+        square = square + x.imag @ x.imag.swapaxes(-1, -2)
+    return np.sqrt(square[..., 0, 0])
+
+
+def norm_value(A: np.ndarray, spec: NormSpec):
+    """Evaluate the norm.  Degree-1 homogeneous; zero only at A = 0.
+
+    ``A`` is one (n, n) space element, giving a float, or a (k, n, n)
+    stack of them, giving a (k,) array of their norms from one stacked
+    eigvalsh/svd call.  Both shapes take the same code, so a member of a
+    stack gets the value it would get alone.  Schatten-p values are
+    ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
+    range.
+    """
     A = _check_space(A, spec)
-    n = A.shape[0]
+    n = A.shape[-1]
     if spec.family == FROBENIUS:
-        return float(np.linalg.norm(A))
-    if spec.family == C_SPECTRAL:
+        value = _frobenius(A)
+    elif spec.family == C_SPECTRAL:
         c = np.asarray(spec.c)
         if len(c) != n // 2:
             raise InvalidNormSpec(
                 f"c has length {len(c)}; need floor(n/2) = {n // 2} for n={n}"
             )
-        return float(c @ _youla_values(A))
-    if spec.space == HERMITIAN_TRACELESS:
-        s = _hermitian_singvals(A)
+        value = (c @ _youla_values(A)[..., None])[..., 0]
     else:
-        s = np.linalg.svd(A, compute_uv=False)
-    if spec.family == SCHATTEN:
-        if math.isinf(spec.p):
-            return float(s[0])
-        return float(np.sum(s ** spec.p) ** (1.0 / spec.p))
-    # Ky Fan
-    if spec.k > n:
-        raise InvalidNormSpec(f"Ky Fan k={spec.k} exceeds ambient n={n}")
-    return float(np.sum(s[: spec.k]))
+        if spec.space == HERMITIAN_TRACELESS:
+            s = _hermitian_singvals(A)
+        else:
+            s = np.linalg.svd(A, compute_uv=False)
+        if spec.family == SCHATTEN:
+            if math.isinf(spec.p):
+                value = s[..., 0]
+            else:
+                t, scale = _scaled(s, s[..., :1])
+                value = scale * (t ** spec.p).sum(axis=-1) ** (1.0 / spec.p)
+        else:  # Ky Fan
+            if spec.k > n:
+                raise InvalidNormSpec(f"Ky Fan k={spec.k} exceeds ambient n={n}")
+            value = s[..., : spec.k].sum(axis=-1)
+    return float(value) if A.ndim == 2 else value
 
 
 def _require_generic(A: np.ndarray, spec: NormSpec, scale: float) -> None:
@@ -213,17 +252,21 @@ def _fd_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
 
 
 def _schatten_gradient_hermitian(A: np.ndarray, p: float) -> np.ndarray:
+    # the gradient is homogeneous of degree 0, so its weights and the norm
+    # factor may both be built from the scaled values
     lam, V = np.linalg.eigh(A)
-    weights = np.sign(lam) * np.abs(lam) ** (p - 1.0)
+    t, _ = _scaled(lam, np.abs(lam).max(keepdims=True))
+    weights = np.sign(t) * np.abs(t) ** (p - 1.0)
     G = (V * weights) @ V.conj().T
-    value = float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
+    value = float(np.sum(np.abs(t) ** p) ** (1.0 / p))
     return project_traceless(G) * value ** (1.0 - p)
 
 
 def _schatten_gradient_skew(A: np.ndarray, p: float) -> np.ndarray:
     U, s, Vt = np.linalg.svd(A)
-    W = (U * s ** (p - 1.0)) @ Vt
-    value = float(np.sum(s ** p) ** (1.0 / p))
+    t, _ = _scaled(s, s[:1])
+    W = (U * t ** (p - 1.0)) @ Vt
+    value = float(np.sum(t ** p) ** (1.0 / p))
     G = (W - W.T) / 2.0
     return G * value ** (1.0 - p)
 
@@ -235,9 +278,10 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     Analytic for Frobenius and for Schatten p in (1, inf); all other
     variants use projected central finite differences and require a
     spectrally generic point, else :class:`DegeneratePoint` is raised.
-    By homogeneity the gradient satisfies <g, A> = ||A||.
+    By homogeneity the gradient satisfies <g, A> = ||A||.  ``A`` is one
+    (n, n) space element; a stack raises :class:`SpecMismatch`.
     """
-    A = _check_space(A, spec)
+    A = _check_space(A, spec, batch=False)
     fro = float(np.linalg.norm(A))
     if fro == 0.0:
         raise DegeneratePoint("gradient undefined at the zero matrix")

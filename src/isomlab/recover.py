@@ -32,9 +32,11 @@ from .errors import (
     RecoveryFailed,
 )
 from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix
-from .matspace import (
+from .matspace import (  # noqa: F401 (vectorize: perfbench/tracing.py wraps recover's binding)
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    apply_map,
+    basis_for,
     devectorize,
     gell_mann_basis,
     random_element,
@@ -97,17 +99,26 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
     )
 
 
-def _sign_vote(num: float, den: float, floor: float):
-    """Sign of num/den, or None when the sample is unusable; rejects ratios
-    whose modulus strays from one (impossible for classified forms)."""
-    if abs(den) <= floor:
-        return None
-    ratio = num / den
-    if abs(abs(ratio) - 1.0) > 1e-4:
-        raise NotInClassifiedForm(
-            f"discriminant ratio {ratio:.6f} has modulus away from one"
-        )
-    return 1 if ratio > 0 else -1
+def _trace(X: np.ndarray) -> np.ndarray:
+    return np.trace(X, axis1=-2, axis2=-1)
+
+
+def _discriminants(M: np.ndarray, basis, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cubic (row 0) and bracket (row 1) discriminants of the images under M
+    and of the originals, with the originals' denominator floors, on one
+    stacked block of ``CLASSIFIER_VOTES`` random triples; each is a
+    (2, CLASSIFIER_VOTES) array."""
+    n = basis.n
+    triples = random_element(HERMITIAN_TRACELESS, n, rng, count=3 * CLASSIFIER_VOTES)
+    block = (3, CLASSIFIER_VOTES, n, n)
+    X, Y, Z = triples.reshape(block)
+    MX, MY, MZ = apply_map(M, triples, basis).reshape(block)
+    nx, ny, nz = np.linalg.norm(triples.reshape(3, CLASSIFIER_VOTES, -1), axis=-1)
+    # the bracket trace of Hermitian triples is purely imaginary; the ratio
+    # of the two imaginary parts carries the sign
+    num = np.stack([_trace(MX @ MX @ MX).real, _trace((MX @ MY - MY @ MX) @ MZ).imag])
+    den = np.stack([_trace(X @ X @ X).real, _trace((X @ Y - Y @ X) @ Z).imag])
+    return num, den, DENOMINATOR_FLOOR * np.stack([nx**3, nx * ny * nz])
 
 
 def classify_eta_sigma(M: np.ndarray, n: int, seed=0) -> tuple[int, bool]:
@@ -116,47 +127,36 @@ def classify_eta_sigma(M: np.ndarray, n: int, seed=0) -> tuple[int, bool]:
     Evaluates the cubic and bracket discriminants on random triples until
     enough well-conditioned votes accumulate; all votes must agree, else the
     map is outside the classified family and
-    :class:`NotInClassifiedForm` is raised.  Requires n >= 3 (the cubic
-    trace vanishes identically at n = 2).
+    :class:`NotInClassifiedForm` is raised.  So it is too when a ratio of
+    image to original discriminant has modulus away from one (NaN
+    included), which no classified form gives.  The triples come from one
+    generator in stacked blocks of ``CLASSIFIER_VOTES``, at most
+    ``40 * CLASSIFIER_VOTES`` of them; a triple votes when both of its
+    denominators clear their floors.  Requires n >= 3 (the cubic trace
+    vanishes identically at n = 2).
     """
     if n < 3:
         raise InvalidDimension("classification needs n >= 3; handle n = 2 by determinant")
     basis = gell_mann_basis(n)
+    rng = np.random.default_rng(seed)
     votes: list[tuple[int, int]] = []
-    attempts = 0
-    while len(votes) < CLASSIFIER_VOTES:
-        if attempts > 40 * CLASSIFIER_VOTES:
-            raise NotInClassifiedForm("could not collect well-conditioned votes")
-        X = random_element(HERMITIAN_TRACELESS, n, [seed, attempts, 0])
-        Y = random_element(HERMITIAN_TRACELESS, n, [seed, attempts, 1])
-        Z = random_element(HERMITIAN_TRACELESS, n, [seed, attempts, 2])
-        attempts += 1
-        MX = devectorize(M @ vectorize(X, basis), basis)
-        MY = devectorize(M @ vectorize(Y, basis), basis)
-        MZ = devectorize(M @ vectorize(Z, basis), basis)
-        nx = float(np.linalg.norm(X))
-        cubic_floor = DENOMINATOR_FLOOR * nx**3
-        bracket_floor = (
-            DENOMINATOR_FLOOR
-            * nx
-            * float(np.linalg.norm(Y))
-            * float(np.linalg.norm(Z))
-        )
-        s3 = _sign_vote(
-            float(np.trace(MX @ MX @ MX).real),
-            float(np.trace(X @ X @ X).real),
-            cubic_floor,
-        )
-        # the bracket trace of Hermitian triples is purely imaginary; the
-        # ratio of the two imaginary parts carries the sign
-        sb = _sign_vote(
-            float(np.trace((MX @ MY - MY @ MX) @ MZ).imag),
-            float(np.trace((X @ Y - Y @ X) @ Z).imag),
-            bracket_floor,
-        )
-        if s3 is None or sb is None:
-            continue
-        votes.append((s3, sb))
+    for _ in range(40):
+        num, den, floor = _discriminants(M, basis, rng)
+        usable = np.abs(den) > floor
+        ratio = num[usable] / den[usable]
+        off = ~(np.abs(np.abs(ratio) - 1.0) <= 1e-4)
+        if off.any():
+            raise NotInClassifiedForm(
+                f"discriminant ratio {ratio[off][0]:.6f} has modulus away from one"
+            )
+        signs = np.zeros(den.shape, dtype=int)
+        signs[usable] = np.where(ratio > 0, 1, -1)
+        keep = usable.all(axis=0)
+        votes += zip(signs[0, keep].tolist(), signs[1, keep].tolist())
+        if len(votes) >= CLASSIFIER_VOTES:
+            break
+    else:
+        raise NotInClassifiedForm("could not collect well-conditioned votes")
     if len(set(votes)) != 1:
         raise NotInClassifiedForm(f"inconsistent discriminant votes: {set(votes)}")
     s3, sb = votes[0]
@@ -193,7 +193,7 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     cols = []
     for j in range(n):
         E = np.outer(eye[j], eye[j]) - eye / n
-        P = devectorize(M @ vectorize(E, basis), basis) + eye / n
+        P = apply_map(M, E, basis) + eye / n
         _as_projection(P)
         w, V = np.linalg.eigh(P)
         if w[-1] - w[-2] < 1e-6:
@@ -227,21 +227,28 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return U, residual
 
 
-def _check_isometry(
-    M: np.ndarray, offset: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50
-) -> None:
-    basis = gell_mann_basis(n) if spec.space == HERMITIAN_TRACELESS else skew_basis(n)
-    for t in range(pairs):
-        A = random_element(spec.space, n, [seed, 7000 + t, 0])
-        B = random_element(spec.space, n, [seed, 7000 + t, 1])
-        LA = devectorize(M @ vectorize(A, basis) + offset, basis)
-        LB = devectorize(M @ vectorize(B, basis) + offset, basis)
-        lhs = norm_value(LA - LB, spec)
-        rhs = norm_value(A - B, spec)
-        if abs(lhs - rhs) > 1e-8 * max(rhs, 1e-30):
-            raise NotIsometry(
-                f"distance deviation {abs(lhs - rhs):.3e} on random pair"
-            )
+def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50) -> None:
+    """Distance test on random pairs.  An affine map L with linear part M
+    has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
+    D over one stack of ``pairs`` random differences D, drawn from one
+    generator: two stacked norm evaluations in all."""
+    D = random_element(spec.space, n, [seed, 7000], count=pairs)
+    lhs = norm_value(apply_map(M, D, basis_for(spec.space, n)), spec)
+    rhs = norm_value(D, spec)
+    dev = np.abs(lhs - rhs)
+    if not np.all(dev <= 1e-8 * np.maximum(rhs, 1e-30)):
+        raise NotIsometry(
+            f"distance deviation {np.max(dev):.3e} on random pair"
+        )
+
+
+def _coordinate_map(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.all(np.isfinite(M)):
+        raise InvalidDimension(
+            f"a coordinate map is a finite square matrix, got shape {M.shape}"
+        )
+    return M
 
 
 def decompose_isometry(
@@ -253,17 +260,18 @@ def decompose_isometry(
     """Decompose an affine isometry of a Hermitian-space norm.
 
     ``M`` is the linear part in coordinates, ``offset`` the coordinate
-    vector of the translation (defaults to zero).  The map is first checked
-    to be an isometry of ``spec`` on random pairs, the branch is classified,
-    the involution is peeled off, and the conjugating unitary is recovered.
-    For n = 2 the involution branch coincides with a conjugation and only
+    vector of the translation (defaults to zero; anything but a finite
+    vector of shape (d,) raises :class:`InvalidDimension`).  The map is
+    first checked to be an isometry of ``spec`` on random pairs, the branch
+    is classified, the involution is peeled off, and the conjugating
+    unitary is recovered.  For n = 2 the involution branch coincides with a conjugation and only
     (eta, U) is reported, with eta read from the determinant.
 
     Raises :class:`NotIsometry`, or :class:`NotInClassifiedForm` for
     isometries outside the canonical family (the Euclidean / inner-product
     case admits a full orthogonal group of them).
     """
-    M = np.asarray(M, dtype=float)
+    M = _coordinate_map(M)
     d = M.shape[0]
     if spec.space != HERMITIAN_TRACELESS:
         raise InvalidDimension("decompose_isometry acts on the Hermitian space")
@@ -274,7 +282,12 @@ def decompose_isometry(
     if offset is None:
         offset = np.zeros(d)
     offset = np.asarray(offset, dtype=float)
-    _check_isometry(M, offset, spec, n, seed)
+    if offset.shape != (d,) or not np.all(np.isfinite(offset)):
+        raise InvalidDimension(
+            f"offset must be a finite coordinate vector of shape ({d},), "
+            f"got shape {offset.shape}"
+        )
+    _check_isometry(M, spec, n, seed)
     translation = devectorize(offset, basis)
 
     if n == 2:
@@ -374,14 +387,14 @@ def decompose_skew_isometry(
     succeeds wins.  Raises :class:`NotIsometry` or, when every branch fails
     (as for multiples of the Euclidean norm), :class:`NotInClassifiedForm`.
     """
-    M = np.asarray(M, dtype=float)
+    M = _coordinate_map(M)
     m = M.shape[0]
     n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
     if n * (n - 1) // 2 != m:
         raise InvalidDimension(f"map size {m} is not of the form n(n-1)/2")
     if spec.space != SKEW_REAL:
         raise InvalidDimension("decompose_skew_isometry acts on the skew space")
-    _check_isometry(M, np.zeros(m), spec, n, seed)
+    _check_isometry(M, spec, n, seed)
 
     branches = [(M, 1, False), (-M, -1, False)]
     if n == 4:

@@ -12,13 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDimension
 from .matspace import SKEW_REAL, is_element
 
 #: relative eigenvalue threshold separating zero modes from blocks
 ZERO_MODE_TOL = 1e-10
+
+
+def _null_space(B: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of B, as columns: the right
+    singular vectors past the numerical rank, with singular values above
+    max(s) * max(B.shape) * eps counted in the rank."""
+    _, s, vh = np.linalg.svd(B, full_matrices=True)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * max(B.shape) * np.finfo(float).eps))
+    return vh[rank:].T.conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +92,7 @@ def youla_decompose(A: np.ndarray) -> YoulaForm:
     leading entries of the candidate plane vectors.
     """
     A = np.asarray(A, dtype=float)
-    if not is_element(A, SKEW_REAL):
+    if A.ndim != 2 or not is_element(A, SKEW_REAL):
         raise InvalidDimension("input is not a real skew-symmetric matrix")
     n = A.shape[0]
     w, V = np.linalg.eigh(1j * A)
@@ -136,7 +144,7 @@ def youla_decompose(A: np.ndarray) -> YoulaForm:
 
     if r:
         block = np.column_stack(cols)
-        kernel = scipy.linalg.null_space(block.T)
+        kernel = _null_space(block.T)
     else:
         block = np.zeros((n, 0))
         kernel = np.eye(n)
@@ -176,7 +184,7 @@ def char_poly_skew(A: np.ndarray) -> np.ndarray:
     for the n <= 8 sizes supported here).
     """
     A = np.asarray(A, dtype=float)
-    if not is_element(A, SKEW_REAL):
+    if A.ndim != 2 or not is_element(A, SKEW_REAL):
         raise InvalidDimension("input is not a real skew-symmetric matrix")
     n = A.shape[0]
     if n > 8:

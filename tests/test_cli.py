@@ -3,7 +3,9 @@ import json
 import pytest
 
 from isomlab.cli import (
+    ReportDocument,
     SuiteConfig,
+    _record,
     build_parser,
     emit_report,
     main,
@@ -93,6 +95,25 @@ def test_float_serialization_17_digits():
     text = emit_report(doc, "json")
     val = json.loads(text)["records"][0]["value"]
     assert json.loads(format(val, ".17g")) == val
+
+
+def test_non_finite_values_serialize_as_null_and_fail():
+    records = [
+        _record("nan_value", "T3", 2, "", float("nan"), 0.0, 1e-10),
+        _record("inf_value", "T1i", 2, "", float("inf"), 1e3, 0.0, "ge"),
+        _record("ninf_value", "T3", 2, "", float("-inf"), 0.0, 1e-10),
+    ]
+    assert not any(r.passed for r in records)
+    doc = ReportDocument("cnr", {}, records, 1.0, "0")
+    assert not doc.overall_pass
+
+    def no_constants(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    parsed = json.loads(emit_report(doc, "json"), parse_constant=no_constants)
+    assert [r["value"] for r in parsed["records"]] == [None, None, None]
+    assert [r["pass"] for r in parsed["records"]] == [False, False, False]
+    assert "nan" in emit_report(doc, "text")
 
 
 def test_text_format():

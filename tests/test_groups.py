@@ -18,6 +18,16 @@ def test_haar_unitary_special_determinant():
         assert abs(np.linalg.det(U) - 1) < 1e-12
 
 
+def test_haar_unitary_count_draws_a_stack():
+    stack = il.haar_unitary(4, 9, count=6)
+    assert stack.shape == (6, 4, 4)
+    npt.assert_allclose(stack @ stack.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(4), (6, 4, 4)), atol=1e-12)
+    npt.assert_array_equal(stack, il.haar_unitary(4, 9, count=6))
+    special = il.haar_unitary(4, 9, special=True, count=6)
+    npt.assert_allclose(np.linalg.det(special), np.ones(6), atol=1e-12)
+    assert il.haar_unitary(4, 9).shape == (4, 4)
+
+
 def test_haar_reproducible():
     npt.assert_array_equal(il.haar_unitary(3, 42), il.haar_unitary(3, 42))
     npt.assert_array_equal(il.haar_orthogonal(3, 42), il.haar_orthogonal(3, 42))

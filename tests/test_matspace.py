@@ -99,6 +99,36 @@ def test_vectorize_dimension_mismatch():
         il.devectorize(np.zeros(9), basis)
 
 
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_coordinate_maps_take_a_batch_axis(space, n):
+    basis = il.basis_for(space, n)
+    stack = il.random_element(space, n, [6, n], count=4)
+    assert stack.shape == (4, n, n)
+    coords = il.vectorize(stack, basis)
+    assert coords.shape == (4, basis.d)
+    npt.assert_array_equal(coords, [il.vectorize(A, basis) for A in stack])
+    npt.assert_array_equal(il.devectorize(coords, basis), [il.devectorize(v, basis) for v in coords])
+    M = np.random.default_rng(n).standard_normal((basis.d, basis.d))
+    moved = il.apply_map(M, stack, basis)
+    npt.assert_allclose(moved, [il.apply_map(M, A, basis) for A in stack], rtol=0, atol=1e-13)
+    single = il.apply_map(M, stack[:1], basis)
+    assert single.shape == (1, n, n)
+    with pytest.raises(InvalidDimension):
+        il.vectorize(stack[None], basis)
+    with pytest.raises(InvalidDimension):
+        il.devectorize(coords[None], basis)
+
+
+def test_is_element_judges_each_member_of_a_stack():
+    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 4, count=3)
+    npt.assert_array_equal(il.is_element(stack, il.HERMITIAN_TRACELESS), [True, True, True])
+    stack[1, 0, 1] += 1e-3
+    npt.assert_array_equal(il.is_element(stack, il.HERMITIAN_TRACELESS), [True, False, True])
+    assert il.is_element(stack[0], il.HERMITIAN_TRACELESS)
+    assert not il.is_element(stack[1], il.HERMITIAN_TRACELESS)
+
+
 def test_project_traceless_examples():
     npt.assert_allclose(il.project_traceless(np.eye(3)), np.zeros((3, 3)), atol=1e-15)
     A = np.diag([2.0, 1.0, 0.0]).astype(complex)

@@ -207,3 +207,60 @@ def test_check_invariance_all_specs(n):
     for spec in herm_specs(n) + skew_specs(n):
         dev = il.check_invariance(spec, n, 100, [13, n])
         assert dev < 1e-10, (spec, dev)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_norm_value_matches_member_loop(n):
+    for spec in herm_specs(n) + skew_specs(n):
+        for k in (1, 7):
+            stack = il.random_element(spec.space, n, [14, n, k], count=k)
+            stack[0] *= 1e-3
+            values = il.norm_value(stack, spec)
+            assert isinstance(values, np.ndarray) and values.shape == (k,)
+            loop = np.array([il.norm_value(A, spec) for A in stack])
+            assert all(isinstance(il.norm_value(A, spec), float) for A in stack)
+            npt.assert_allclose(values, loop, rtol=1e-15, atol=0, err_msg=spec.token())
+
+
+def test_stack_with_one_non_member_raises():
+    herm = il.random_element(il.HERMITIAN_TRACELESS, 3, 15, count=5)
+    herm[2, 0, 1] += 1e-6
+    with pytest.raises(SpecMismatch):
+        il.norm_value(herm, il.schatten(3))
+    skew = il.random_element(il.SKEW_REAL, 4, 15, count=5)
+    skew[4, 0, 1] += 1e-6
+    with pytest.raises(SpecMismatch):
+        il.norm_value(skew, il.c_spectral((2, 1)))
+    # each member has its own tolerance: a defect that a large member's
+    # scale would excuse still fails a small member
+    mixed = il.random_element(il.HERMITIAN_TRACELESS, 3, 16, count=2)
+    mixed[0] *= 1e6
+    mixed[1, 0, 1] += 1e-8
+    with pytest.raises(SpecMismatch):
+        il.norm_value(mixed, il.frobenius())
+    with pytest.raises(SpecMismatch):
+        il.norm_value(np.zeros((2, 2, 3, 3)), il.frobenius())
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("p,scale", [(400.0, 10.0), (200.0, 1e-3), (1e6, 1e150), (1.5, 1e-150)])
+def test_schatten_extreme_powers_and_scales(space, p, scale):
+    spec = il.schatten(p, space)
+    A = scale * il.random_element(space, 4, [17, int(p)])
+    value = il.norm_value(A, spec)
+    s = np.linalg.svd(A, compute_uv=False)
+    expected = s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p)
+    assert np.isfinite(value) and value > 0
+    assert value == pytest.approx(expected, rel=1e-12)
+    g = il.norm_gradient(A, spec)
+    assert np.all(np.isfinite(g))
+    assert il.trace_inner(g, A, space) == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [il.frobenius(), il.schatten(3), il.schatten(1)])
+def test_gradient_rejects_a_stack(spec):
+    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 18, count=2)
+    with pytest.raises(SpecMismatch):
+        il.norm_gradient(stack, spec)
+    with pytest.raises(SpecMismatch):
+        il.norm_gradient(stack[:1], spec)

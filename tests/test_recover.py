@@ -120,6 +120,57 @@ def test_decompose_n2_folds_sigma_into_conjugation():
 def test_decompose_rejects_non_isometry():
     with pytest.raises(NotIsometry):
         il.decompose_isometry(2.0 * np.eye(8), SPEC3)
+    with pytest.raises(NotIsometry):
+        il.decompose_skew_isometry(2.0 * np.eye(6), CSPEC21)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_precheck_rejects_perturbed_isometries(n):
+    rng = np.random.default_rng([46, n])
+    M = il.ad_matrix(il.haar_unitary(n, [46, n], special=True))
+    with pytest.raises(NotIsometry):
+        il.decompose_isometry(M + 1e-6 * rng.standard_normal(M.shape), SPEC3)
+    spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+    Q = il.so_adjoint_matrix(il.haar_orthogonal(n, [47, n], special=True))
+    with pytest.raises(NotIsometry):
+        il.decompose_skew_isometry(Q + 1e-6 * rng.standard_normal(Q.shape), spec)
+
+
+def test_precheck_makes_two_stacked_norm_evaluations(monkeypatch):
+    import isomlab.recover as recover
+
+    shapes = []
+
+    def counted(A, spec):
+        shapes.append(np.shape(A))
+        return il.norm_value(A, spec)
+
+    monkeypatch.setattr(recover, "norm_value", counted)
+    U = il.haar_unitary(4, 48, special=True)
+    il.decompose_isometry(il.ad_matrix(U), SPEC3, seed=1)
+    assert shapes == [(50, 4, 4), (50, 4, 4)]
+    shapes.clear()
+    il.decompose_skew_isometry(il.psi_matrix(), CSPEC21, seed=1)
+    assert shapes == [(50, 4, 4), (50, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "offset", [np.zeros(7), np.full(8, np.nan), np.r_[np.zeros(7), np.inf], np.zeros((8, 1))]
+)
+def test_decompose_rejects_malformed_offsets(offset):
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(np.eye(8), SPEC3, offset=offset)
+
+
+def test_decompose_rejects_non_square_or_non_finite_maps():
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(np.eye(8)[:, :7], SPEC3)
+    with pytest.raises(InvalidDimension):
+        il.decompose_skew_isometry(np.eye(6)[:5], CSPEC21)
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(np.full((8, 8), np.nan), SPEC3)
+    with pytest.raises(InvalidDimension):
+        il.decompose_skew_isometry(np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], CSPEC21)
 
 
 def test_decompose_frobenius_has_no_canonical_form():

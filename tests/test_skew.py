@@ -107,6 +107,22 @@ def test_psi_apply_wrong_dimension():
         il.psi_apply(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.eye(4),
+        il.random_element(il.SKEW_REAL, 4, 19, count=1),
+        il.random_element(il.SKEW_REAL, 4, 19, count=2),
+    ],
+    ids=["not_skew", "stack_of_1", "stack_of_2"],
+)
+def test_youla_and_char_poly_reject_non_skew_input(A):
+    with pytest.raises(InvalidDimension):
+        il.youla_decompose(A)
+    with pytest.raises(InvalidDimension):
+        il.char_poly_skew(A)
+
+
 def test_psi_preserves_char_poly_and_norm():
     for seed in range(200):
         A = il.random_element(il.SKEW_REAL, 4, [7, seed])
