@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import InconclusiveDimension, IsomlabError, NotInClassifiedForm
+from .errors import IsomlabError, NotInClassifiedForm
 from .estimate import (
+    SAMPLES_PER_UNKNOWN,
     c_numerical_radius,
     c_numerical_range_sample,
     isometry_algebra_dimension,
@@ -44,6 +45,7 @@ from .matspace import (
     gell_mann_basis,
     random_element,
     skew_basis,
+    space_dim,
     vectorize,
 )
 from .norms import (
@@ -314,23 +316,23 @@ def _dimension_records(cfg: SuiteConfig):
             spec = _resolve_spec(token, cfg, n)
             if spec is None:
                 continue
+            d = space_dim(spec.space, n)
             if spec.space == HERMITIAN_TRACELESS:
                 estimator = isometry_algebra_dimension
-                d = n * n - 1
-                expected = d * (d - 1) // 2 if _is_euclidean(spec) else n * n - 1
+                adjoint = n * n - 1
                 tag = _herm_tag(spec, n)
             else:
                 estimator = skew_isometry_algebra_dimension
-                m = n * (n - 1) // 2
-                expected = m * (m - 1) // 2 if _is_euclidean(spec) else m
+                adjoint = n * (n - 1) // 2
                 tag = _skew_tag(spec, n)
+            expected = d * (d - 1) // 2 if _is_euclidean(spec) else adjoint
             # the estimator needs at least d^2 rows; --samples can only add
-            d_space = n * n - 1 if spec.space == HERMITIAN_TRACELESS else n * (n - 1) // 2
-            num_samples = max(cfg.samples, 3 * d_space * d_space)
+            num_samples = max(cfg.samples, SAMPLES_PER_UNKNOWN * d * d)
             check = f"dimension/{spec.token()}/n={n}"
             try:
                 rep = estimator(spec, n, num_samples=num_samples, seed=[cfg.seed, n])
-            except InconclusiveDimension:
+            except (IsomlabError, np.linalg.LinAlgError):
+                # a failing record, not an aborted report
                 records.append(_record(check, tag, n, spec.token(), -1, expected, 0, "eq"))
                 continue
             records.append(

@@ -22,7 +22,12 @@ class InvalidNormSpec(IsomlabError):
 
 
 class DegeneratePoint(IsomlabError):
-    """Gradient requested at a point where the norm is not smooth."""
+    """Gradient requested at a point where the norm is not smooth;
+    ``members`` indexes the offending members of a stack (0: one matrix)."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(int(i) for i in members)
 
 
 class NotSpecialOrthogonal(IsomlabError):

@@ -49,6 +49,12 @@ GAP_RATIO_MIN = 1e3
 #: resampling budget per constraint row before giving up
 MAX_RESAMPLE = 20
 
+#: default constraint rows per each of the d^2 unknowns of a generator
+SAMPLES_PER_UNKNOWN = 3
+
+#: constraint rows whose gradients one stacked norm_gradient call builds
+ROW_BLOCK = 512
+
 
 @dataclass(frozen=True, eq=False)
 class DimensionReport:
@@ -75,21 +81,35 @@ class RangeSample:
     radius: float
 
 
-def _constraint_rows(spec: NormSpec, n: int, basis, indices, seed):
-    rows = np.empty((len(indices), basis.d * basis.d))
-    for out, i in enumerate(indices):
-        for attempt in range(MAX_RESAMPLE):
-            X = random_element(spec.space, n, [seed, int(i), attempt])
+def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
+    """Row i is vec(g_X) (x) vec(X) for the sample X drawn from
+    ``[seed, i, attempt]``.  Gradients are built a block of rows at a time;
+    a sample at which the norm is not smooth is redrawn at the next
+    attempt, up to MAX_RESAMPLE, and only that row is redrawn."""
+    d = basis.d
+    rows = np.empty((num_samples, d * d))
+    for start in range(0, num_samples, ROW_BLOCK):
+        index = range(start, min(start + ROW_BLOCK, num_samples))
+        X = np.stack([random_element(spec.space, n, [seed, i, 0]) for i in index])
+        attempt = np.zeros(len(index), dtype=int)
+        while True:
             try:
-                g = norm_gradient(X, spec)
-            except DegeneratePoint:
-                continue
-            rows[out] = np.outer(vectorize(g, basis), vectorize(X, basis)).ravel()
-            break
-        else:
-            raise DegeneratePoint(
-                f"no generic sample found for row {i} after {MAX_RESAMPLE} tries"
-            )
+                G = norm_gradient(X, spec)
+                break
+            except DegeneratePoint as exc:
+                redraw = list(exc.members)
+                if not redraw:
+                    raise
+                attempt[redraw] += 1
+                if attempt.max() >= MAX_RESAMPLE:
+                    row = index[int(np.argmax(attempt))]
+                    raise DegeneratePoint(
+                        f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
+                    ) from exc
+                for j in redraw:
+                    X[j] = random_element(spec.space, n, [seed, index[j], int(attempt[j])])
+        block = rows[start : start + len(index)].reshape(len(index), d, d)
+        np.multiply(vectorize(G, basis)[:, :, None], vectorize(X, basis)[:, None, :], out=block)
     return rows
 
 
@@ -122,12 +142,12 @@ def _algebra_dimension(
     basis = basis_for(spec.space, n)
     d = basis.d
     if num_samples is None:
-        num_samples = 3 * d * d
+        num_samples = SAMPLES_PER_UNKNOWN * d * d
     if num_samples < d * d:
         raise InvalidDimension(
             f"need at least d^2 = {d * d} samples to resolve the spectrum"
         )
-    rows = _constraint_rows(spec, n, basis, np.arange(num_samples), seed)
+    rows = _constraint_rows(spec, n, basis, num_samples, seed)
     svals = np.linalg.svd(rows, compute_uv=False)
     null_dim, gap_ratio = _null_space_dimension(svals)
     full_dim = d * (d - 1) // 2

@@ -200,23 +200,23 @@ def is_element(A: np.ndarray, space: str, tol: float | np.ndarray | None = None)
     return np.False_
 
 
-def project_traceless(A: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Project a Hermitian matrix onto the traceless Hermitian space.
+def project_traceless(A: np.ndarray) -> np.ndarray:
+    """Project a Hermitian matrix, or each member of a (k, n, n) stack,
+    onto the traceless Hermitian space.
 
     Symmetrizes roundoff and subtracts tr(A)/n times the identity; idempotent,
-    and the identity on inputs that are already traceless.
+    and the identity on inputs that are already traceless.  Each member's
+    Hermiticity is held to STRUCT_TOL times (1 + its largest entry modulus).
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidDimension(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    tol = STRUCT_TOL * scale if tol is None else tol
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
+        raise InvalidDimension(f"expected a square matrix or a stack, got shape {A.shape}")
+    n = A.shape[-1]
     defect = hermiticity_defect(A)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
-    H = (A + A.conj().T) / 2.0
-    return H - (np.trace(H).real / n) * np.eye(n)
+    if np.any(defect > STRUCT_TOL * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))):
+        raise NotHermitian(f"hermiticity defect {np.max(defect):.3e} exceeds its tolerance")
+    H = (A + A.swapaxes(-1, -2).conj()) / 2.0
+    return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
 
 
 def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:

@@ -7,6 +7,11 @@ moduli and invariant under unitary similarity.  On the real skew space:
 Frobenius, Schatten/Ky Fan of the singular values, and the c-spectral norm
 ``sum_i c_i a_i`` applied to the descending canonical block parameters a_i
 (each counted once), invariant under orthogonal congruence.
+
+Values and gradients take one matrix or a (k, n, n) stack through one code
+path.  Every gradient is closed-form: ``V diag(f'(lam)) V*`` over the
+eigenvalues or singular values (A. S. Lewis, "Derivatives of spectral
+functions", Math. Oper. Res. 21 (1996)), projected back onto the space.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
-from .matspace import (
+from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
-    basis_for,
     devectorize,
     is_element,
     project_traceless,
@@ -34,9 +38,6 @@ C_SPECTRAL = "cspec"
 
 #: relative spectral-gap floor below which nonsmooth gradients are refused
 GENERIC_GAP = 1e-8
-
-#: relative central-difference step for finite-difference gradients
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,20 +131,31 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     raise InvalidNormSpec(f"unknown norm family in token {token!r}")
 
 
-def _check_space(A: np.ndarray, spec: NormSpec, batch: bool = True) -> np.ndarray:
-    """A as an array, if it is one element of the spec's space or, with
-    ``batch``, a (k, n, n) stack of them.  Each member is held to 1e-10
+def _check_space(A: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """A as a (k, n, n) stack (k = 1 for one matrix), if it is one element
+    of the spec's space or a stack of them.  Each member is held to 1e-10
     times (1 + its own largest entry modulus); one non-member fails the
-    whole argument."""
+    whole argument.  One matrix becomes a stack of one, so it gets the
+    bits it gets inside any stack."""
     A = np.asarray(A)
-    member = A.ndim in ((2, 3) if batch else (2,)) and is_element(
+    member = A.ndim in (2, 3) and is_element(
         A, spec.space, tol=1e-10 * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
     ).all()
     if not member:
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"
         )
-    return A
+    return A.reshape((-1,) + A.shape[-2:])
+
+
+def _check_parameters(spec: NormSpec, n: int) -> None:
+    """Refuse family parameters that do not fit the ambient size n."""
+    if spec.family == C_SPECTRAL and len(spec.c) != n // 2:
+        raise InvalidNormSpec(
+            f"c has length {len(spec.c)}; need floor(n/2) = {n // 2} for n={n}"
+        )
+    if spec.family == KY_FAN and spec.k > n:
+        raise InvalidNormSpec(f"Ky Fan k={spec.k} exceeds ambient n={n}")
 
 
 def _hermitian_singvals(A: np.ndarray) -> np.ndarray:
@@ -163,12 +175,6 @@ def _youla_values(A: np.ndarray) -> np.ndarray:
     n = A.shape[-1]
     svals = np.linalg.svd(A, compute_uv=False)
     return svals[..., ::2][..., : n // 2]
-
-
-def _relevant_values(A: np.ndarray, spec: NormSpec) -> np.ndarray:
-    if spec.space == HERMITIAN_TRACELESS:
-        return _hermitian_singvals(A)
-    return _youla_values(A)
 
 
 def _scaled(s: np.ndarray, s_max: np.ndarray):
@@ -200,17 +206,13 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
     range.
     """
+    single = np.ndim(A) == 2
     A = _check_space(A, spec)
-    n = A.shape[-1]
+    _check_parameters(spec, A.shape[-1])
     if spec.family == FROBENIUS:
         value = _frobenius(A)
     elif spec.family == C_SPECTRAL:
-        c = np.asarray(spec.c)
-        if len(c) != n // 2:
-            raise InvalidNormSpec(
-                f"c has length {len(c)}; need floor(n/2) = {n // 2} for n={n}"
-            )
-        value = (c @ _youla_values(A)[..., None])[..., 0]
+        value = (np.asarray(spec.c) @ _youla_values(A)[..., None])[..., 0]
     else:
         if spec.space == HERMITIAN_TRACELESS:
             s = _hermitian_singvals(A)
@@ -223,80 +225,106 @@ def norm_value(A: np.ndarray, spec: NormSpec):
                 t, scale = _scaled(s, s[..., :1])
                 value = scale * (t ** spec.p).sum(axis=-1) ** (1.0 / spec.p)
         else:  # Ky Fan
-            if spec.k > n:
-                raise InvalidNormSpec(f"Ky Fan k={spec.k} exceeds ambient n={n}")
             value = s[..., : spec.k].sum(axis=-1)
-    return float(value) if A.ndim == 2 else value
+    return float(value[0]) if single else value
 
 
-def _require_generic(A: np.ndarray, spec: NormSpec, scale: float) -> None:
-    """Refuse nonsmooth-variant gradients at spectrally degenerate points."""
-    vals = _relevant_values(A, spec)
-    floor = GENERIC_GAP * scale
-    gaps = np.diff(np.concatenate([vals, [0.0]]))
-    if np.min(np.abs(gaps)) <= floor:
-        raise DegeneratePoint(
-            "degenerate spectrum: minimum gap "
-            f"{np.min(np.abs(gaps)):.3e} at or below {floor:.3e}"
-        )
+def _refuse(bad: np.ndarray, what: str) -> None:
+    """Raise :class:`DegeneratePoint` naming the stack members flagged in ``bad``."""
+    members = np.flatnonzero(bad)
+    if members.size:
+        raise DegeneratePoint(f"{what} at member(s) {members.tolist()}", members=members)
 
 
-def _fd_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
-    basis = basis_for(spec.space, A.shape[0])
-    h = FD_STEP * (1.0 + float(np.linalg.norm(A)))
-    coords = np.empty(basis.d)
-    for i in range(basis.d):
-        step = h * basis.mats[i]
-        coords[i] = (norm_value(A + step, spec) - norm_value(A - step, spec)) / (2 * h)
-    return devectorize(coords, basis)
+def _require_generic(vals: np.ndarray, scale: np.ndarray) -> None:
+    """Refuse nonsmooth-variant gradients at spectrally degenerate points:
+    a member fails when two of its descending relevant values ``vals``, or
+    the smallest of them and 0, lie within GENERIC_GAP times its scale."""
+    padded = np.concatenate([vals, np.zeros_like(vals[..., :1])], axis=-1)
+    gap = np.abs(np.diff(padded, axis=-1)).min(axis=-1)
+    _refuse(gap <= GENERIC_GAP * scale,
+            f"degenerate spectrum: a gap at or below {GENERIC_GAP:.0e} times the Frobenius norm")
 
 
-def _schatten_gradient_hermitian(A: np.ndarray, p: float) -> np.ndarray:
-    # the gradient is homogeneous of degree 0, so its weights and the norm
-    # factor may both be built from the scaled values
-    lam, V = np.linalg.eigh(A)
-    t, _ = _scaled(lam, np.abs(lam).max(keepdims=True))
-    weights = np.sign(t) * np.abs(t) ** (p - 1.0)
-    G = (V * weights) @ V.conj().T
-    value = float(np.sum(np.abs(t) ** p) ** (1.0 / p))
-    return project_traceless(G) * value ** (1.0 - p)
+def _spectral_weights(lam: np.ndarray, rank: np.ndarray, spec: NormSpec):
+    """Derivative of the norm with respect to each eigenvalue (Hermitian
+    space) or singular value (skew space) in ``lam``, whose descending
+    modulus order is ``rank``; returns the weights and a per-member factor
+    that multiplies the projected gradient."""
+    sign = np.sign(lam)
+    if spec.family == SCHATTEN and not math.isinf(spec.p):
+        # degree-0 homogeneous, so built from the scaled values; the factor
+        # ||t||_p^(1-p) is one power of sum(t^p), which keeps p out of its error
+        t, _ = _scaled(lam, np.abs(lam).max(axis=-1, keepdims=True))
+        total = (np.abs(t) ** spec.p).sum(axis=-1)
+        return sign * np.abs(t) ** (spec.p - 1.0), total ** ((1.0 - spec.p) / spec.p)
+    if spec.family == SCHATTEN:
+        weights = sign * (rank == 0)
+    elif spec.family == KY_FAN:
+        weights = sign * (rank < spec.k)
+    else:  # c-spectral: c_i on the first value of the i-th singular pair
+        weights = np.zeros(lam.shape)
+        weights[..., : 2 * len(spec.c) : 2] = spec.c
+    return weights, np.ones(lam.shape[:-1])
 
 
-def _schatten_gradient_skew(A: np.ndarray, p: float) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(A)
-    t, _ = _scaled(s, s[:1])
-    W = (U * t ** (p - 1.0)) @ Vt
-    value = float(np.sum(t ** p) ** (1.0 / p))
-    G = (W - W.T) / 2.0
-    return G * value ** (1.0 - p)
+def _spectral_gradient(A: np.ndarray, spec: NormSpec, fro: np.ndarray) -> np.ndarray:
+    """V diag(f'(lam)) V* from one stacked eigh (Hermitian space) or svd
+    (skew space) call, projected back onto the space (Lewis 1996)."""
+    n = A.shape[-1]
+    if spec.space == HERMITIAN_TRACELESS:
+        lam, U = np.linalg.eigh(A)
+        Vh = U.conj().swapaxes(-1, -2)
+        order = np.argsort(-np.abs(lam), axis=-1)
+        vals = np.take_along_axis(np.abs(lam), order, axis=-1)
+        rank = np.argsort(order, axis=-1)
+    else:
+        U, lam, Vh = np.linalg.svd(A)
+        vals = lam[..., ::2][..., : n // 2]
+        rank = np.arange(n)
+    if not (spec.family == SCHATTEN and 1.0 < spec.p < math.inf):
+        _require_generic(vals, fro)
+    weights, factor = _spectral_weights(lam, rank, spec)
+    if spec.space == HERMITIAN_TRACELESS:
+        G = project_traceless((U * weights[..., None, :]) @ Vh)
+    else:
+        # each a_i is a doubled singular value whose vectors are fixed only
+        # up to a rotation within the pair, so both members of a pair get
+        # the pair's mean weight (an odd Ky Fan k splits a pair)
+        m = n // 2
+        pairs = weights[..., : 2 * m].reshape(weights.shape[:-1] + (m, 2))
+        weights[..., : 2 * m] = pairs.mean(axis=-1).repeat(2, axis=-1)
+        W = (U * weights[..., None, :]) @ Vh
+        G = (W - W.swapaxes(-1, -2)) / 2.0
+    return G * factor[..., None, None]
 
 
 def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Trace-form gradient g of the norm at A: d/dt ||A + tH|| at 0 equals
     <g, H> for every direction H in the space.
 
-    Analytic for Frobenius and for Schatten p in (1, inf); all other
-    variants use projected central finite differences and require a
-    spectrally generic point, else :class:`DegeneratePoint` is raised.
-    By homogeneity the gradient satisfies <g, A> = ||A||.  ``A`` is one
-    (n, n) space element; a stack raises :class:`SpecMismatch`.
+    Closed form for every family (see :func:`_spectral_gradient`).  ``A``
+    is one (n, n) space element or a (k, n, n) stack, which takes the same
+    code; each member gets the gradient it gets alone.  The nonsmooth
+    variants (Schatten 1 and inf, Ky Fan, c-spectral) need a spectrally
+    generic point: a zero or degenerate member raises
+    :class:`DegeneratePoint` naming it in ``members``.  <g, A> = ||A||.
     """
-    A = _check_space(A, spec, batch=False)
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        raise DegeneratePoint("gradient undefined at the zero matrix")
+    shape = np.shape(A)
+    A = _check_space(A, spec)
+    n = A.shape[-1]
+    _check_parameters(spec, n)
+    fro = _frobenius(A)
+    _refuse(fro == 0.0, "gradient undefined at the zero matrix")
     if spec.family == FROBENIUS:
-        return A / fro
-    if spec.space == HERMITIAN_TRACELESS and A.shape[0] == 2:
+        G = A / fro[:, None, None]
+    elif spec.space == HERMITIAN_TRACELESS and n == 2:
         # 2 x 2 traceless eigenvalues form a +-lambda pair, so every
         # invariant norm is a Frobenius multiple; the gradient is exact
-        return A * (norm_value(A, spec) / fro**2)
-    if spec.family == SCHATTEN and 1.0 < spec.p < math.inf:
-        if spec.space == HERMITIAN_TRACELESS:
-            return _schatten_gradient_hermitian(A, spec.p)
-        return _schatten_gradient_skew(A, spec.p)
-    _require_generic(A, spec, fro)
-    return _fd_gradient(A, spec)
+        G = A * (norm_value(A, spec) / fro**2)[:, None, None]
+    else:
+        G = _spectral_gradient(A, spec, fro)
+    return G.reshape(shape)
 
 
 def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:
@@ -308,15 +336,11 @@ def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:
     """
     from .groups import haar_orthogonal, haar_unitary
 
-    worst = 0.0
-    for t in range(trials):
-        A = random_element(spec.space, n, [seed, 2 * t])
-        if spec.space == HERMITIAN_TRACELESS:
-            U = haar_unitary(n, [seed, 2 * t + 1])
-            moved = U @ A @ U.conj().T
-        else:
-            Q = haar_orthogonal(n, [seed, 2 * t + 1])
-            moved = Q @ A @ Q.T
-        base = norm_value(A, spec)
-        worst = max(worst, abs(norm_value(moved, spec) - base) / base)
-    return worst
+    if trials < 1:
+        return 0.0
+    A = np.stack([random_element(spec.space, n, [seed, 2 * t]) for t in range(trials)])
+    haar = haar_unitary if spec.space == HERMITIAN_TRACELESS else haar_orthogonal
+    U = np.stack([haar(n, [seed, 2 * t + 1]) for t in range(trials)])
+    moved = U @ A @ U.conj().swapaxes(-1, -2)
+    base = norm_value(A, spec)
+    return float(np.max(np.abs(norm_value(moved, spec) - base) / base))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from isomlab.cli import (
@@ -11,6 +12,7 @@ from isomlab.cli import (
     main,
     run_suite,
 )
+from isomlab.errors import DegeneratePoint, InconclusiveDimension, NotHermitian
 
 TAGS = {"T1i", "T1ii", "C2", "T3", "CK_i", "CK_ii", "S4_psi", "S4_youla"}
 
@@ -163,3 +165,31 @@ def test_parser_defaults():
     assert args.fmt == "json"
     assert args.seed == 0
 
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        DegeneratePoint("no generic sample"),
+        NotHermitian("defect"),
+        np.linalg.LinAlgError("SVD did not converge"),
+        InconclusiveDimension("no gap"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monkeypatch, error):
+    import isomlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "isometry_algebra_dimension", broken)
+    cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3", "cspec:1,0"), seed=7)
+    doc = run_suite(cfg)
+    herm = [r for r in doc.records if r.spec == "schatten:3"]
+    assert [r.check_id for r in herm] == ["dimension/schatten:3/n=3", "dimension/schatten:3/n=4"]
+    assert all(r.value == -1 and not r.passed for r in herm)
+    skew = [r for r in doc.records if r.spec == "cspec:1,0"]
+    assert [r.check_id for r in skew] == ["dimension/cspec:1,0/n=4", "dimension/cspec:1,0/n=4/gap"]
+    assert all(r.passed for r in skew)
+    assert not doc.overall_pass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import isomlab as il
-from isomlab.errors import InvalidDimension, NotHermitian
+from isomlab.errors import DegeneratePoint, InvalidDimension, NotHermitian
 
 
 def diag_traceless(*vals):
@@ -197,3 +197,48 @@ def test_preserver_forms_report():
     assert rep.wc_interval_dev < 1e-12
     assert rep.wc_pointwise_dev < 1e-12
     assert rep.trials == 5
+
+
+def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
+    import isomlab.estimate as est
+
+    spec, n, basis = il.schatten(1.0), 3, il.gell_mann_basis(3)
+    real_draw, real_grad = est.random_element, est.norm_gradient
+    draws, grads = [], []
+
+    def draw(space, n, seed):
+        draws.append(tuple(seed[1:]))
+        if tuple(seed[1:]) == (5, 0):
+            return np.diag([1.0, -1.0, 0.0]).astype(complex)  # not smooth for schatten:1
+        return real_draw(space, n, seed)
+
+    def grad(X, spec):
+        grads.append(len(X))
+        return real_grad(X, spec)
+
+    monkeypatch.setattr(est, "random_element", draw)
+    monkeypatch.setattr(est, "norm_gradient", grad)
+    rows = est._constraint_rows(spec, n, basis, 20, 7)
+    assert draws == [(i, 0) for i in range(20)] + [(5, 1)]
+    assert grads == [20, 20]
+    for i in range(20):
+        X = real_draw(spec.space, n, [7, i, 1 if i == 5 else 0])
+        g = real_grad(X, spec)
+        np.testing.assert_array_equal(
+            rows[i], np.outer(il.vectorize(g, basis), il.vectorize(X, basis)).ravel()
+        )
+
+
+def test_constraint_rows_give_up_after_the_resample_budget(monkeypatch):
+    import isomlab.estimate as est
+
+    real_draw = est.random_element
+
+    def draw(space, n, seed):
+        if seed[1] == 3:
+            return np.diag([1.0, -1.0, 0.0]).astype(complex)
+        return real_draw(space, n, seed)
+
+    monkeypatch.setattr(est, "random_element", draw)
+    with pytest.raises(DegeneratePoint, match="row 3 after 20 tries"):
+        est._constraint_rows(il.schatten(1.0), 3, il.gell_mann_basis(3), 10, 0)

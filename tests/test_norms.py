@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isomlab as il
 from isomlab.errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
@@ -257,10 +259,128 @@ def test_schatten_extreme_powers_and_scales(space, p, scale):
     assert il.trace_inner(g, A, space) == pytest.approx(value, rel=1e-10)
 
 
+def nonsmooth_specs(space, n):
+    """Every family whose gradient needs a spectrally generic point."""
+    specs = [il.schatten(1.0, space), il.schatten(math.inf, space)]
+    specs += [il.ky_fan(k, space) for k in range(1, n + 1)]
+    if space == il.SKEW_REAL:
+        half = n // 2
+        specs.append(il.c_spectral(tuple(float(half - i) for i in range(half))))
+        specs.append(il.c_spectral((1.0,) + (0.0,) * (half - 1)))
+    return specs
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_gradients_match_finite_differences(space, n):
+    # on the skew space an odd Ky Fan k splits a singular pair
+    basis = il.basis_for(space, n)
+    for spec in nonsmooth_specs(space, n):
+        for seed in range(2):
+            A = il.random_element(space, n, [19, n, seed])
+            g = il.norm_gradient(A, spec)
+            ref = fd_oracle(A, spec, basis)
+            assert np.max(np.abs(g - ref)) / np.max(np.abs(ref)) < 1e-6, spec.token()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_norm_gradient_matches_member_loop(n):
+    specs = herm_specs(n) + skew_specs(n) + nonsmooth_specs(il.SKEW_REAL, n)[:3]
+    for spec in specs:
+        for k in (1, 7):
+            stack = il.random_element(spec.space, n, [20, n, k], count=k)
+            stack[0] *= 1e-3
+            G = il.norm_gradient(stack, spec)
+            assert G.shape == stack.shape
+            loop = np.array([il.norm_gradient(A, spec) for A in stack])
+            assert np.max(np.abs(G - loop)) <= 1e-15, spec.token()
+
+
+def test_frobenius_gradient_stack_uses_each_members_norm():
+    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 21, count=3)
+    stack[1] *= 100.0
+    G = il.norm_gradient(stack, il.frobenius())
+    for A, g in zip(stack, G):
+        npt.assert_allclose(g, A / np.linalg.norm(A), rtol=0, atol=1e-15)
+        assert il.trace_inner(g, A, il.HERMITIAN_TRACELESS) == pytest.approx(np.linalg.norm(A))
+
+
 @pytest.mark.parametrize("spec", [il.frobenius(), il.schatten(3), il.schatten(1)])
-def test_gradient_rejects_a_stack(spec):
-    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 18, count=2)
+def test_gradient_stack_with_one_non_member_raises(spec):
+    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 18, count=4)
+    stack[2, 0, 1] += 1e-6
     with pytest.raises(SpecMismatch):
         il.norm_gradient(stack, spec)
     with pytest.raises(SpecMismatch):
-        il.norm_gradient(stack[:1], spec)
+        il.norm_gradient(np.zeros((2, 2, 3, 3), dtype=complex), spec)
+
+
+def test_gradient_stack_names_its_degenerate_members():
+    herm = il.random_element(il.HERMITIAN_TRACELESS, 3, 22, count=5)
+    herm[3] = np.diag([1.0, -1.0, 0.0])  # tied top moduli and a zero eigenvalue
+    for spec in (il.schatten(1.0), il.schatten(math.inf), il.ky_fan(2)):
+        with pytest.raises(DegeneratePoint) as info:
+            il.norm_gradient(herm, spec)
+        assert info.value.members == (3,)
+    il.norm_gradient(herm, il.schatten(3))  # smooth: no genericity needed
+    herm[1] = 0.0
+    with pytest.raises(DegeneratePoint) as info:
+        il.norm_gradient(herm, il.frobenius())
+    assert info.value.members == (1,)
+    skew = il.random_element(il.SKEW_REAL, 4, 22, count=4)
+    skew[0] = two_block_skew(1.0, 1.0)
+    skew[2] = two_block_skew(2.0, 0.0)
+    with pytest.raises(DegeneratePoint) as info:
+        il.norm_gradient(skew, il.c_spectral((2, 1)))
+    assert info.value.members == (0, 2)
+    with pytest.raises(DegeneratePoint) as info:
+        il.norm_gradient(skew[0], il.c_spectral((2, 1)))
+    assert info.value.members == (0,)
+
+
+def test_check_invariance_is_two_stacked_evaluations_of_the_trial_loop(monkeypatch):
+    import isomlab.norms as norms
+
+    shapes = []
+    real = norms.norm_value
+
+    def counted(A, spec):
+        shapes.append(np.shape(A))
+        return real(A, spec)
+
+    for spec, haar in ((il.schatten(1.0), il.haar_unitary), (il.c_spectral((2, 1)), il.haar_orthogonal)):
+        worst = 0.0
+        for t in range(9):
+            A = il.random_element(spec.space, 4, [[23, 4], 2 * t])
+            U = haar(4, [[23, 4], 2 * t + 1])
+            base = real(A, spec)
+            worst = max(worst, abs(real(U @ A @ U.conj().T, spec) - base) / base)
+        monkeypatch.setattr(norms, "norm_value", counted)
+        assert il.check_invariance(spec, 4, 9, [23, 4]) == worst
+        monkeypatch.setattr(norms, "norm_value", real)
+        assert shapes == [(9, 4, 4), (9, 4, 4)]
+        shapes.clear()
+
+
+SCALE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@SCALE_SETTINGS
+@given(
+    space=st.sampled_from([il.HERMITIAN_TRACELESS, il.SKEW_REAL]),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log10_scale=st.floats(-150.0, 150.0),
+    p=st.one_of(st.just(1.0), st.just(1e6), st.floats(1.0, 1e6)),
+)
+def test_gradient_euler_identity_and_degree_zero_homogeneity(space, n, seed, log10_scale, p):
+    spec = il.schatten(p, space)
+    A = il.random_element(space, n, seed)
+    scaled = 10.0**log10_scale * A
+    g = il.norm_gradient(A, spec)
+    g_scaled = il.norm_gradient(scaled, spec)
+    assert np.all(np.isfinite(g_scaled))
+    assert il.trace_inner(g_scaled, scaled, space) == pytest.approx(
+        il.norm_value(scaled, spec), rel=1e-10
+    )
+    assert np.max(np.abs(g_scaled - g)) <= 1e-9 * np.max(np.abs(g))
