@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import IsomlabError, NotInClassifiedForm
+from .errors import IsomlabError, NotInClassifiedForm, RecoveryFailed
 from .estimate import (
-    SAMPLES_PER_UNKNOWN,
     c_numerical_radius,
     c_numerical_range_sample,
+    default_num_samples,
     isometry_algebra_dimension,
     skew_isometry_algebra_dimension,
     verify_preserver_forms,
@@ -130,9 +130,10 @@ class CheckRecord:
     expected: float
     tolerance: float
     passed: bool
+    error: str | None = None  # "Class: message" of an exception the check raised
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "theorem_tag": self.theorem_tag,
             "n": self.n,
@@ -142,6 +143,9 @@ class CheckRecord:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 @dataclass
@@ -212,13 +216,14 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
         lines.append(
             f"{'PASS' if r.passed else 'FAIL':6s}  {r.check_id:44s} {r.theorem_tag:8s} "
             f"{r.n:2d}  {r.value:12.5g}  {r.expected:12.5g}  {r.tolerance:9.2g}"
+            + (f"  {r.error}" if r.error is not None else "")
         )
     n_pass = sum(r.passed for r in doc.records)
     lines.append(f"{n_pass}/{len(doc.records)} checks passed")
     return "\n".join(lines) + "\n"
 
 
-def _record(check_id, tag, n, spec, value, expected, tol, mode="abs") -> CheckRecord:
+def _record(check_id, tag, n, spec, value, expected, tol, mode="abs", error=None) -> CheckRecord:
     value = float(value)
     expected = float(expected)
     if mode == "abs":
@@ -228,8 +233,32 @@ def _record(check_id, tag, n, spec, value, expected, tol, mode="abs") -> CheckRe
     else:  # "ge": value must be at least expected - tol
         passed = value >= expected - tol
     # a NaN or infinite entry is serialized as null and never passes
-    passed = passed and all(math.isfinite(x) for x in (value, expected, tol))
-    return CheckRecord(check_id, tag, n, spec, value, expected, float(tol), bool(passed))
+    passed = passed and error is None and all(math.isfinite(x) for x in (value, expected, tol))
+    return CheckRecord(check_id, tag, n, spec, value, expected, float(tol), bool(passed), error)
+
+
+#: exceptions a check may raise that become failing records, not an aborted report
+CHECK_ERRORS = (IsomlabError, np.linalg.LinAlgError)
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _guarded(rows, compute):
+    """One record per row, from the values ``compute()`` returns in row
+    order; compute runs at once, inside this call.  A row is
+    ``(check_id, tag, n, spec, expected, tol[, mode])``.  If compute raises
+    one of CHECK_ERRORS, every row becomes a failing record with a null
+    value and the error attached."""
+    try:
+        values, error = compute(), None
+    except CHECK_ERRORS as exc:
+        values, error = [math.nan] * len(rows), _describe(exc)
+    return [
+        _record(check_id, tag, n, spec, value, *rest, error=error)
+        for (check_id, tag, n, spec, *rest), value in zip(rows, values, strict=True)
+    ]
 
 
 def _parse_token(token: str, space: str) -> NormSpec:
@@ -265,6 +294,14 @@ def _skew_tag(spec: NormSpec, n: int) -> str:
     return "CK_ii" if n == 4 else "CK_i"
 
 
+def _sigma_identity_worst(cfg: SuiteConfig, n: int, pairs: int):
+    worst = 0.0
+    for i in range(pairs):
+        U = haar_unitary(n, [cfg.seed, n, 10_000 + i], special=True)
+        worst = max(worst, verify_sigma_normalizes(U, 1, [cfg.seed, n, 20_000 + i]))
+    return [worst]
+
+
 def _invariance_records(cfg: SuiteConfig):
     trials = cfg.samples or 100
     records = []
@@ -278,33 +315,14 @@ def _invariance_records(cfg: SuiteConfig):
                 if spec.space == HERMITIAN_TRACELESS
                 else _skew_tag(spec, n)
             )
-            dev = check_invariance(spec, n, trials, [cfg.seed, n, idx])
-            records.append(
-                _record(
-                    f"invariance/{spec.token()}/n={n}",
-                    tag,
-                    n,
-                    spec.token(),
-                    dev,
-                    0.0,
-                    cfg.tolerance("invariance"),
-                )
+            check = f"invariance/{spec.token()}/n={n}"
+            records += _guarded(
+                [(check, tag, n, spec.token(), 0.0, cfg.tolerance("invariance"))],
+                lambda: [check_invariance(spec, n, trials, [cfg.seed, n, idx])],
             )
-        pairs = max(10, min(trials, 50))
-        worst = 0.0
-        for i in range(pairs):
-            U = haar_unitary(n, [cfg.seed, n, 10_000 + i], special=True)
-            worst = max(worst, verify_sigma_normalizes(U, 1, [cfg.seed, n, 20_000 + i]))
-        records.append(
-            _record(
-                f"sigma_identity/n={n}",
-                "T1i",
-                n,
-                "",
-                worst,
-                0.0,
-                cfg.tolerance("sigma_identity"),
-            )
+        records += _guarded(
+            [(f"sigma_identity/n={n}", "T1i", n, "", 0.0, cfg.tolerance("sigma_identity"))],
+            lambda: _sigma_identity_worst(cfg, n, max(10, min(trials, 50))),
         )
     return records
 
@@ -327,13 +345,15 @@ def _dimension_records(cfg: SuiteConfig):
                 tag = _skew_tag(spec, n)
             expected = d * (d - 1) // 2 if _is_euclidean(spec) else adjoint
             # the estimator needs at least d^2 rows; --samples can only add
-            num_samples = max(cfg.samples, SAMPLES_PER_UNKNOWN * d * d)
+            num_samples = max(cfg.samples, default_num_samples(d))
             check = f"dimension/{spec.token()}/n={n}"
             try:
                 rep = estimator(spec, n, num_samples=num_samples, seed=[cfg.seed, n])
-            except (IsomlabError, np.linalg.LinAlgError):
+            except CHECK_ERRORS as exc:
                 # a failing record, not an aborted report
-                records.append(_record(check, tag, n, spec.token(), -1, expected, 0, "eq"))
+                records.append(
+                    _record(check, tag, n, spec.token(), -1, expected, 0, "eq", _describe(exc))
+                )
                 continue
             records.append(
                 _record(check, tag, n, spec.token(), rep.estimated_dim, expected, 0, "eq")
@@ -353,6 +373,77 @@ def _dimension_records(cfg: SuiteConfig):
     return records
 
 
+def _hermitian_round_trips(cfg: SuiteConfig, spec: NormSpec, n: int, count: int):
+    """Branch matches, worst residual and worst unitary error over ``count``
+    random affine isometries of the Hermitian space."""
+    basis = gell_mann_basis(n)
+    sigma = cartan_matrix(basis)
+    matches, worst_res, worst_uerr = 0, 0.0, 0.0
+    for t in range(count):
+        rng = np.random.default_rng([cfg.seed, n, t])
+        eta = 1 if rng.integers(2) else -1
+        flag = bool(rng.integers(2)) and n >= 3
+        U = haar_unitary(n, [cfg.seed, n, t, 1], special=True)
+        B = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, n, t, 2])
+        M = eta * ad_matrix(U, basis)
+        if flag:
+            M = M @ sigma
+        dec = decompose_isometry(M, spec, offset=vectorize(B, basis), seed=[cfg.seed, n, t, 3])
+        if dec.eta == eta and dec.sigma_flag == flag:
+            matches += 1
+        worst_res = max(worst_res, dec.residual)
+        worst_uerr = max(worst_uerr, unitary_phase_distance(U, dec.unitary))
+    return [matches, worst_res, worst_uerr]
+
+
+def _frobenius_deviation(cfg: SuiteConfig, n: int, rotations):
+    """Worst relative change of the Frobenius norm under the rotations."""
+    fro = frobenius()
+    basis = gell_mann_basis(n)
+    worst_dev = 0.0
+    for t, M in enumerate(rotations):
+        for i in range(10):
+            A = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 32, t, i])
+            moved = M @ vectorize(A, basis)
+            dev = abs(float(np.linalg.norm(moved)) - norm_value(A, fro)) / norm_value(A, fro)
+            worst_dev = max(worst_dev, dev)
+    return [worst_dev]
+
+
+def _euclidean_rejections(cfg: SuiteConfig, rotations):
+    """How many of the rotations decompose_isometry rejects as having no
+    canonical form."""
+    fro = frobenius()
+    rejected = 0
+    for t, M in enumerate(rotations):
+        try:
+            decompose_isometry(M, fro, seed=[cfg.seed, 33, t])
+        except NotInClassifiedForm:
+            rejected += 1
+    return [rejected]
+
+
+def _skew_round_trips(cfg: SuiteConfig, spec: NormSpec, n: int, count: int, use_psi: bool):
+    """Branch matches and worst residual over ``count`` random skew-space
+    isometries, with the n = 4 coordinate swap when ``use_psi``."""
+    basis = skew_basis(n)
+    psi = psi_matrix() if use_psi else None
+    matches, worst_res = 0, 0.0
+    for t in range(count):
+        rng = np.random.default_rng([cfg.seed, 41, n, t])
+        sign = 1 if rng.integers(2) else -1
+        flag = bool(rng.integers(2)) if use_psi else False
+        Q = haar_orthogonal(n, [cfg.seed, 42, n, t], special=True)
+        M = sign * so_adjoint_matrix(Q, basis)
+        if flag:
+            M = M @ psi
+        dec = decompose_skew_isometry(M, spec, seed=[cfg.seed, 43, n, t])
+        if (dec.sign, dec.psi_flag) == (sign, flag):
+            matches += 1
+        worst_res = max(worst_res, dec.residual)
+    return [matches, worst_res]
+
+
 def _decompose_records(cfg: SuiteConfig):
     count = cfg.samples or 20
     records = []
@@ -366,67 +457,36 @@ def _decompose_records(cfg: SuiteConfig):
         spec = parse_norm("schatten:3")
 
     for n in cfg.n_values:
-        basis = gell_mann_basis(n)
-        sigma = cartan_matrix(basis)
-        matches, worst_res, worst_uerr = 0, 0.0, 0.0
-        for t in range(count):
-            rng = np.random.default_rng([cfg.seed, n, t])
-            eta = 1 if rng.integers(2) else -1
-            flag = bool(rng.integers(2)) and n >= 3
-            U = haar_unitary(n, [cfg.seed, n, t, 1], special=True)
-            B = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, n, t, 2])
-            M = eta * ad_matrix(U, basis)
-            if flag:
-                M = M @ sigma
-            dec = decompose_isometry(M, spec, offset=vectorize(B, basis), seed=[cfg.seed, n, t, 3])
-            if dec.eta == eta and dec.sigma_flag == flag:
-                matches += 1
-            worst_res = max(worst_res, dec.residual)
-            worst_uerr = max(worst_uerr, unitary_phase_distance(U, dec.unitary))
-        records.append(
-            _record(f"decompose/branch_match/n={n}", "C2", n, spec.token(), matches, count, 0, "eq")
-        )
-        records.append(
-            _record(
-                f"decompose/residual/n={n}", "C2", n, spec.token(),
-                worst_res, 0.0, cfg.tolerance("roundtrip"),
-            )
-        )
-        records.append(
-            _record(
-                f"decompose/unitary_err/n={n}", "C2", n, spec.token(),
-                worst_uerr, 0.0, cfg.tolerance("unitary_err"),
-            )
+        token = spec.token()
+        records += _guarded(
+            [
+                (f"decompose/branch_match/n={n}", "C2", n, token, count, 0, "eq"),
+                (f"decompose/residual/n={n}", "C2", n, token, 0.0, cfg.tolerance("roundtrip")),
+                (f"decompose/unitary_err/n={n}", "C2", n, token, 0.0, cfg.tolerance("unitary_err")),
+            ],
+            lambda: _hermitian_round_trips(cfg, spec, n, count),
         )
 
     # negative control: generic rotations preserve only the Euclidean norm
     n = 3 if 3 in cfg.n_values else max(cfg.n_values[0], 3)
-    d = n * n - 1
-    fro = frobenius()
-    rejected, worst_dev = 0, 0.0
-    for t in range(count):
-        M = haar_orthogonal(d, [cfg.seed, 31, t], special=True)
-        basis = gell_mann_basis(n)
-        for i in range(10):
-            A = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 32, t, i])
-            moved = (M @ vectorize(A, basis))
-            dev = abs(float(np.linalg.norm(moved)) - norm_value(A, fro)) / norm_value(A, fro)
-            worst_dev = max(worst_dev, dev)
-        try:
-            decompose_isometry(M, fro, seed=[cfg.seed, 33, t])
-        except NotInClassifiedForm:
-            rejected += 1
-    records.append(
-        _record(
-            f"negative_control/frobenius_isometry/n={n}", "T1ii", n, "frobenius",
-            worst_dev, 0.0, cfg.tolerance("invariance"),
-        )
+    rotations = [haar_orthogonal(n * n - 1, [cfg.seed, 31, t], special=True) for t in range(count)]
+    records += _guarded(
+        [
+            (
+                f"negative_control/frobenius_isometry/n={n}", "T1ii", n, "frobenius",
+                0.0, cfg.tolerance("invariance"),
+            )
+        ],
+        lambda: _frobenius_deviation(cfg, n, rotations),
     )
-    records.append(
-        _record(
-            f"negative_control/rejected/n={n}", "T1ii", n, "frobenius",
-            rejected, math.ceil(0.99 * count), 0.0, "ge",
-        )
+    records += _guarded(
+        [
+            (
+                f"negative_control/rejected/n={n}", "T1ii", n, "frobenius",
+                math.ceil(0.99 * count), 0.0, "ge",
+            )
+        ],
+        lambda: _euclidean_rejections(cfg, rotations),
     )
 
     # skew round trips
@@ -442,122 +502,133 @@ def _decompose_records(cfg: SuiteConfig):
         if skew_spec is None:
             weights = tuple(float(n // 2 - i) for i in range(n // 2))
             skew_spec = c_spectral(weights)
-        basis = skew_basis(n)
-        psi = psi_matrix() if n == 4 else None
         for tag, use_psi in (("CK_i", False), ("CK_ii", True)):
-            if use_psi and psi is None:
+            if use_psi and n != 4:
                 continue
-            matches, worst_res = 0, 0.0
-            for t in range(count):
-                rng = np.random.default_rng([cfg.seed, 41, n, t])
-                sign = 1 if rng.integers(2) else -1
-                flag = bool(rng.integers(2)) if use_psi else False
-                Q = haar_orthogonal(n, [cfg.seed, 42, n, t], special=True)
-                M = sign * so_adjoint_matrix(Q, basis)
-                if flag:
-                    M = M @ psi
-                dec = decompose_skew_isometry(M, skew_spec, seed=[cfg.seed, 43, n, t])
-                if (dec.sign, dec.psi_flag) == (sign, flag):
-                    matches += 1
-                worst_res = max(worst_res, dec.residual)
             suffix = "psi" if use_psi else "plain"
-            records.append(
-                _record(
-                    f"decompose_skew/{suffix}/branch_match/n={n}", tag, n,
-                    skew_spec.token(), matches, count, 0, "eq",
-                )
-            )
-            records.append(
-                _record(
-                    f"decompose_skew/{suffix}/residual/n={n}", tag, n,
-                    skew_spec.token(), worst_res, 0.0, cfg.tolerance("roundtrip"),
-                )
+            token = skew_spec.token()
+            records += _guarded(
+                [
+                    (f"decompose_skew/{suffix}/branch_match/n={n}", tag, n, token, count, 0, "eq"),
+                    (
+                        f"decompose_skew/{suffix}/residual/n={n}", tag, n,
+                        token, 0.0, cfg.tolerance("roundtrip"),
+                    ),
+                ],
+                lambda: _skew_round_trips(cfg, skew_spec, n, count, use_psi),
             )
     return records
+
+
+def _youla_worst(cfg: SuiteConfig, n: int, count: int):
+    """Worst scaled reconstruction residual and worst singular-value error of
+    the block canonical form over ``count`` random skew matrices."""
+    worst_rec, worst_sv = 0.0, 0.0
+    for t in range(count):
+        A = random_element(SKEW_REAL, n, [cfg.seed, 51, n, t])
+        form = youla_decompose(A)
+        worst_rec = max(worst_rec, form.residual / (1.0 + float(np.max(np.abs(A)))))
+        sv = np.concatenate([np.repeat(form.a, 2), np.zeros(n - 2 * form.r)])
+        sv_ref = np.linalg.svd(A, compute_uv=False)
+        worst_sv = max(worst_sv, float(np.max(np.abs(sv - sv_ref))))
+    return [worst_rec, worst_sv]
+
+
+def _psi_charpoly_worst(cfg: SuiteConfig, count: int):
+    """Worst scaled change of the characteristic polynomial under psi, and
+    worst miss of its Pfaffian form, over ``count`` random 4 x 4 skew
+    matrices."""
+    worst_cp, worst_pf = 0.0, 0.0
+    for t in range(count):
+        A = random_element(SKEW_REAL, 4, [cfg.seed, 52, t])
+        ca = char_poly_skew(A)
+        cb = char_poly_skew(psi_apply(A))
+        scale = 1.0 + float(np.max(np.abs(ca)))
+        worst_cp = max(worst_cp, float(np.max(np.abs(ca - cb))) / scale)
+        p = float(np.sum(np.triu(A, 1) ** 2))
+        ident = np.array([1.0, 0.0, p, 0.0, pfaffian4(A) ** 2])
+        worst_pf = max(worst_pf, float(np.max(np.abs(ca - ident))) / scale)
+    return [worst_cp, worst_pf]
+
+
+def _psi_closure_worst(cfg: SuiteConfig, count: int):
+    psi = psi_matrix()
+    worst_cl = 0.0
+    for t in range(count):
+        Q = haar_orthogonal(4, [cfg.seed, 53, t], special=True)
+        _, res = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi, 4)
+        worst_cl = max(worst_cl, res)
+    return [worst_cl]
+
+
+def _psi_reject_residual():
+    """Smallest residual with which psi and -psi are refused as congruence
+    images (0 if either is accepted).  Only a failed recovery counts as a
+    refusal; any other error fails the check."""
+    psi = psi_matrix()
+    reject_res = math.inf
+    for M in (psi, -psi):
+        try:
+            recover_orthogonal_from_adso(M, 4)
+            reject_res = 0.0
+        except RecoveryFailed as exc:
+            res = getattr(exc, "residual", None)
+            reject_res = min(reject_res, res if res is not None else math.inf)
+    return [min(reject_res, 1e308)]
 
 
 def _skew_records(cfg: SuiteConfig):
     count = cfg.samples or 50
     records = []
     for n in cfg.n_values:
-        worst_rec, worst_sv = 0.0, 0.0
-        for t in range(count):
-            A = random_element(SKEW_REAL, n, [cfg.seed, 51, n, t])
-            form = youla_decompose(A)
-            worst_rec = max(worst_rec, form.residual / (1.0 + float(np.max(np.abs(A)))))
-            sv = np.concatenate([np.repeat(form.a, 2), np.zeros(n - 2 * form.r)])
-            sv_ref = np.linalg.svd(A, compute_uv=False)
-            worst_sv = max(worst_sv, float(np.max(np.abs(sv - sv_ref))))
-        records.append(
-            _record(
-                f"youla/reconstruction/n={n}", "S4_youla", n, "",
-                worst_rec, 0.0, cfg.tolerance("youla"),
-            )
-        )
-        records.append(
-            _record(
-                f"youla/singular_values/n={n}", "S4_youla", n, "",
-                worst_sv, 0.0, cfg.tolerance("youla"),
-            )
+        records += _guarded(
+            [
+                (f"youla/reconstruction/n={n}", "S4_youla", n, "", 0.0, cfg.tolerance("youla")),
+                (f"youla/singular_values/n={n}", "S4_youla", n, "", 0.0, cfg.tolerance("youla")),
+            ],
+            lambda: _youla_worst(cfg, n, count),
         )
         basis = skew_basis(n)
-        tau_dev = float(np.max(np.abs(tau_matrix(basis) + np.eye(basis.d))))
-        records.append(
-            _record(f"tau_is_negation/n={n}", "CK_i", n, "", tau_dev, 0.0, 0.0)
+        records += _guarded(
+            [(f"tau_is_negation/n={n}", "CK_i", n, "", 0.0, 0.0)],
+            lambda: [float(np.max(np.abs(tau_matrix(basis) + np.eye(basis.d))))],
         )
 
     if 4 in cfg.n_values:
-        cp_count = cfg.samples or 200
-        worst_cp, worst_pf = 0.0, 0.0
-        for t in range(cp_count):
-            A = random_element(SKEW_REAL, 4, [cfg.seed, 52, t])
-            ca = char_poly_skew(A)
-            cb = char_poly_skew(psi_apply(A))
-            scale = 1.0 + float(np.max(np.abs(ca)))
-            worst_cp = max(worst_cp, float(np.max(np.abs(ca - cb))) / scale)
-            p = float(np.sum(np.triu(A, 1) ** 2))
-            ident = np.array([1.0, 0.0, p, 0.0, pfaffian4(A) ** 2])
-            worst_pf = max(worst_pf, float(np.max(np.abs(ca - ident))) / scale)
-        records.append(
-            _record(
-                "psi/charpoly_invariant/n=4", "S4_psi", 4, "",
-                worst_cp, 0.0, cfg.tolerance("charpoly"),
-            )
+        records += _guarded(
+            [
+                ("psi/charpoly_invariant/n=4", "S4_psi", 4, "", 0.0, cfg.tolerance("charpoly")),
+                ("psi/pfaffian_identity/n=4", "S4_psi", 4, "", 0.0, cfg.tolerance("charpoly")),
+            ],
+            lambda: _psi_charpoly_worst(cfg, cfg.samples or 200),
         )
-        records.append(
-            _record(
-                "psi/pfaffian_identity/n=4", "S4_psi", 4, "",
-                worst_pf, 0.0, cfg.tolerance("charpoly"),
-            )
+        records += _guarded(
+            [("psi/normalizer_closure/n=4", "S4_psi", 4, "", 0.0, cfg.tolerance("roundtrip"))],
+            lambda: _psi_closure_worst(cfg, min(count, 100)),
         )
-        psi = psi_matrix()
-        closure_count = min(count, 100)
-        worst_cl = 0.0
-        for t in range(closure_count):
-            Q = haar_orthogonal(4, [cfg.seed, 53, t], special=True)
-            _, res = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi, 4)
-            worst_cl = max(worst_cl, res)
-        records.append(
-            _record(
-                "psi/normalizer_closure/n=4", "S4_psi", 4, "",
-                worst_cl, 0.0, cfg.tolerance("roundtrip"),
-            )
-        )
-        reject_res = math.inf
-        for M in (psi, -psi):
-            try:
-                recover_orthogonal_from_adso(M, 4)
-                reject_res = 0.0
-            except IsomlabError as exc:
-                res = getattr(exc, "residual", None)
-                reject_res = min(reject_res, res if res is not None else math.inf)
-        records.append(
-            _record(
-                "psi/not_adjoint_image/n=4", "S4_psi", 4, "",
-                min(reject_res, 1e308), cfg.tolerance("reject_residual"), 0.0, "ge",
-            )
+        records += _guarded(
+            [("psi/not_adjoint_image/n=4", "S4_psi", 4, "", cfg.tolerance("reject_residual"), 0, "ge")],
+            _psi_reject_residual,
         )
     return records
+
+
+def _range_containment_worst(cfg: SuiteConfig, n: int, trials: int):
+    """Largest excursion of a 400-draw Haar orbit sample outside the exact
+    range, over ``trials`` random pairs."""
+    worst = 0.0
+    for t in range(trials):
+        A = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 63, n, t])
+        C = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 64, n, t])
+        s = c_numerical_range_sample(A, C, 400, seed=[cfg.seed, 65, n, t])
+        worst = max(worst, s.lo - np.min(s.values), np.max(s.values) - s.hi)
+    return [worst]
+
+
+def _preserver_deviations(cfg: SuiteConfig, n: int, trials: int):
+    C = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 66])
+    rep = verify_preserver_forms(C, n, trials=trials, seed=[cfg.seed, 67])
+    return [max(rep.radius_dev.values()), rep.wc_interval_dev, rep.wc_pointwise_dev]
 
 
 def _cnr_records(cfg: SuiteConfig):
@@ -567,45 +638,23 @@ def _cnr_records(cfg: SuiteConfig):
     a, c = 0.5 + rng.random(2)
     A = np.diag([a, -a]).astype(complex)
     C = np.diag([c, -c]).astype(complex)
-    r = c_numerical_radius(A, C)
-    records.append(
-        _record(
-            "cnr/n2_analytic", "T3", 2, "", r, 2 * a * c, cfg.tolerance("radius")
-        )
+    records += _guarded(
+        [("cnr/n2_analytic", "T3", 2, "", 2 * a * c, cfg.tolerance("radius"))],
+        lambda: [c_numerical_radius(A, C)],
     )
     for n in cfg.n_values:
-        worst = 0.0
-        for t in range(min(trials, 10)):
-            A = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 63, n, t])
-            C = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 64, n, t])
-            s = c_numerical_range_sample(A, C, 400, seed=[cfg.seed, 65, n, t])
-            worst = max(worst, s.lo - np.min(s.values), np.max(s.values) - s.hi)
-        records.append(
-            _record(
-                f"cnr/range_containment/n={n}", "T3", n, "",
-                worst, 0.0, cfg.tolerance("perm_bound"),
-            )
+        records += _guarded(
+            [(f"cnr/range_containment/n={n}", "T3", n, "", 0.0, cfg.tolerance("perm_bound"))],
+            lambda: _range_containment_worst(cfg, n, min(trials, 10)),
         )
     n = 3 if 3 in cfg.n_values else cfg.n_values[0]
-    C = random_element(HERMITIAN_TRACELESS, n, [cfg.seed, 66])
-    rep = verify_preserver_forms(C, n, trials=min(trials, 20), seed=[cfg.seed, 67])
-    records.append(
-        _record(
-            f"cnr/preserver_radius/n={n}", "T3", n, "",
-            max(rep.radius_dev.values()), 0.0, cfg.tolerance("radius"),
-        )
-    )
-    records.append(
-        _record(
-            f"cnr/preserver_wc_interval/n={n}", "T3", n, "",
-            rep.wc_interval_dev, 0.0, cfg.tolerance("wc_interval"),
-        )
-    )
-    records.append(
-        _record(
-            f"cnr/preserver_wc_pointwise/n={n}", "T3", n, "",
-            rep.wc_pointwise_dev, 0.0, 1e-12,
-        )
+    records += _guarded(
+        [
+            (f"cnr/preserver_radius/n={n}", "T3", n, "", 0.0, cfg.tolerance("radius")),
+            (f"cnr/preserver_wc_interval/n={n}", "T3", n, "", 0.0, cfg.tolerance("wc_interval")),
+            (f"cnr/preserver_wc_pointwise/n={n}", "T3", n, "", 0.0, 1e-12),
+        ],
+        lambda: _preserver_deviations(cfg, n, min(trials, 20)),
     )
     return records
 
@@ -677,7 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="hermitian",
         help="space for frobenius/schatten/kyfan tokens (cspec is always skew)",
     )
-    parser.add_argument("--samples", type=int, default=0, help="sample/trial count (0 = suite default)")
+    parser.add_argument(
+        "--samples",
+        type=int,
+        default=0,
+        help="sample/trial count (0 = suite default); the dimension suite uses "
+        "max(SAMPLES, d^2 + d) constraint rows, d^2 + d by default",
+    )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")
     parser.add_argument("--out", default=None, help="write the report to this path")

@@ -11,6 +11,12 @@ For the classified norms the answer is dichotomous: the adjoint-group
 dimension for genuinely invariant norms, the full rotation-group dimension
 d(d-1)/2 for the Euclidean one, never anything in between.
 
+The constraint matrix has rank at most d^2 - dim L, where L is the
+isometry algebra, so the default of d^2 + d rows (:func:`default_num_samples`)
+leaves dim L + d rows of oversampling.  A near-square row matrix also keeps
+LAPACK's SVD (gesdd) on its direct bidiagonalization; from about 11/6 d^2
+rows on, gesdd QR-factors the matrix first.
+
 The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
 A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
 linear in a doubly stochastic matrix, so by Birkhoff-von Neumann and the
@@ -49,9 +55,6 @@ GAP_RATIO_MIN = 1e3
 #: resampling budget per constraint row before giving up
 MAX_RESAMPLE = 20
 
-#: default constraint rows per each of the d^2 unknowns of a generator
-SAMPLES_PER_UNKNOWN = 3
-
 #: constraint rows whose gradients one stacked norm_gradient call builds
 ROW_BLOCK = 512
 
@@ -79,6 +82,12 @@ class RangeSample:
     lo: float
     hi: float
     radius: float
+
+
+def default_num_samples(d: int) -> int:
+    """Default constraint-row count for a space of dimension d: the d^2
+    unknowns of a generator plus d rows of oversampling."""
+    return d * d + d
 
 
 def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
@@ -142,7 +151,7 @@ def _algebra_dimension(
     basis = basis_for(spec.space, n)
     d = basis.d
     if num_samples is None:
-        num_samples = SAMPLES_PER_UNKNOWN * d * d
+        num_samples = default_num_samples(d)
     if num_samples < d * d:
         raise InvalidDimension(
             f"need at least d^2 = {d * d} samples to resolve the spectrum"

@@ -32,7 +32,7 @@ def test_01_hermitian_dimension_dichotomy():
             dt = time.perf_counter() - t0
             good = (
                 rep.estimated_dim == expected
-                and rep.gap_ratio >= 1e3
+                and rep.gap_ratio >= 1e6
                 and rep.matched_case != "inconclusive"
                 and dt <= 120.0
             )
@@ -163,7 +163,7 @@ def test_06_skew_dimension_dichotomy():
     details = []
     for spec, n, expected in cases:
         rep = il.skew_isometry_algebra_dimension(spec, n, seed=[6, n])
-        good = rep.estimated_dim == expected and rep.gap_ratio >= 1e3
+        good = rep.estimated_dim == expected and rep.gap_ratio >= 1e6
         ok = ok and good
         details.append(f"{spec.token()}/n={n}: {rep.estimated_dim}/{expected}")
     report("6 skew dichotomy", ok, "; ".join(details))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from isomlab.cli import (
     main,
     run_suite,
 )
-from isomlab.errors import DegeneratePoint, InconclusiveDimension, NotHermitian
+from isomlab.errors import (
+    DegeneratePoint,
+    InconclusiveDimension,
+    InvalidDimension,
+    NotHermitian,
+)
 
 TAGS = {"T1i", "T1ii", "C2", "T3", "CK_i", "CK_ii", "S4_psi", "S4_youla"}
 
@@ -189,7 +195,152 @@ def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monke
     herm = [r for r in doc.records if r.spec == "schatten:3"]
     assert [r.check_id for r in herm] == ["dimension/schatten:3/n=3", "dimension/schatten:3/n=4"]
     assert all(r.value == -1 and not r.passed for r in herm)
+    assert all(r.error == f"{type(error).__name__}: {error}" for r in herm)
     skew = [r for r in doc.records if r.spec == "cspec:1,0"]
     assert [r.check_id for r in skew] == ["dimension/cspec:1,0/n=4", "dimension/cspec:1,0/n=4/gap"]
     assert all(r.passed for r in skew)
     assert not doc.overall_pass
+
+
+def test_dimension_suite_passes_the_default_row_count(monkeypatch):
+    import isomlab.cli as cli
+
+    seen = []
+
+    def capturing(real):
+        def estimator(spec, n, num_samples=None, seed=0):
+            seen.append((spec.token(), n, num_samples))
+            return real(spec, n, num_samples=num_samples, seed=seed)
+
+        return estimator
+
+    for name in ("isometry_algebra_dimension", "skew_isometry_algebra_dimension"):
+        monkeypatch.setattr(cli, name, capturing(getattr(cli, name)))
+    norms = ("schatten:3", "cspec:1,0")
+    doc = run_suite(SuiteConfig(suite="dimension", n_values=(2, 3, 4), norms=norms, seed=7))
+    assert doc.overall_pass
+    # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; d^2 + d rows
+    assert seen == [
+        ("schatten:3", 2, 12), ("schatten:3", 3, 72), ("schatten:3", 4, 240), ("cspec:1,0", 4, 42),
+    ]
+    seen.clear()
+    # --samples can only add rows
+    cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3",), samples=100, seed=7)
+    run_suite(cfg)
+    assert seen == [("schatten:3", 3, 100), ("schatten:3", 4, 240)]
+
+
+def _failing_ids(doc, error):
+    """Check ids of the failing records, each of which must carry ``error``
+    and a null value; the report must serialize the same bytes twice."""
+    failing = [r for r in doc.records if not r.passed]
+    assert all(r.error == f"{type(error).__name__}: {error}" and math.isnan(r.value) for r in failing)
+    assert all(r.error is None for r in doc.records if r.passed)
+    parsed = json.loads(emit_report(doc, "json"))["records"]
+    assert [r.get("error") for r in parsed] == [r.error for r in doc.records]
+    assert all(r["value"] is None for r in parsed if "error" in r)
+    assert f"{type(error).__name__}: {error}" in emit_report(doc, "text")
+    return [r.check_id for r in failing]
+
+
+def _run_twice(cfg):
+    a, b = run_suite(cfg), run_suite(cfg)
+    b.runtime_ms = a.runtime_ms
+    assert emit_report(a, "json") == emit_report(b, "json")
+    return a
+
+
+def test_invariance_suite_writes_a_failing_record_when_a_check_raises(monkeypatch):
+    import isomlab.cli as cli
+
+    error = DegeneratePoint("no generic sample")
+    real = cli.check_invariance
+
+    def broken(spec, n, trials, seed):
+        if spec.token() == "schatten:1":
+            raise error
+        return real(spec, n, trials, seed)
+
+    monkeypatch.setattr(cli, "check_invariance", broken)
+    doc = _run_twice(small_config("invariance", n_values=(2, 3), norms=("schatten:1", "frobenius")))
+    assert _failing_ids(doc, error) == ["invariance/schatten:1/n=2", "invariance/schatten:1/n=3"]
+    assert len(doc.records) == 6 and not doc.overall_pass
+
+
+def test_decompose_suite_writes_failing_records_when_a_decomposition_raises(monkeypatch):
+    import isomlab.cli as cli
+
+    error = np.linalg.LinAlgError("SVD did not converge")
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "decompose_isometry", broken)
+    doc = _run_twice(small_config("decompose", n_values=(3,), samples=3))
+    assert _failing_ids(doc, error) == [
+        "decompose/branch_match/n=3",
+        "decompose/residual/n=3",
+        "decompose/unitary_err/n=3",
+        "negative_control/rejected/n=3",
+    ]
+    # the Euclidean deviation and the skew round trips still ran and passed
+    assert [r.check_id for r in doc.records if r.passed] == [
+        "negative_control/frobenius_isometry/n=3",
+        "decompose_skew/plain/branch_match/n=3",
+        "decompose_skew/plain/residual/n=3",
+    ]
+
+
+def test_skew_suite_writes_failing_records_when_the_block_form_raises(monkeypatch):
+    import isomlab.cli as cli
+
+    error = InvalidDimension("no block form")
+
+    def broken(A):
+        raise error
+
+    monkeypatch.setattr(cli, "youla_decompose", broken)
+    doc = _run_twice(small_config("skew", n_values=(3, 4), samples=5))
+    assert _failing_ids(doc, error) == [
+        "youla/reconstruction/n=3",
+        "youla/singular_values/n=3",
+        "youla/reconstruction/n=4",
+        "youla/singular_values/n=4",
+    ]
+    assert len(doc.records) == 10
+
+
+def test_skew_suite_counts_only_a_failed_recovery_as_a_rejection(monkeypatch):
+    import isomlab.cli as cli
+
+    error = InvalidDimension("orthogonal recovery needs n >= 3")
+
+    def broken(M, n):
+        raise error
+
+    monkeypatch.setattr(cli, "recover_orthogonal_from_adso", broken)
+    doc = _run_twice(small_config("skew", n_values=(4,), samples=5))
+    assert _failing_ids(doc, error) == ["psi/normalizer_closure/n=4", "psi/not_adjoint_image/n=4"]
+
+
+def test_cnr_suite_writes_failing_records_when_a_range_sample_raises(monkeypatch):
+    import isomlab.cli as cli
+
+    error = NotHermitian("hermiticity defect")
+    real = cli.c_numerical_range_sample
+
+    def broken(A, C, trials, seed=0):
+        if A.shape[0] == 3:
+            raise error
+        return real(A, C, trials, seed=seed)
+
+    monkeypatch.setattr(cli, "c_numerical_range_sample", broken)
+    doc = _run_twice(small_config("cnr", n_values=(2, 3), samples=3))
+    assert _failing_ids(doc, error) == ["cnr/range_containment/n=3"]
+    assert [r.check_id for r in doc.records if r.passed] == [
+        "cnr/n2_analytic",
+        "cnr/range_containment/n=2",
+        "cnr/preserver_radius/n=3",
+        "cnr/preserver_wc_interval/n=3",
+        "cnr/preserver_wc_pointwise/n=3",
+    ]

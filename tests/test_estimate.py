@@ -41,7 +41,7 @@ def permutation_trace_values(A, C):
 def test_hermitian_dimension_dichotomy(n, p, expected):
     rep = il.isometry_algebra_dimension(il.schatten(p), n, seed=1)
     assert rep.estimated_dim == expected
-    assert rep.gap_ratio >= 1e3
+    assert rep.gap_ratio >= 1e6
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -56,7 +56,7 @@ def test_frobenius_dimension_is_full_rotation_algebra():
         rep = il.isometry_algebra_dimension(il.frobenius(), n, seed=2)
         assert rep.estimated_dim == d * (d - 1) // 2
         assert rep.matched_case in ("full_orthogonal", "adjoint_group")
-        assert rep.gap_ratio > 1e6
+        assert rep.gap_ratio >= 1e6
 
 
 def test_dimension_nonsmooth_specs():
@@ -75,10 +75,43 @@ def test_dimension_reseeding_stability():
 def test_skew_dimension_dichotomy():
     rep = il.skew_isometry_algebra_dimension(il.c_spectral((2, 1)), 5, seed=4)
     assert rep.estimated_dim == 10 and rep.matched_case == "adjoint_group"
+    assert rep.gap_ratio >= 1e6
     rep = il.skew_isometry_algebra_dimension(il.frobenius(il.SKEW_REAL), 5, seed=5)
     assert rep.estimated_dim == 45 and rep.matched_case == "full_orthogonal"
+    assert rep.gap_ratio >= 1e6
     rep = il.skew_isometry_algebra_dimension(il.c_spectral((1, 0)), 4, seed=6)
     assert rep.estimated_dim == 6 and rep.matched_case == "adjoint_group"
+    assert rep.gap_ratio >= 1e6
+
+
+@pytest.mark.parametrize(
+    "estimator,spec,n,d",
+    [
+        (il.isometry_algebra_dimension, il.schatten(3), 3, 8),
+        (il.isometry_algebra_dimension, il.frobenius(), 4, 15),
+        (il.skew_isometry_algebra_dimension, il.c_spectral((1, 0)), 4, 6),
+        (il.skew_isometry_algebra_dimension, il.frobenius(il.SKEW_REAL), 5, 10),
+    ],
+)
+def test_default_row_count_is_d_squared_plus_d(estimator, spec, n, d):
+    rep = estimator(spec, n, seed=8)
+    assert rep.samples_used == d * d + d
+    assert rep.singular_values.shape == (d * d,)
+
+
+@pytest.mark.parametrize(
+    "estimator,spec,expected",
+    [
+        (il.isometry_algebra_dimension, il.schatten(3), 15),
+        (il.skew_isometry_algebra_dimension, il.c_spectral((1, 0)), 6),
+    ],
+)
+def test_minimum_row_count_resolves_the_dimension(estimator, spec, expected):
+    d = il.space_dim(spec.space, 4)
+    rep = estimator(spec, 4, num_samples=d * d, seed=9)
+    assert rep.samples_used == d * d
+    assert rep.estimated_dim == expected and rep.matched_case == "adjoint_group"
+    assert rep.gap_ratio >= 1e6
 
 
 def test_dimension_rejects_wrong_space():

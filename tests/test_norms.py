@@ -362,10 +362,7 @@ def test_check_invariance_is_two_stacked_evaluations_of_the_trial_loop(monkeypat
         shapes.clear()
 
 
-SCALE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
-
-
-@SCALE_SETTINGS
+@settings(max_examples=80)
 @given(
     space=st.sampled_from([il.HERMITIAN_TRACELESS, il.SKEW_REAL]),
     n=st.integers(2, 6),
@@ -384,3 +381,95 @@ def test_gradient_euler_identity_and_degree_zero_homogeneity(space, n, seed, log
         il.norm_value(scaled, spec), rel=1e-10
     )
     assert np.max(np.abs(g_scaled - g)) <= 1e-9 * np.max(np.abs(g))
+
+
+@st.composite
+def norm_cases(draw):
+    """A norm of any family on either space, with an ambient size that fits
+    it: (spec, n)."""
+    space = draw(st.sampled_from([il.HERMITIAN_TRACELESS, il.SKEW_REAL]))
+    n = draw(st.integers(2, 6))
+    families = ["frobenius", "schatten", "kyfan"] + (["cspec"] if space == il.SKEW_REAL else [])
+    family = draw(st.sampled_from(families))
+    if family == "frobenius":
+        return il.frobenius(space), n
+    if family == "schatten":
+        p = draw(st.one_of(st.just(1.0), st.just(2.0), st.just(math.inf), st.floats(1.0, 1e6)))
+        return il.schatten(p, space), n
+    if family == "kyfan":
+        return il.ky_fan(draw(st.integers(1, n)), space), n
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    c = sorted(draw(st.lists(weights, min_size=n // 2, max_size=n // 2)), reverse=True)
+    c[0] = max(c[0], 1.0)
+    return il.c_spectral(c), n
+
+
+log10_scales = st.floats(-150.0, 150.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150)
+@given(case=norm_cases(), seed=seeds, log10_scale=log10_scales, negative=st.booleans())
+def test_norm_value_absolute_homogeneity(case, seed, log10_scale, negative):
+    spec, n = case
+    A = il.random_element(spec.space, n, seed)
+    c = (-1.0 if negative else 1.0) * 10.0**log10_scale
+    value = il.norm_value(c * A, spec)
+    assert math.isfinite(value) and value > 0.0
+    assert value == pytest.approx(abs(c) * il.norm_value(A, spec), rel=1e-12)
+
+
+def commuting_pair(space, n, seed):
+    """Two elements diagonal in one random frame: U diag(x) U* on the
+    Hermitian space, Q K(x) Q^T with 2 x 2 blocks K on the skew space.
+    Their norms are the gauge function at x, where a norm that is not
+    convex breaks the triangle inequality most often."""
+    x = np.random.default_rng([seed, 0]).standard_normal((2, n))
+    if space == il.HERMITIAN_TRACELESS:
+        U = il.haar_unitary(n, [seed, 1])
+        x -= x.mean(axis=1, keepdims=True)
+        return [U @ np.diag(v) @ U.conj().T for v in x]
+    Q = il.haar_orthogonal(n, [seed, 1])
+    pairs = np.arange(n // 2)
+    out = []
+    for v in x:
+        K = np.zeros((n, n))
+        K[2 * pairs, 2 * pairs + 1] = v[: n // 2]
+        out.append(Q @ (K - K.T) @ Q.T)
+    return out
+
+
+@settings(max_examples=200)
+@given(
+    case=norm_cases(),
+    seed=seeds,
+    log10_scales=st.tuples(log10_scales, log10_scales),
+    frame=st.sampled_from(["independent", "shared", "parallel"]),
+)
+def test_norm_value_triangle_inequality(case, seed, log10_scales, frame):
+    spec, n = case
+    if frame == "shared":
+        A, B = commuting_pair(spec.space, n, seed)
+    else:
+        A, B = il.random_element(spec.space, n, seed, count=2)
+    if frame == "parallel":  # the equality case
+        B = A / np.max(np.abs(A))
+    A = 10.0 ** log10_scales[0] * A
+    B = 10.0 ** log10_scales[1] * B
+    total = il.norm_value(A, spec) + il.norm_value(B, spec)
+    assert il.norm_value(A + B, spec) <= total * (1.0 + 1e-12)
+
+
+@settings(max_examples=150)
+@given(case=norm_cases(), seed=seeds, log10_scale=log10_scales)
+def test_norm_value_invariant_under_the_adjoint_group(case, seed, log10_scale):
+    """U A U* with U unitary on the Hermitian space, Q A Q^T with Q
+    orthogonal on the skew space."""
+    spec, n = case
+    A = 10.0**log10_scale * il.random_element(spec.space, n, [seed, 0])
+    if spec.space == il.HERMITIAN_TRACELESS:
+        U = il.haar_unitary(n, [seed, 1])
+    else:
+        U = il.haar_orthogonal(n, [seed, 1])
+    moved = U @ A @ U.conj().T
+    assert il.norm_value(moved, spec) == pytest.approx(il.norm_value(A, spec), rel=1e-12)
