@@ -21,7 +21,6 @@ from .errors import (
     NotIsometry,
     NotSpecialOrthogonal,
     RecoveryFailed,
-    SingularMap,
     SpecMismatch,
 )
 from .matspace import (
@@ -37,7 +36,6 @@ from .matspace import (
     random_element,
     skew_basis,
     space_dim,
-    trace_inner,
     vectorize,
 )
 from .norms import (
@@ -54,12 +52,9 @@ from .norms import (
 from .groups import (
     ad_matrix,
     cartan_matrix,
-    compose,
     haar_orthogonal,
     haar_unitary,
-    invert,
     psi_matrix,
-    scale,
     so_adjoint_matrix,
     tau_matrix,
     verify_sigma_normalizes,
@@ -69,8 +64,6 @@ from .skew import (
     char_poly_skew,
     pfaffian4,
     psi_apply,
-    same_congruence_orbit,
-    skew_singular_values,
     youla_decompose,
 )
 from .recover import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import IsomlabError, NotInClassifiedForm, RecoveryFailed
+from .errors import IsomlabError, InvalidNormSpec, NotInClassifiedForm, RecoveryFailed
 from .estimate import (
     c_numerical_radius,
     c_numerical_range_sample,
@@ -49,11 +49,10 @@ from .matspace import (
     vectorize,
 )
 from .norms import (
-    C_SPECTRAL,
     FROBENIUS,
-    KY_FAN,
     SCHATTEN,
     NormSpec,
+    _check_parameters,
     c_spectral,
     check_invariance,
     frobenius,
@@ -67,8 +66,6 @@ from .recover import (
     unitary_phase_distance,
 )
 from .skew import char_poly_skew, pfaffian4, psi_apply, youla_decompose
-
-SUITES = ("invariance", "dimension", "decompose", "skew", "cnr", "all")
 
 DEFAULT_NORMS = ("schatten:1", "schatten:3", "frobenius", "cspec:1,0")
 
@@ -86,6 +83,10 @@ DEFAULT_TOL = {
     "wc_interval": 1e-12,
 }
 
+#: largest dimension-suite constraint row matrix, in bytes, that a
+#: configuration may ask for; the defaults stay below 123 MiB (n = 8)
+ROW_MATRIX_BYTES = 1 << 30
+
 
 @dataclass
 class SuiteConfig:
@@ -98,23 +99,33 @@ class SuiteConfig:
     samples: int = 0  # 0 means per-suite default
     seed: int = 0
     tol: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "json"
 
     def validate(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        if not self.n_values:
+            raise ValueError("at least one n value is needed")
         if any(n < 2 or n > 8 for n in self.n_values):
             raise ValueError("n values must lie in [2, 8]")
         if self.samples < 0:
             raise ValueError("samples must be >= 1 (or omitted)")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         for token in self.norms:
             try:
                 _parse_token(token, self.space)
             except IsomlabError as exc:
                 raise ValueError(str(exc)) from exc
+        if self.suite in ("dimension", "all"):
+            # each check's float64 rows x d^2 matrix, refused before it is allocated
+            for n in self.n_values:
+                for _, spec in _specs(self.norms, self.space, n):
+                    d = space_dim(spec.space, n)
+                    if _num_rows(self, d) * d * d * 8 > ROW_MATRIX_BYTES:
+                        raise ValueError(
+                            f"{spec.token()} at n={n} needs a constraint row matrix above "
+                            f"the {ROW_MATRIX_BYTES >> 20} MiB budget; lower --samples"
+                        )
 
     def tolerance(self, key: str) -> float:
         return float(self.tol.get(key, DEFAULT_TOL[key]))
@@ -268,30 +279,37 @@ def _parse_token(token: str, space: str) -> NormSpec:
     return parse_norm(token, SKEW_REAL if skew else HERMITIAN_TRACELESS)
 
 
-def _resolve_spec(token: str, cfg: SuiteConfig, n: int) -> NormSpec | None:
-    """Parse a norm token against the configured space; None when the spec
-    is not valid at this n (e.g. a weight vector of the wrong length).
-    Tokens that do not parse at all are usage errors (SuiteConfig.validate)."""
-    spec = _parse_token(token, cfg.space)
-    if spec.family == KY_FAN and spec.k > n:
-        return None
-    if spec.family == C_SPECTRAL and len(spec.c) != n // 2:
-        return None
-    return spec
+def _specs(tokens, space: str, n: int):
+    """(index, spec) of each norm token that, parsed on ``space``
+    ("hermitian" or "skew"), fits n; a weight vector of the wrong length,
+    say, is skipped.  Tokens that do not parse at all are usage errors
+    (SuiteConfig.validate)."""
+    for idx, token in enumerate(tokens):
+        spec = _parse_token(token, space)
+        try:
+            _check_parameters(spec, n)
+        except InvalidNormSpec:
+            continue
+        yield idx, spec
 
 
 def _is_euclidean(spec: NormSpec) -> bool:
     return spec.family == FROBENIUS or (spec.family == SCHATTEN and spec.p == 2.0)
 
 
-def _herm_tag(spec: NormSpec, n: int) -> str:
-    return "T1ii" if (_is_euclidean(spec) and n > 2) else "T1i"
+def _tag(spec: NormSpec, n: int) -> str:
+    """Theorem tag of a check of ``spec`` at n: the Euclidean case T1ii
+    needs n > 2 on the Hermitian space; the entry swap CK_ii needs a
+    non-Euclidean norm at n = 4 on the skew space."""
+    if spec.space == HERMITIAN_TRACELESS:
+        return "T1ii" if (_is_euclidean(spec) and n > 2) else "T1i"
+    return "CK_ii" if (n == 4 and not _is_euclidean(spec)) else "CK_i"
 
 
-def _skew_tag(spec: NormSpec, n: int) -> str:
-    if _is_euclidean(spec):
-        return "CK_i"
-    return "CK_ii" if n == 4 else "CK_i"
+def _num_rows(cfg: SuiteConfig, d: int) -> int:
+    """Constraint rows of a dimension check on a d-dimensional space: the
+    estimator needs at least d^2; --samples can only add."""
+    return max(cfg.samples, default_num_samples(d))
 
 
 def _sigma_identity_worst(cfg: SuiteConfig, n: int, pairs: int):
@@ -306,15 +324,8 @@ def _invariance_records(cfg: SuiteConfig):
     trials = cfg.samples or 100
     records = []
     for n in cfg.n_values:
-        for idx, token in enumerate(cfg.norms):
-            spec = _resolve_spec(token, cfg, n)
-            if spec is None:
-                continue
-            tag = (
-                _herm_tag(spec, n)
-                if spec.space == HERMITIAN_TRACELESS
-                else _skew_tag(spec, n)
-            )
+        for idx, spec in _specs(cfg.norms, cfg.space, n):
+            tag = _tag(spec, n)
             check = f"invariance/{spec.token()}/n={n}"
             records += _guarded(
                 [(check, tag, n, spec.token(), 0.0, cfg.tolerance("invariance"))],
@@ -330,22 +341,16 @@ def _invariance_records(cfg: SuiteConfig):
 def _dimension_records(cfg: SuiteConfig):
     records = []
     for n in cfg.n_values:
-        for token in cfg.norms:
-            spec = _resolve_spec(token, cfg, n)
-            if spec is None:
-                continue
-            d = space_dim(spec.space, n)
+        for _, spec in _specs(cfg.norms, cfg.space, n):
             if spec.space == HERMITIAN_TRACELESS:
                 estimator = isometry_algebra_dimension
-                adjoint = n * n - 1
-                tag = _herm_tag(spec, n)
             else:
                 estimator = skew_isometry_algebra_dimension
-                adjoint = n * (n - 1) // 2
-                tag = _skew_tag(spec, n)
-            expected = d * (d - 1) // 2 if _is_euclidean(spec) else adjoint
-            # the estimator needs at least d^2 rows; --samples can only add
-            num_samples = max(cfg.samples, default_num_samples(d))
+            tag = _tag(spec, n)
+            d = space_dim(spec.space, n)
+            # the adjoint group has the dimension d of the space, its Lie algebra
+            expected = d * (d - 1) // 2 if _is_euclidean(spec) else d
+            num_samples = _num_rows(cfg, d)
             check = f"dimension/{spec.token()}/n={n}"
             try:
                 rep = estimator(spec, n, num_samples=num_samples, seed=[cfg.seed, n])
@@ -444,15 +449,20 @@ def _skew_round_trips(cfg: SuiteConfig, spec: NormSpec, n: int, count: int, use_
     return [matches, worst_res]
 
 
+def _first_non_euclidean(cfg: SuiteConfig, space: str, n: int, target: str) -> NormSpec | None:
+    """The first configured norm that, parsed on ``space``, fits n, lives
+    on the ``target`` matrix space and is not Euclidean; None if none does."""
+    for _, spec in _specs(cfg.norms, space, n):
+        if spec.space == target and not _is_euclidean(spec):
+            return spec
+    return None
+
+
 def _decompose_records(cfg: SuiteConfig):
     count = cfg.samples or 20
     records = []
-    spec = None
-    for token in cfg.norms:
-        cand = _resolve_spec(token, cfg, min(cfg.n_values))
-        if cand is not None and cand.space == HERMITIAN_TRACELESS and not _is_euclidean(cand):
-            spec = cand
-            break
+    # parsed on the configured space, so under --space skew this falls back
+    spec = _first_non_euclidean(cfg, cfg.space, min(cfg.n_values), HERMITIAN_TRACELESS)
     if spec is None:
         spec = parse_norm("schatten:3")
 
@@ -493,12 +503,7 @@ def _decompose_records(cfg: SuiteConfig):
     for n in cfg.n_values:
         if n < 3:
             continue
-        skew_spec = None
-        for token in cfg.norms:
-            cand = _resolve_spec(token, SuiteConfig(cfg.suite, space="skew"), n)
-            if cand is not None and cand.space == SKEW_REAL and not _is_euclidean(cand):
-                skew_spec = cand
-                break
+        skew_spec = _first_non_euclidean(cfg, "skew", n, SKEW_REAL)
         if skew_spec is None:
             weights = tuple(float(n // 2 - i) for i in range(n // 2))
             skew_spec = c_spectral(weights)
@@ -528,9 +533,8 @@ def _youla_worst(cfg: SuiteConfig, n: int, count: int):
         A = random_element(SKEW_REAL, n, [cfg.seed, 51, n, t])
         form = youla_decompose(A)
         worst_rec = max(worst_rec, form.residual / (1.0 + float(np.max(np.abs(A)))))
-        sv = np.concatenate([np.repeat(form.a, 2), np.zeros(n - 2 * form.r)])
         sv_ref = np.linalg.svd(A, compute_uv=False)
-        worst_sv = max(worst_sv, float(np.max(np.abs(sv - sv_ref))))
+        worst_sv = max(worst_sv, float(np.max(np.abs(form.singular_values - sv_ref))))
     return [worst_rec, worst_sv]
 
 
@@ -659,22 +663,27 @@ def _cnr_records(cfg: SuiteConfig):
     return records
 
 
+#: each suite's record builder, in the order "all" runs them
+_SUITE_RECORDS = {
+    "invariance": _invariance_records,
+    "dimension": _dimension_records,
+    "decompose": _decompose_records,
+    "skew": _skew_records,
+    "cnr": _cnr_records,
+}
+
+SUITES = (*_SUITE_RECORDS, "all")
+
+
 def run_suite(config: SuiteConfig) -> ReportDocument:
     """Execute a suite deterministically under its seed and assemble the
     report document."""
     config.validate()
     t0 = time.perf_counter()
     records = []
-    if config.suite in ("invariance", "all"):
-        records += _invariance_records(config)
-    if config.suite in ("dimension", "all"):
-        records += _dimension_records(config)
-    if config.suite in ("decompose", "all"):
-        records += _decompose_records(config)
-    if config.suite in ("skew", "all"):
-        records += _skew_records(config)
-    if config.suite in ("cnr", "all"):
-        records += _cnr_records(config)
+    for suite, build in _SUITE_RECORDS.items():
+        if config.suite in (suite, "all"):
+            records += build(config)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     echo = {
         "suite": config.suite,
@@ -701,6 +710,8 @@ def _parse_tol(pairs):
         if key not in DEFAULT_TOL:
             raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r}")
         tol[key] = float(val)
+        if not (math.isfinite(tol[key]) and tol[key] >= 0):
+            raise argparse.ArgumentTypeError(f"tolerance {key} must be finite and >= 0, got {val!r}")
     return tol
 
 
@@ -730,8 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=0,
-        help="sample/trial count (0 = suite default); the dimension suite uses "
-        "max(SAMPLES, d^2 + d) constraint rows, d^2 + d by default",
+        help="sample/trial count (0 = suite default); unbounded work in the "
+        "invariance, decompose, skew and cnr suites; the dimension suite uses "
+        "max(SAMPLES, d^2 + d) constraint rows, d^2 + d by default, and refuses "
+        f"a row matrix above {ROW_MATRIX_BYTES >> 20} MiB",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")
@@ -744,26 +757,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        n_values = tuple(int(x) for x in str(args.n).split(",") if x.strip())
         config = SuiteConfig(
             suite=args.suite,
-            n_values=n_values,
+            n_values=tuple(int(x) for x in args.n.split(",")),
             norms=tuple(args.norm) if args.norm else DEFAULT_NORMS,
             space=args.space,
             samples=args.samples,
             seed=args.seed,
             tol=_parse_tol(args.tol),
-            out=args.out,
-            fmt=args.fmt,
         )
         config.validate()
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))  # exits 2
     doc = run_suite(config)
-    text = emit_report(doc, config.fmt)
-    if config.out:
+    text = emit_report(doc, args.fmt)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -34,10 +34,6 @@ class NotSpecialOrthogonal(IsomlabError):
     """Orthogonal matrix has determinant -1 where +1 is required."""
 
 
-class SingularMap(IsomlabError):
-    """Linear map is singular or too ill-conditioned to invert."""
-
-
 class NotIsometry(IsomlabError):
     """Map fails the norm-isometry check beyond tolerance."""
 

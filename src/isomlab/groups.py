@@ -3,15 +3,15 @@
 Constructs the generators of every isometry group handled by the package:
 adjoint conjugation maps of (special) unitary and orthogonal matrices, the
 negative-transpose involution on the Hermitian space, the transpose map and
-the n = 4 entry swap on the skew space, plus Haar sampling and elementary
-map algebra.  All maps are (d, d) real arrays relative to the package bases.
+the n = 4 entry swap on the skew space, plus Haar sampling.  All maps are
+(d, d) real arrays relative to the package bases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDimension, NotSpecialOrthogonal, SingularMap
+from .errors import InvalidDimension, NotSpecialOrthogonal
 from .matspace import (
     HERMITIAN_TRACELESS,
     Basis,
@@ -20,9 +20,6 @@ from .matspace import (
     skew_basis,
     vectorize,
 )
-
-#: orthogonality tolerance for unitary/orthogonal matrix checks
-UNITARY_TOL = 1e-11
 
 
 def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
@@ -55,11 +52,6 @@ def haar_orthogonal(n: int, seed, special: bool = False) -> np.ndarray:
         Q = Q.copy()
         Q[:, -1] = -Q[:, -1]
     return Q
-
-
-def is_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    n = U.shape[0]
-    return float(np.max(np.abs(U @ U.conj().T - np.eye(n)))) <= tol
 
 
 def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
@@ -130,26 +122,3 @@ def tau_matrix(basis: Basis) -> np.ndarray:
     """Coordinate matrix of the transpose map on the skew space; equals -I
     since A.T = -A there."""
     return -np.eye(basis.d)
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Composition a after b of two coordinate maps."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
-        raise InvalidDimension(f"cannot compose shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse map; rejects maps with condition number >= 1e12."""
-    a = np.asarray(a, dtype=float)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond >= 1e12:
-        raise SingularMap(f"condition number {cond:.3e} too large to invert")
-    return np.linalg.inv(a)
-
-
-def scale(a: np.ndarray, t: float) -> np.ndarray:
-    """Scalar multiple of a coordinate map."""
-    return np.asarray(a, dtype=float) * float(t)

@@ -124,13 +124,6 @@ def space_dim(space: str, n: int) -> int:
     raise InvalidDimension(f"unknown space tag {space!r}")
 
 
-def trace_inner(A: np.ndarray, B: np.ndarray, space: str) -> float:
-    """Trace form: tr(AB) on the Hermitian space, tr(A.T B) on the skew one."""
-    if space == HERMITIAN_TRACELESS:
-        return float(np.real(np.sum(A * B.T)))
-    return float(np.sum(A * B))
-
-
 def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
     """Coordinates of A in the given basis: coords[i] = <B_i, A>.
 
@@ -174,7 +167,7 @@ def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:
     return np.abs(A - A.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
-def skewness_defect(A: np.ndarray) -> float | np.ndarray:
+def _skewness_defect(A: np.ndarray) -> float | np.ndarray:
     """Max-entry deviation of A + A.T from zero; per member for a stack."""
     return np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
 
@@ -196,7 +189,7 @@ def is_element(A: np.ndarray, space: str, tol: float | np.ndarray | None = None)
         trace = np.abs(A.trace(axis1=-2, axis2=-1))
         return (hermiticity_defect(A) <= tol) & (trace <= tol)
     if space == SKEW_REAL:
-        return (skewness_defect(A) <= tol) & (not np.iscomplexobj(A))
+        return (_skewness_defect(A) <= tol) & (not np.iscomplexobj(A))
     return np.False_
 
 

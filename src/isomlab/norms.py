@@ -71,6 +71,8 @@ class NormSpec:
                 raise InvalidNormSpec(
                     "c must be nonnegative and not identically zero"
                 )
+            if not all(math.isfinite(x) for x in c):
+                raise InvalidNormSpec(f"c must be finite, got {c}")
             if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
                 raise InvalidNormSpec(f"c must be nonincreasing, got {c}")
         elif self.family != FROBENIUS:

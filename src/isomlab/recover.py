@@ -177,6 +177,12 @@ def _as_projection(P: np.ndarray, tol: float = 1e-6) -> None:
         )
 
 
+def _polar_orthogonal(B: np.ndarray) -> np.ndarray:
+    """Nearest orthogonal matrix (unitary, for complex B): W Vh of B's SVD."""
+    W, _, Vh = np.linalg.svd(B)
+    return W @ Vh
+
+
 def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Invert the conjugation action: find U with ``ad_matrix(U) = M``.
 
@@ -215,8 +221,7 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
             )
         U[:, k] = cols[k] * np.conj(c)
     # polish to the nearest unitary, then normalize the determinant
-    W, _, Vh = np.linalg.svd(U)
-    U = W @ Vh
+    U = _polar_orthogonal(U)
     U = U * np.linalg.det(U) ** (-1.0 / n)
     residual = float(np.max(np.abs(ad_matrix(U, basis) - M)))
     if residual > RESIDUAL_TOL:
@@ -312,11 +317,6 @@ def decompose_isometry(
         translation=translation,
         residual=residual,
     )
-
-
-def _polar_orthogonal(B: np.ndarray) -> np.ndarray:
-    W, _, Vh = np.linalg.svd(B)
-    return W @ Vh
 
 
 def recover_orthogonal_from_adso(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:

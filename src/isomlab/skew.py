@@ -62,6 +62,12 @@ class YoulaForm:
     def reconstruct(self) -> np.ndarray:
         return self.orthogonal @ self.sigma() @ self.orthogonal.T
 
+    @property
+    def singular_values(self) -> np.ndarray:
+        """All n singular values, descending: each block parameter twice,
+        padded with zeros.  Agrees with the general SVD."""
+        return np.concatenate([np.repeat(self.a, 2), np.zeros(self.n - 2 * self.r)])
+
 
 def _tie_groups(values: np.ndarray, tol: float):
     """Split a descending sequence into runs of values equal within tol."""
@@ -158,14 +164,6 @@ def youla_decompose(A: np.ndarray) -> YoulaForm:
     return YoulaForm(n=n, orthogonal=Q, a=a, r=r, residual=residual)
 
 
-def skew_singular_values(A: np.ndarray) -> np.ndarray:
-    """All n singular values, descending: each block parameter twice,
-    padded with zeros.  Agrees with the general SVD."""
-    form = youla_decompose(A)
-    s = np.repeat(form.a, 2)
-    return np.concatenate([s, np.zeros(form.n - len(s))])
-
-
 def psi_apply(A: np.ndarray) -> np.ndarray:
     """The n = 4 entry swap a_14 <-> a_23 (skew-symmetry restored)."""
     A = np.asarray(A, dtype=float)
@@ -209,16 +207,3 @@ def pfaffian4(A: np.ndarray) -> float:
     if A.shape != (4, 4):
         raise InvalidDimension(f"Pfaffian implemented for 4 x 4 only, got {A.shape}")
     return float(A[0, 1] * A[2, 3] - A[0, 2] * A[1, 3] + A[0, 3] * A[1, 2])
-
-
-def same_congruence_orbit(A: np.ndarray, B: np.ndarray, rtol: float = 1e-8) -> bool:
-    """Whether two skew matrices lie on one orthogonal congruence orbit,
-    i.e. share their sorted singular values within relative tolerance."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise InvalidDimension(f"shape mismatch: {A.shape} vs {B.shape}")
-    sa = skew_singular_values(A)
-    sb = skew_singular_values(B)
-    scale = max(sa[0], sb[0], 1e-300)
-    return bool(np.max(np.abs(sa - sb)) <= rtol * scale)

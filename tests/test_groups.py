@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import isomlab as il
-from isomlab.errors import NotSpecialOrthogonal, SingularMap
+from isomlab.errors import NotSpecialOrthogonal
 
 
 def test_haar_unitary_is_unitary():
@@ -72,7 +72,7 @@ def test_ad_homomorphism():
         U = il.haar_unitary(4, [1, seed], special=True)
         V = il.haar_unitary(4, [2, seed], special=True)
         lhs = il.ad_matrix(U @ V, basis)
-        rhs = il.compose(il.ad_matrix(U, basis), il.ad_matrix(V, basis))
+        rhs = il.ad_matrix(U, basis) @ il.ad_matrix(V, basis)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -147,19 +147,3 @@ def test_tau_matrix_is_negation():
         )
         M = il.so_adjoint_matrix(il.haar_orthogonal(n, n, special=True), basis)
         npt.assert_allclose(T @ M, M @ T, atol=1e-14)
-
-
-def test_compose_invert_scale():
-    M = il.ad_matrix(il.haar_unitary(3, 5, special=True))
-    npt.assert_allclose(il.compose(M, il.invert(M)), np.eye(8), atol=1e-10)
-    npt.assert_allclose(il.scale(il.scale(M, -1.0), -1.0), M)
-    A = il.ad_matrix(il.haar_unitary(3, 6, special=True))
-    B = il.cartan_matrix(il.gell_mann_basis(3))
-    lhs = il.compose(il.compose(M, A), B)
-    rhs = il.compose(M, il.compose(A, B))
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_invert_singular_raises():
-    with pytest.raises(SingularMap):
-        il.invert(np.zeros((4, 4)))
