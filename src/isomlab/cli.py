@@ -24,7 +24,6 @@ from .errors import IsomlabError, InvalidNormSpec, NotInClassifiedForm, Recovery
 from .estimate import (
     c_numerical_radius,
     c_numerical_range_sample,
-    default_num_samples,
     isometry_algebra_dimension,
     skew_isometry_algebra_dimension,
     verify_preserver_forms,
@@ -83,10 +82,6 @@ DEFAULT_TOL = {
     "wc_interval": 1e-12,
 }
 
-#: largest dimension-suite constraint row matrix, in bytes, that a
-#: configuration may ask for; the defaults stay below 123 MiB (n = 8)
-ROW_MATRIX_BYTES = 1 << 30
-
 
 @dataclass
 class SuiteConfig:
@@ -116,16 +111,6 @@ class SuiteConfig:
                 _parse_token(token, self.space)
             except IsomlabError as exc:
                 raise ValueError(str(exc)) from exc
-        if self.suite in ("dimension", "all"):
-            # each check's float64 rows x d^2 matrix, refused before it is allocated
-            for n in self.n_values:
-                for _, spec in _specs(self.norms, self.space, n):
-                    d = space_dim(spec.space, n)
-                    if _num_rows(self, d) * d * d * 8 > ROW_MATRIX_BYTES:
-                        raise ValueError(
-                            f"{spec.token()} at n={n} needs a constraint row matrix above "
-                            f"the {ROW_MATRIX_BYTES >> 20} MiB budget; lower --samples"
-                        )
 
     def tolerance(self, key: str) -> float:
         return float(self.tol.get(key, DEFAULT_TOL[key]))
@@ -169,7 +154,8 @@ class ReportDocument:
 
     @property
     def overall_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        # a report with no records checked nothing, so it does not pass
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def as_dict(self) -> dict:
         return {
@@ -306,12 +292,6 @@ def _tag(spec: NormSpec, n: int) -> str:
     return "CK_ii" if (n == 4 and not _is_euclidean(spec)) else "CK_i"
 
 
-def _num_rows(cfg: SuiteConfig, d: int) -> int:
-    """Constraint rows of a dimension check on a d-dimensional space: the
-    estimator needs at least d^2; --samples can only add."""
-    return max(cfg.samples, default_num_samples(d))
-
-
 def _sigma_identity_worst(cfg: SuiteConfig, n: int, pairs: int):
     worst = 0.0
     for i in range(pairs):
@@ -338,42 +318,36 @@ def _invariance_records(cfg: SuiteConfig):
     return records
 
 
+def _dimension_and_gap(spec: NormSpec, n: int, seed):
+    """Estimated isometry-algebra dimension and gap ratio, an exact gap
+    (ratio inf) capped at 1e308 so that it passes as a finite value."""
+    if spec.space == HERMITIAN_TRACELESS:
+        rep = isometry_algebra_dimension(spec, n, seed=seed)
+    else:
+        rep = skew_isometry_algebra_dimension(spec, n, seed=seed)
+    return [rep.estimated_dim, min(rep.gap_ratio, 1e308)]
+
+
 def _dimension_records(cfg: SuiteConfig):
     records = []
     for n in cfg.n_values:
         for _, spec in _specs(cfg.norms, cfg.space, n):
-            if spec.space == HERMITIAN_TRACELESS:
-                estimator = isometry_algebra_dimension
-            else:
-                estimator = skew_isometry_algebra_dimension
-            tag = _tag(spec, n)
             d = space_dim(spec.space, n)
+            if d == 1:
+                # so(2) is a line: every norm on it is a multiple of |x|, whose
+                # isometries are +-1, and its one singular value has no gap to read
+                continue
+            tag = _tag(spec, n)
+            token = spec.token()
             # the adjoint group has the dimension d of the space, its Lie algebra
             expected = d * (d - 1) // 2 if _is_euclidean(spec) else d
-            num_samples = _num_rows(cfg, d)
-            check = f"dimension/{spec.token()}/n={n}"
-            try:
-                rep = estimator(spec, n, num_samples=num_samples, seed=[cfg.seed, n])
-            except CHECK_ERRORS as exc:
-                # a failing record, not an aborted report
-                records.append(
-                    _record(check, tag, n, spec.token(), -1, expected, 0, "eq", _describe(exc))
-                )
-                continue
-            records.append(
-                _record(check, tag, n, spec.token(), rep.estimated_dim, expected, 0, "eq")
-            )
-            records.append(
-                _record(
-                    check + "/gap",
-                    tag,
-                    n,
-                    spec.token(),
-                    min(rep.gap_ratio, 1e308),
-                    cfg.tolerance("gap_ratio"),
-                    0.0,
-                    "ge",
-                )
+            check = f"dimension/{token}/n={n}"
+            records += _guarded(
+                [
+                    (check, tag, n, token, expected, 0, "eq"),
+                    (check + "/gap", tag, n, token, cfg.tolerance("gap_ratio"), 0.0, "ge"),
+                ],
+                lambda: _dimension_and_gap(spec, n, [cfg.seed, n]),
             )
     return records
 
@@ -742,9 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="sample/trial count (0 = suite default); unbounded work in the "
-        "invariance, decompose, skew and cnr suites; the dimension suite uses "
-        "max(SAMPLES, d^2 + d) constraint rows, d^2 + d by default, and refuses "
-        f"a row matrix above {ROW_MATRIX_BYTES >> 20} MiB",
+        "invariance, decompose, skew and cnr suites; the dimension suite ignores "
+        "it and always uses d^2 + d constraint rows",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")
@@ -769,19 +742,25 @@ def main(argv=None) -> int:
         config.validate()
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))  # exits 2
+    out = None
+    if args.out:
+        # an unwritable report is a usage error, found before any suite runs
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write report: {exc}")
     doc = run_suite(config)
     text = emit_report(doc, args.fmt)
-    if args.out:
+    if out is None:
+        sys.stdout.write(text)
+    else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with out:
+                out.write(text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 1
-        summary = f"{sum(r.passed for r in doc.records)}/{len(doc.records)} checks passed"
-        print(summary)
-    else:
-        sys.stdout.write(text)
+        print(f"{sum(r.passed for r in doc.records)}/{len(doc.records)} checks passed")
     return 0 if doc.overall_pass else 1
 
 

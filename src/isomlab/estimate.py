@@ -12,10 +12,11 @@ dimension for genuinely invariant norms, the full rotation-group dimension
 d(d-1)/2 for the Euclidean one, never anything in between.
 
 The constraint matrix has rank at most d^2 - dim L, where L is the
-isometry algebra, so the default of d^2 + d rows (:func:`default_num_samples`)
-leaves dim L + d rows of oversampling.  A near-square row matrix also keeps
-LAPACK's SVD (gesdd) on its direct bidiagonalization; from about 11/6 d^2
-rows on, gesdd QR-factors the matrix first.
+isometry algebra, so the d^2 + d rows the estimator always builds
+(:func:`default_num_samples`) leave dim L + d rows of oversampling.  A
+near-square row matrix also keeps LAPACK's SVD (gesdd) on its direct
+bidiagonalization; from about 11/6 d^2 rows on, gesdd QR-factors the
+matrix first.
 
 The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
 A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
@@ -70,7 +71,6 @@ class DimensionReport:
     singular_values: np.ndarray
     gap_ratio: float
     samples_used: int
-    matched_case: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +85,9 @@ class RangeSample:
 
 
 def default_num_samples(d: int) -> int:
-    """Default constraint-row count for a space of dimension d: the d^2
-    unknowns of a generator plus d rows of oversampling."""
+    """Constraint-row count of a dimension estimate on a space of
+    dimension d: the d^2 unknowns of a generator plus d rows of
+    oversampling."""
     return d * d + d
 
 
@@ -141,31 +142,12 @@ def _null_space_dimension(svals: np.ndarray):
     return len(svals) - best_k, float(best_ratio)
 
 
-def _algebra_dimension(
-    spec: NormSpec,
-    n: int,
-    num_samples: int | None,
-    seed,
-    adjoint_dim: int,
-) -> DimensionReport:
+def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
     basis = basis_for(spec.space, n)
-    d = basis.d
-    if num_samples is None:
-        num_samples = default_num_samples(d)
-    if num_samples < d * d:
-        raise InvalidDimension(
-            f"need at least d^2 = {d * d} samples to resolve the spectrum"
-        )
+    num_samples = default_num_samples(basis.d)
     rows = _constraint_rows(spec, n, basis, num_samples, seed)
     svals = np.linalg.svd(rows, compute_uv=False)
     null_dim, gap_ratio = _null_space_dimension(svals)
-    full_dim = d * (d - 1) // 2
-    if null_dim == adjoint_dim:
-        matched = "adjoint_group"
-    elif null_dim == full_dim:
-        matched = "full_orthogonal"
-    else:
-        matched = "inconclusive"
     return DimensionReport(
         space=spec.space,
         n=n,
@@ -173,28 +155,23 @@ def _algebra_dimension(
         estimated_dim=null_dim,
         singular_values=svals,
         gap_ratio=gap_ratio,
-        samples_used=int(num_samples),
-        matched_case=matched,
+        samples_used=num_samples,
     )
 
 
-def isometry_algebra_dimension(
-    spec: NormSpec, n: int, num_samples: int | None = None, seed=0
-) -> DimensionReport:
+def isometry_algebra_dimension(spec: NormSpec, n: int, seed=0) -> DimensionReport:
     """Estimate the Lie-algebra dimension of the isometry group of a
     Hermitian-space norm; the adjoint-group target is n**2 - 1."""
     if spec.space != HERMITIAN_TRACELESS:
         raise InvalidDimension("spec lives on the skew space; use the skew estimator")
-    return _algebra_dimension(spec, n, num_samples, seed, n * n - 1)
+    return _algebra_dimension(spec, n, seed)
 
 
-def skew_isometry_algebra_dimension(
-    spec: NormSpec, n: int, num_samples: int | None = None, seed=0
-) -> DimensionReport:
+def skew_isometry_algebra_dimension(spec: NormSpec, n: int, seed=0) -> DimensionReport:
     """Skew-space analogue; the adjoint-group target is n(n-1)/2."""
     if spec.space != SKEW_REAL:
         raise InvalidDimension("spec lives on the Hermitian space; use the Hermitian estimator")
-    return _algebra_dimension(spec, n, num_samples, seed, n * (n - 1) // 2)
+    return _algebra_dimension(spec, n, seed)
 
 
 def _range_endpoints(A: np.ndarray, C: np.ndarray) -> tuple[float, float]:

@@ -33,7 +33,6 @@ def test_01_hermitian_dimension_dichotomy():
             good = (
                 rep.estimated_dim == expected
                 and rep.gap_ratio >= 1e6
-                and rep.matched_case != "inconclusive"
                 and dt <= 120.0
             )
             ok = ok and good

@@ -179,7 +179,6 @@ def test_main_usage_error_exits_2():
         ["cnr", "--n", ","],
         ["invariance", "--n", "2,,3"],
         ["skew", "--seed", str(2**64)],
-        ["dimension", "--n", "2", "--samples", "100000000"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -190,18 +189,74 @@ def test_main_rejects_bad_input_with_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _capture_dimension_rows(monkeypatch):
+    """Wrap both estimators in cli; the returned list collects
+    (token, n, samples_used) of each report they give."""
+    import isomlab.cli as cli
+
+    seen = []
+
+    def capturing(real):
+        def estimator(spec, n, seed=0):
+            rep = real(spec, n, seed=seed)
+            seen.append((spec.token(), n, rep.samples_used))
+            return rep
+
+        return estimator
+
+    for name in ("isometry_algebra_dimension", "skew_isometry_algebra_dimension"):
+        monkeypatch.setattr(cli, name, capturing(getattr(cli, name)))
+    return seen
+
+
+def test_dimension_suite_ignores_a_huge_sample_count(monkeypatch, capsys):
+    seen = _capture_dimension_rows(monkeypatch)
+    assert main(["dimension", "--n", "2", "--samples", "100000000"]) == 0
+    capsys.readouterr()
+    # d = 3 at n = 2, so d^2 + d = 12 rows; cspec:1,0 does not fit n = 2
+    assert seen == [("schatten:1", 2, 12), ("schatten:3", 2, 12), ("frobenius", 2, 12)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimension", "--n", "2", "--norm", "kyfan:3"],
+        ["dimension", "--space", "skew", "--n", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_report_with_no_records_fails(argv, capsys):
+    assert main(argv + ["--format", "text"]) == 1
+    assert "0/0 checks passed" in capsys.readouterr().out
+
+
+def test_all_suites_pass_on_the_skew_space(capsys):
+    # the one-dimensional skew space at n = 2 has no dimension check
+    assert main(["all", "--space", "skew"]) == 0
+    ids = [r["check_id"] for r in json.loads(capsys.readouterr().out)["records"]]
+    assert not [i for i in ids if i.startswith("dimension/") and i.endswith("/n=2")]
+    assert "dimension/schatten:1/n=3" in ids
+
+
+def test_unwritable_out_is_a_usage_error_before_any_suite_runs(monkeypatch, tmp_path, capsys):
+    import isomlab.cli as cli
+
+    def never(config):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    with pytest.raises(SystemExit) as err:
+        main(["invariance", "--n", "2", "--out", str(tmp_path / "missing" / "x.json")])
+    assert err.value.code == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
 def test_config_validation_bounds():
     with pytest.raises(ValueError, match="n value"):
         run_suite(SuiteConfig(suite="cnr", n_values=()))
     SuiteConfig(suite="skew", seed=2**64 - 1).validate()
-    # the default row matrix at n = 8 fits the budget; the suites that build
-    # no row matrix take any sample count
     SuiteConfig(suite="all", n_values=(2, 8)).validate()
     SuiteConfig(suite="invariance", n_values=(2,), samples=10**12).validate()
-    # 10^7 rows of d^2 = 9 floats (720 MB) fit; at n = 3 (d^2 = 64) they do not
-    SuiteConfig(suite="dimension", n_values=(2,), samples=10**7).validate()
-    with pytest.raises(ValueError, match="budget"):
-        SuiteConfig(suite="all", n_values=(2, 3), samples=10**7).validate()
 
 
 def test_parser_defaults():
@@ -231,10 +286,13 @@ def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monke
     monkeypatch.setattr(cli, "isometry_algebra_dimension", broken)
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3", "cspec:1,0"), seed=7)
     doc = run_suite(cfg)
-    herm = [r for r in doc.records if r.spec == "schatten:3"]
-    assert [r.check_id for r in herm] == ["dimension/schatten:3/n=3", "dimension/schatten:3/n=4"]
-    assert all(r.value == -1 and not r.passed for r in herm)
-    assert all(r.error == f"{type(error).__name__}: {error}" for r in herm)
+    # the dimension and its gap record both fail, with null values
+    assert _failing_ids(doc, error) == [
+        "dimension/schatten:3/n=3",
+        "dimension/schatten:3/n=3/gap",
+        "dimension/schatten:3/n=4",
+        "dimension/schatten:3/n=4/gap",
+    ]
     skew = [r for r in doc.records if r.spec == "cspec:1,0"]
     assert [r.check_id for r in skew] == ["dimension/cspec:1,0/n=4", "dimension/cspec:1,0/n=4/gap"]
     assert all(r.passed for r in skew)
@@ -242,19 +300,7 @@ def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monke
 
 
 def test_dimension_suite_passes_the_default_row_count(monkeypatch):
-    import isomlab.cli as cli
-
-    seen = []
-
-    def capturing(real):
-        def estimator(spec, n, num_samples=None, seed=0):
-            seen.append((spec.token(), n, num_samples))
-            return real(spec, n, num_samples=num_samples, seed=seed)
-
-        return estimator
-
-    for name in ("isometry_algebra_dimension", "skew_isometry_algebra_dimension"):
-        monkeypatch.setattr(cli, name, capturing(getattr(cli, name)))
+    seen = _capture_dimension_rows(monkeypatch)
     norms = ("schatten:3", "cspec:1,0")
     doc = run_suite(SuiteConfig(suite="dimension", n_values=(2, 3, 4), norms=norms, seed=7))
     assert doc.overall_pass
@@ -263,10 +309,10 @@ def test_dimension_suite_passes_the_default_row_count(monkeypatch):
         ("schatten:3", 2, 12), ("schatten:3", 3, 72), ("schatten:3", 4, 240), ("cspec:1,0", 4, 42),
     ]
     seen.clear()
-    # --samples can only add rows
+    # --samples does not change the row count
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3",), samples=100, seed=7)
     run_suite(cfg)
-    assert seen == [("schatten:3", 3, 100), ("schatten:3", 4, 240)]
+    assert seen == [("schatten:3", 3, 72), ("schatten:3", 4, 240)]
 
 
 def _failing_ids(doc, error):
