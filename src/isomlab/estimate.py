@@ -144,6 +144,11 @@ def _null_space_dimension(svals: np.ndarray):
 
 def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
     basis = basis_for(spec.space, n)
+    if basis.d == 1:
+        raise InvalidDimension(
+            f"the {spec.space} space at n = {n} is a line: its isometry algebra "
+            "is 0, and one singular value has no gap to read"
+        )
     num_samples = default_num_samples(basis.d)
     rows = _constraint_rows(spec, n, basis, num_samples, seed)
     svals = np.linalg.svd(rows, compute_uv=False)

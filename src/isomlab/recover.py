@@ -1,21 +1,16 @@
 """Decompose isometries of the classified norms into canonical data.
 
 On the traceless Hermitian space every isometry of a non-Euclidean invariant
-norm is ``A -> eta U (A or -A.T) U^{-1} + B``.  The linear part is classified
-by two conjugation-invariant discriminants, evaluated on random samples:
-
-* the cubic trace ``tr(X^3)``, which conjugation preserves, negation of the
-  map flips, and the negative-transpose involution flips;
-* the bracket trace ``tr([X, Y] Z)`` (purely imaginary on Hermitian
-  triples), which conjugation and the involution preserve and negation
-  flips.
-
-The sign pair of the two ratios therefore separates the four branches, and
-any map for which either ratio is not of modulus one is provably outside the
-classified family.  The conjugating matrix is then read off by inverting the
-adjoint action on rank-one projectors.  The skew-space analogue tries the
-four branches (identity / negation, with or without the n = 4 entry swap)
-against an explicit inversion of the congruence action.
+norm is ``A -> eta U (A or -A.T) U^{-1} + B``; on the real skew space it is
+``A -> sign Q psi^f(A) Q.T``, with the entry swap psi only at n = 4.  So the
+linear part lies on one of at most four branches, and each decomposition
+tries them in a fixed order: the first branch on which an explicit inversion
+of the conjugation (congruence) action succeeds wins.  The inversions'
+own checks reject the wrong branches: the rank-one projector test, the
+phase-coupling test and the ``RESIDUAL_TOL`` reconstruction residual on the
+Hermitian side, the plane intersection and the residual on the skew side.
+A map that no branch reproduces (an isometry of the Euclidean norm, say) is
+outside the classified family.
 """
 
 from __future__ import annotations
@@ -47,12 +42,6 @@ from .norms import NormSpec, norm_value
 
 #: accepted end-to-end reconstruction residual for recovered forms
 RESIDUAL_TOL = 1e-6
-
-#: number of consistent discriminant votes required by the classifier
-CLASSIFIER_VOTES = 9
-
-#: relative floor below which a discriminant denominator is resampled
-DENOMINATOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,72 +86,6 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
     return min(
         float(np.max(np.abs(Q - P))), float(np.max(np.abs(Q + P)))
     )
-
-
-def _trace(X: np.ndarray) -> np.ndarray:
-    return np.trace(X, axis1=-2, axis2=-1)
-
-
-def _discriminants(M: np.ndarray, basis, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cubic (row 0) and bracket (row 1) discriminants of the images under M
-    and of the originals, with the originals' denominator floors, on one
-    stacked block of ``CLASSIFIER_VOTES`` random triples; each is a
-    (2, CLASSIFIER_VOTES) array."""
-    n = basis.n
-    triples = random_element(HERMITIAN_TRACELESS, n, rng, count=3 * CLASSIFIER_VOTES)
-    block = (3, CLASSIFIER_VOTES, n, n)
-    X, Y, Z = triples.reshape(block)
-    MX, MY, MZ = apply_map(M, triples, basis).reshape(block)
-    nx, ny, nz = np.linalg.norm(triples.reshape(3, CLASSIFIER_VOTES, -1), axis=-1)
-    # the bracket trace of Hermitian triples is purely imaginary; the ratio
-    # of the two imaginary parts carries the sign
-    num = np.stack([_trace(MX @ MX @ MX).real, _trace((MX @ MY - MY @ MX) @ MZ).imag])
-    den = np.stack([_trace(X @ X @ X).real, _trace((X @ Y - Y @ X) @ Z).imag])
-    return num, den, DENOMINATOR_FLOOR * np.stack([nx**3, nx * ny * nz])
-
-
-def classify_eta_sigma(M: np.ndarray, n: int, seed=0) -> tuple[int, bool]:
-    """Classify the branch (eta, sigma_flag) of a Hermitian-space isometry.
-
-    Evaluates the cubic and bracket discriminants on random triples until
-    enough well-conditioned votes accumulate; all votes must agree, else the
-    map is outside the classified family and
-    :class:`NotInClassifiedForm` is raised.  So it is too when a ratio of
-    image to original discriminant has modulus away from one (NaN
-    included), which no classified form gives.  The triples come from one
-    generator in stacked blocks of ``CLASSIFIER_VOTES``, at most
-    ``40 * CLASSIFIER_VOTES`` of them; a triple votes when both of its
-    denominators clear their floors.  Requires n >= 3 (the cubic trace
-    vanishes identically at n = 2).
-    """
-    if n < 3:
-        raise InvalidDimension("classification needs n >= 3; handle n = 2 by determinant")
-    basis = gell_mann_basis(n)
-    rng = np.random.default_rng(seed)
-    votes: list[tuple[int, int]] = []
-    for _ in range(40):
-        num, den, floor = _discriminants(M, basis, rng)
-        usable = np.abs(den) > floor
-        ratio = num[usable] / den[usable]
-        off = ~(np.abs(np.abs(ratio) - 1.0) <= 1e-4)
-        if off.any():
-            raise NotInClassifiedForm(
-                f"discriminant ratio {ratio[off][0]:.6f} has modulus away from one"
-            )
-        signs = np.zeros(den.shape, dtype=int)
-        signs[usable] = np.where(ratio > 0, 1, -1)
-        keep = usable.all(axis=0)
-        votes += zip(signs[0, keep].tolist(), signs[1, keep].tolist())
-        if len(votes) >= CLASSIFIER_VOTES:
-            break
-    else:
-        raise NotInClassifiedForm("could not collect well-conditioned votes")
-    if len(set(votes)) != 1:
-        raise NotInClassifiedForm(f"inconsistent discriminant votes: {set(votes)}")
-    s3, sb = votes[0]
-    eta = sb
-    sigma_flag = (s3 != sb)
-    return eta, sigma_flag
 
 
 def _as_projection(P: np.ndarray, tol: float = 1e-6) -> None:
@@ -232,6 +155,45 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return U, residual
 
 
+def _first_branch(branches, recover, n: int):
+    """``(branch, recover(candidate, n))`` for the first ``(branch,
+    candidate)`` pair whose recovery succeeds; :class:`RecoveryFailed` (and
+    so :class:`NotAdjointImage`) moves on to the next pair, and
+    :class:`NotInClassifiedForm` is raised when every pair fails."""
+    for branch, candidate in branches:
+        try:
+            return branch, recover(candidate, n)
+        except RecoveryFailed:
+            continue
+    raise NotInClassifiedForm(
+        "no branch of the canonical family reproduces the map"
+    )
+
+
+def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
+    """Find the branch (eta, sigma_flag) of a Hermitian-space linear map and
+    its conjugating unitary.
+
+    Tries ``(M @ cartan if sigma_flag else M) / eta`` in the fixed order
+    (1, False), (-1, False), (1, True), (-1, True), the sigma branches only
+    for n >= 3 (at n = 2 the involution is itself a conjugation), and
+    returns ``(eta, sigma_flag, U)`` from the first branch that
+    :func:`recover_unitary_from_ad` inverts.  Raises
+    :class:`NotInClassifiedForm` when no branch does.
+    """
+    # candidates are built as they are tried: a map on a sigma-free branch
+    # never forms M @ cartan, and a rejected map's traceback keeps only the
+    # last candidate alive
+    def branches():
+        for sigma_flag in (False, True) if n >= 3 else (False,):
+            linear = M @ cartan_matrix(gell_mann_basis(n)) if sigma_flag else M
+            for eta in (1, -1):
+                yield (eta, sigma_flag), linear / eta
+
+    (eta, sigma_flag), (U, _) = _first_branch(branches(), recover_unitary_from_ad, n)
+    return eta, sigma_flag, U
+
+
 def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
@@ -267,10 +229,11 @@ def decompose_isometry(
     ``M`` is the linear part in coordinates, ``offset`` the coordinate
     vector of the translation (defaults to zero; anything but a finite
     vector of shape (d,) raises :class:`InvalidDimension`).  The map is
-    first checked to be an isometry of ``spec`` on random pairs, the branch
-    is classified, the involution is peeled off, and the conjugating
-    unitary is recovered.  For n = 2 the involution branch coincides with a conjugation and only
-    (eta, U) is reported, with eta read from the determinant.
+    first checked to be an isometry of ``spec`` on random pairs drawn from
+    ``seed`` (the only random numbers a decomposition uses), then
+    :func:`classify_eta_sigma` finds the branch and the conjugating
+    unitary.  At n = 2 the involution branch coincides with a conjugation,
+    so ``sigma_flag`` is always False there.
 
     Raises :class:`NotIsometry`, or :class:`NotInClassifiedForm` for
     isometries outside the canonical family (the Euclidean / inner-product
@@ -295,17 +258,7 @@ def decompose_isometry(
     _check_isometry(M, spec, n, seed)
     translation = devectorize(offset, basis)
 
-    if n == 2:
-        eta = 1 if np.linalg.det(M) > 0 else -1
-        sigma_flag = False
-    else:
-        eta, sigma_flag = classify_eta_sigma(M, n, seed=seed)
-    linear = M.copy()
-    if sigma_flag:
-        linear = linear @ cartan_matrix(basis)
-    linear = linear / eta
-    U, _ = recover_unitary_from_ad(linear, n)
-
+    eta, sigma_flag, U = classify_eta_sigma(M, n)
     rebuilt = eta * ad_matrix(U, basis)
     if sigma_flag:
         rebuilt = rebuilt @ cartan_matrix(basis)
@@ -396,19 +349,11 @@ def decompose_skew_isometry(
         raise InvalidDimension("decompose_skew_isometry acts on the skew space")
     _check_isometry(M, spec, n, seed)
 
-    branches = [(M, 1, False), (-M, -1, False)]
+    branches = [((1, False), M), ((-1, False), -M)]
     if n == 4:
         P = psi_matrix()
-        branches += [(M @ P, 1, True), (-M @ P, -1, True)]
-    for candidate, sign, flag in branches:
-        try:
-            Q, residual = recover_orthogonal_from_adso(candidate, n)
-        except RecoveryFailed:
-            continue
-        if residual < RESIDUAL_TOL:
-            return SkewIsometryDecomposition(
-                sign=sign, psi_flag=flag, orthogonal=Q, residual=residual
-            )
-    raise NotInClassifiedForm(
-        "no branch of the canonical family reproduces the map"
+        branches += [((1, True), M @ P), ((-1, True), -M @ P)]
+    (sign, flag), (Q, residual) = _first_branch(branches, recover_orthogonal_from_adso, n)
+    return SkewIsometryDecomposition(
+        sign=sign, psi_flag=flag, orthogonal=Q, residual=residual
     )

@@ -103,6 +103,18 @@ def test_dimension_rejects_wrong_space():
         il.skew_isometry_algebra_dimension(il.schatten(3), 3)
 
 
+@pytest.mark.parametrize("spec", [il.c_spectral((1,)), il.frobenius(il.SKEW_REAL)])
+def test_skew_dimension_refuses_the_line_before_building_rows(spec, monkeypatch):
+    import isomlab.estimate as estimate
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("constraint rows built for a one-dimensional space")
+
+    monkeypatch.setattr(estimate, "_constraint_rows", no_rows)
+    with pytest.raises(InvalidDimension, match="is a line: its isometry algebra is 0"):
+        il.skew_isometry_algebra_dimension(spec, 2)
+
+
 def test_range_sample_aligned_case():
     A = diag_traceless(1.0, -1.0) / np.sqrt(2)
     s = il.c_numerical_range_sample(A, A, 500, seed=1)

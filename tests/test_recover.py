@@ -22,19 +22,18 @@ def canonical_map(n, eta, sigma_flag, U):
     return M
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_classifier_separates_all_four_branches(n):
+    # at n = 2 the involution is a conjugation, so only the eta branches exist
+    flags = (False, True) if n >= 3 else (False,)
     for trial in range(50):
         U = il.haar_unitary(n, [n, trial], special=True)
         for eta in (1, -1):
-            for flag in (False, True):
+            for flag in flags:
                 M = canonical_map(n, eta, flag, U)
-                assert il.classify_eta_sigma(M, n, seed=trial) == (eta, flag)
-
-
-def test_classifier_requires_n_at_least_3():
-    with pytest.raises(InvalidDimension):
-        il.classify_eta_sigma(np.eye(3), 2)
+                eta_h, flag_h, U_h = il.classify_eta_sigma(M, n)
+                assert (eta_h, flag_h) == (eta, flag)
+                assert il.unitary_phase_distance(U, U_h) <= 1e-9
 
 
 def test_classifier_rejects_generic_orthogonal():
@@ -42,7 +41,7 @@ def test_classifier_rejects_generic_orthogonal():
     for t in range(100):
         M = il.haar_orthogonal(8, [200, t], special=True)
         try:
-            il.classify_eta_sigma(M, 3, seed=t)
+            il.classify_eta_sigma(M, 3)
         except NotInClassifiedForm:
             rejected += 1
     assert rejected == 100
@@ -75,6 +74,20 @@ def test_recover_unitary_phase_covariance():
 def test_recover_unitary_rejects_cartan():
     with pytest.raises(NotAdjointImage):
         il.recover_unitary_from_ad(il.cartan_matrix(il.gell_mann_basis(3)), 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_recover_unitary_rejects_negated_cartan_branch(n):
+    """The -sigma branch passes the projector and phase checks; only the
+    reconstruction residual rejects it, and the branch search relies on
+    that rejection."""
+    basis = il.gell_mann_basis(n)
+    S = il.cartan_matrix(basis)
+    U = il.haar_unitary(n, [49, n], special=True)
+    for M in (-S, -il.ad_matrix(U, basis) @ S):
+        with pytest.raises(NotAdjointImage) as err:
+            il.recover_unitary_from_ad(M, n)
+        assert err.value.residual > 0.1
 
 
 def test_decompose_translation_only():
