@@ -20,7 +20,6 @@ from .errors import (
     NotInClassifiedForm,
     NotIsometry,
     NotSpecialOrthogonal,
-    RecoveryFailed,
     SpecMismatch,
 )
 from .matspace import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import IsomlabError, InvalidNormSpec, NotInClassifiedForm, RecoveryFailed
+from .errors import IsomlabError, InvalidNormSpec, NotAdjointImage, NotInClassifiedForm
 from .estimate import (
     c_numerical_radius,
     c_numerical_range_sample,
@@ -103,7 +103,7 @@ class SuiteConfig:
         if any(n < 2 or n > 8 for n in self.n_values):
             raise ValueError("n values must lie in [2, 8]")
         if self.samples < 0:
-            raise ValueError("samples must be >= 1 (or omitted)")
+            raise ValueError("samples must be >= 0 (0 picks the per-suite default)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         for token in self.norms:
@@ -549,10 +549,9 @@ def _psi_reject_residual():
         try:
             recover_orthogonal_from_adso(M, 4)
             reject_res = 0.0
-        except RecoveryFailed as exc:
-            res = getattr(exc, "residual", None)
-            reject_res = min(reject_res, res if res is not None else math.inf)
-    return [min(reject_res, 1e308)]
+        except NotAdjointImage as exc:
+            reject_res = min(reject_res, exc.residual)
+    return [reject_res]
 
 
 def _skew_records(cfg: SuiteConfig):

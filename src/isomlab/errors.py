@@ -42,18 +42,14 @@ class NotInClassifiedForm(IsomlabError):
     """Isometry does not match any of the classified canonical forms."""
 
 
-class RecoveryFailed(IsomlabError):
-    """Canonical-form recovery could not be carried out."""
-
-
-class NotAdjointImage(RecoveryFailed):
+class NotAdjointImage(IsomlabError):
     """Map is not the adjoint image of any unitary/orthogonal matrix.
 
-    Carries the reconstruction residual of the best attempt when one was
-    computed.
+    Carries the reconstruction residual of the recovered candidate: the
+    max coordinate deviation of its adjoint (congruence) map from the input.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
 

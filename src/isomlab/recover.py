@@ -5,10 +5,10 @@ norm is ``A -> eta U (A or -A.T) U^{-1} + B``; on the real skew space it is
 ``A -> sign Q psi^f(A) Q.T``, with the entry swap psi only at n = 4.  So the
 linear part lies on one of at most four branches, and each decomposition
 tries them in a fixed order: the first branch on which an explicit inversion
-of the conjugation (congruence) action succeeds wins.  The inversions'
-own checks reject the wrong branches: the rank-one projector test, the
-phase-coupling test and the ``RESIDUAL_TOL`` reconstruction residual on the
-Hermitian side, the plane intersection and the residual on the skew side.
+of the conjugation (congruence) action succeeds wins.  Both inversions are
+one closed form: the conjugating matrix is an extreme eigenvector of the
+rearranged superoperator of the branch's linear part, and the
+``RESIDUAL_TOL`` reconstruction residual alone rejects the wrong branches.
 A map that no branch reproduces (an isometry of the Euclidean norm, say) is
 outside the classified family.
 """
@@ -19,17 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDimension,
-    NotAdjointImage,
-    NotInClassifiedForm,
-    NotIsometry,
-    RecoveryFailed,
-)
+from .errors import InvalidDimension, NotAdjointImage, NotInClassifiedForm, NotIsometry
 from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix
 from .matspace import (  # noqa: F401 (vectorize: perfbench/tracing.py wraps recover's binding)
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    Basis,
     apply_map,
     basis_for,
     devectorize,
@@ -88,63 +83,69 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
     )
 
 
-def _as_projection(P: np.ndarray, tol: float = 1e-6) -> None:
-    """Require P to be (numerically) a rank-one orthogonal projection."""
-    dev = float(np.max(np.abs(P @ P - P)))
-    tr = float(np.trace(P).real)
-    if dev > tol or abs(tr - 1.0) > tol:
-        raise NotAdjointImage(
-            f"image of a rank-one projector is not one (defect {dev:.2e}, "
-            f"trace {tr:.6f})",
-            residual=dev,
-        )
-
-
 def _polar_orthogonal(B: np.ndarray) -> np.ndarray:
     """Nearest orthogonal matrix (unitary, for complex B): W Vh of B's SVD."""
     W, _, Vh = np.linalg.svd(B)
     return W @ Vh
 
 
+def _coordinate_map(M: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(M):
+        raise InvalidDimension("a coordinate map is real, got a complex matrix")
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.all(np.isfinite(M)):
+        raise InvalidDimension(
+            f"a coordinate map is a finite square matrix, got shape {M.shape}"
+        )
+    return M
+
+
+def _conjugator(M: np.ndarray, basis: Basis) -> np.ndarray:
+    """Read the conjugating matrix of an adjoint image M off its rearranged
+    superoperator.
+
+    With ``images[i]`` the matrix that column i of M represents, the
+    rearrangement ``T[(a, c), (b, d)] = sum_i images[i][a, b] B_i[d, c]``
+    is Hermitian for every real M (C. F. Van Loan and N. Pitsianis,
+    "Approximation with Kronecker products", 1993).  For ``M =
+    ad_matrix(U)`` it is ``vec(U) vec(U)* - I/n`` (the identity is what the
+    traceless basis misses, and only shifts the spectrum), so vec(U) is its
+    top eigenvector.  For ``M = so_adjoint_matrix(Q)`` it is ``-(vec(Q)
+    vec(Q).T - P)/2`` with the involution ``P: Y -> Q Y.T Q``, so vec(Q) is
+    the top eigenvector of -T, (n - 2)/2 above the rest of its spectrum.
+    That eigenvector, reshaped to (n, n), is polished to the nearest unitary
+    (orthogonal) matrix; whether M was an adjoint image at all is left to
+    the caller's reconstruction residual.  Raises :class:`InvalidDimension`
+    unless M is a finite real (d, d) matrix for the basis.
+    """
+    M = _coordinate_map(M)
+    n, d = basis.n, basis.d
+    if M.shape != (d, d):
+        raise InvalidDimension(
+            f"a map on the n = {n} space has shape ({d}, {d}), got {M.shape}"
+        )
+    images = devectorize(M.T, basis)
+    T = images.reshape(d, n * n).T @ basis.mats.reshape(d, n * n)
+    T = T.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    if basis.space == SKEW_REAL:
+        T = -T
+    _, V = np.linalg.eigh(T)
+    return _polar_orthogonal(V[:, -1].reshape(n, n))
+
+
 def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Invert the conjugation action: find U with ``ad_matrix(U) = M``.
 
-    Column j of U is read off as the top eigenvector of the image of the
-    rank-one projector onto coordinate j; relative phases are fixed through
-    the images of the symmetric pair matrices coupling coordinate 1 to the
-    others, and the determinant is normalized to one.  Returns ``(U,
-    residual)`` with U in SU(n) up to an n-th root of unity.  Raises
-    :class:`NotAdjointImage` when the input is provably not an adjoint
-    image, :class:`RecoveryFailed` on eigen-gap breakdowns.
+    U is the top eigenvector of M's rearranged superoperator (see
+    :func:`_conjugator`), normalized to determinant one.  Returns ``(U,
+    residual)`` with U in SU(n) up to an n-th root of unity and
+    ``residual`` the max coordinate deviation of ``ad_matrix(U)`` from M.
+    Raises :class:`InvalidDimension` unless M is a finite real
+    (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when the residual
+    exceeds ``RESIDUAL_TOL``.
     """
     basis = gell_mann_basis(n)
-    eye = np.eye(n)
-    cols = []
-    for j in range(n):
-        E = np.outer(eye[j], eye[j]) - eye / n
-        P = apply_map(M, E, basis) + eye / n
-        _as_projection(P)
-        w, V = np.linalg.eigh(P)
-        if w[-1] - w[-2] < 1e-6:
-            raise RecoveryFailed(
-                f"top eigenvalue of recovered projection not separated "
-                f"(gap {w[-1] - w[-2]:.2e})"
-            )
-        cols.append(V[:, -1])
-    U = np.zeros((n, n), dtype=complex)
-    U[:, 0] = cols[0]
-    for k in range(1, n):
-        # the symmetric pair (0, k) sits at slot k - 1 of the basis order
-        T = devectorize(M[:, k - 1], basis)
-        c = np.sqrt(2.0) * np.vdot(cols[0], T @ cols[k])
-        if abs(abs(c) - 1.0) > 1e-6:
-            raise NotAdjointImage(
-                f"phase coupling has modulus {abs(c):.6f}, expected one",
-                residual=abs(abs(c) - 1.0),
-            )
-        U[:, k] = cols[k] * np.conj(c)
-    # polish to the nearest unitary, then normalize the determinant
-    U = _polar_orthogonal(U)
+    U = _conjugator(M, basis)
     U = U * np.linalg.det(U) ** (-1.0 / n)
     residual = float(np.max(np.abs(ad_matrix(U, basis) - M)))
     if residual > RESIDUAL_TOL:
@@ -157,13 +158,13 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 def _first_branch(branches, recover, n: int):
     """``(branch, recover(candidate, n))`` for the first ``(branch,
-    candidate)`` pair whose recovery succeeds; :class:`RecoveryFailed` (and
-    so :class:`NotAdjointImage`) moves on to the next pair, and
+    candidate)`` pair whose recovery succeeds; :class:`NotAdjointImage`
+    moves on to the next pair, and
     :class:`NotInClassifiedForm` is raised when every pair fails."""
     for branch, candidate in branches:
         try:
             return branch, recover(candidate, n)
-        except RecoveryFailed:
+        except NotAdjointImage:
             continue
     raise NotInClassifiedForm(
         "no branch of the canonical family reproduces the map"
@@ -207,15 +208,6 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50
         raise NotIsometry(
             f"distance deviation {np.max(dev):.3e} on random pair"
         )
-
-
-def _coordinate_map(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.all(np.isfinite(M)):
-        raise InvalidDimension(
-            f"a coordinate map is a finite square matrix, got shape {M.shape}"
-        )
-    return M
 
 
 def decompose_isometry(
@@ -276,44 +268,26 @@ def recover_orthogonal_from_adso(M: np.ndarray, n: int) -> tuple[np.ndarray, flo
     """Invert the congruence action on the skew space: find Q with
     ``so_adjoint_matrix(Q) = M``, up to global sign.
 
-    The images of the pair matrices F_1j span the planes <q_1, q_j>; q_1 is
-    the common line of the planes from F_12 and F_13 (the null vector of the
-    stacked complement projectors), and the remaining columns follow as
-    ``sqrt(2) G_j.T q_1``.  Raises :class:`RecoveryFailed` when the plane
-    intersection is degenerate and :class:`NotAdjointImage` (carrying the
-    residual) when the rebuilt map does not match.
+    Q is the top eigenvector of M's negated rearranged superoperator (see
+    :func:`_conjugator`), which is separated from the rest of the spectrum
+    only for n >= 3; :class:`InvalidDimension` is raised below that, and
+    unless M is a finite real (n(n-1)/2)-square matrix.  Returns ``(Q,
+    residual)`` with Q in SO(n) and ``residual`` the max coordinate
+    deviation of the congruence by Q from M.  Raises
+    :class:`NotAdjointImage` when the residual exceeds ``RESIDUAL_TOL``, or
+    when M is the congruence by a reflection at even n, which no rotation
+    reproduces (at odd n the rotation -Q is returned instead).
     """
     if n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
     basis = skew_basis(n)
-    G = [devectorize(M[:, j - 1], basis) for j in range(1, n)]
-
-    planes = []
-    for Gj in G[:2]:
-        W, s, _ = np.linalg.svd(Gj)
-        planes.append(W[:, :2])
-    stacked = np.vstack(
-        [np.eye(n) - P @ P.T for P in planes]
-    )
-    _, svals, Vh = np.linalg.svd(stacked)
-    if svals[-2] < 1e-6:
-        raise RecoveryFailed(
-            f"plane intersection degenerate (second singular value {svals[-2]:.2e})"
-        )
-    q1 = Vh[-1]
-    cols = [q1]
-    for Gj in G:
-        cols.append(np.sqrt(2.0) * (Gj.T @ q1))
-    Q = np.column_stack(cols)
-    ortho_defect = float(np.max(np.abs(Q @ Q.T - np.eye(n))))
-    Q = _polar_orthogonal(Q)
+    Q = _conjugator(M, basis)
     residual = float(
         np.max(np.abs(so_adjoint_matrix(Q, basis, allow_reflection=True) - M))
     )
     if residual > RESIDUAL_TOL:
         raise NotAdjointImage(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
-            f"(orthogonality defect before polishing {ortho_defect:.3e})",
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}",
             residual=residual,
         )
     if np.linalg.det(Q) < 0:

@@ -124,18 +124,12 @@ def youla_decompose(A: np.ndarray) -> YoulaForm:
     for i in pos:
         ai = w[i]
         q1 = np.sqrt(2.0) * V[:, i].imag
-        # re-orthonormalize against previously selected columns (exact for
-        # simple eigenvalues, needed within tied groups)
+        # a unit vector, since v is orthogonal to conj(v) (the eigenvector of
+        # -ai); re-orthonormalize against previously selected columns (exact
+        # for simple eigenvalues, needed within tied groups)
         for c in cols:
             q1 = q1 - (c @ q1) * c
-        nrm = np.linalg.norm(q1)
-        if nrm < 1e-8:
-            # the imaginary part collapsed under projection; use the real part
-            q1 = np.sqrt(2.0) * V[:, i].real
-            for c in cols:
-                q1 = q1 - (c @ q1) * c
-            nrm = np.linalg.norm(q1)
-        q1 = q1 / nrm
+        q1 = q1 / np.linalg.norm(q1)
         q2 = -A @ q1 / ai
         # fix the in-plane rotation freedom: align the pair so its dominant
         # row loads positively on the first column (Q = I on canonical input)

@@ -257,6 +257,9 @@ def test_config_validation_bounds():
     SuiteConfig(suite="skew", seed=2**64 - 1).validate()
     SuiteConfig(suite="all", n_values=(2, 8)).validate()
     SuiteConfig(suite="invariance", n_values=(2,), samples=10**12).validate()
+    SuiteConfig(suite="invariance", samples=0).validate()
+    with pytest.raises(ValueError, match=r"samples must be >= 0 \(0 picks the per-suite default\)"):
+        SuiteConfig(suite="invariance", samples=-1).validate()
 
 
 def test_parser_defaults():

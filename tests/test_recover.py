@@ -53,7 +53,7 @@ def test_recover_unitary_identity():
     assert res < 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_recover_unitary_round_trip(n):
     for trial in range(10):
         U = il.haar_unitary(n, [3 * n, trial], special=True)
@@ -78,9 +78,8 @@ def test_recover_unitary_rejects_cartan():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_recover_unitary_rejects_negated_cartan_branch(n):
-    """The -sigma branch passes the projector and phase checks; only the
-    reconstruction residual rejects it, and the branch search relies on
-    that rejection."""
+    """The reconstruction residual rejects the -sigma branch, -sigma itself
+    included, and the branch search relies on that rejection."""
     basis = il.gell_mann_basis(n)
     S = il.cartan_matrix(basis)
     U = il.haar_unitary(n, [49, n], special=True)
@@ -88,6 +87,43 @@ def test_recover_unitary_rejects_negated_cartan_branch(n):
         with pytest.raises(NotAdjointImage) as err:
             il.recover_unitary_from_ad(M, n)
         assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_recover_unitary_rejects_every_wrong_branch(n):
+    """Each of -Ad(U), Ad(U) sigma and -Ad(U) sigma is refused with a
+    residual far above RESIDUAL_TOL, so no wrong branch of the search is
+    ever a near miss."""
+    basis = il.gell_mann_basis(n)
+    S = il.cartan_matrix(basis)
+    for trial in range(10):
+        A = il.ad_matrix(il.haar_unitary(n, [50, n, trial], special=True), basis)
+        for M in (-A, A @ S, -A @ S):
+            with pytest.raises(NotAdjointImage) as err:
+                il.recover_unitary_from_ad(M, n)
+            assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize(
+    "recover, M, n",
+    [
+        (il.recover_unitary_from_ad, np.eye(5), 3),
+        (il.recover_unitary_from_ad, np.eye(8)[:, :7], 3),
+        (il.recover_unitary_from_ad, np.full((8, 8), np.nan), 3),
+        (il.recover_unitary_from_ad, np.eye(8) + 1j * np.eye(8), 3),
+        (il.recover_orthogonal_from_adso, np.eye(6)[:, :3], 4),
+        (il.recover_orthogonal_from_adso, np.eye(3), 4),
+        (il.recover_orthogonal_from_adso, np.full((6, 6), np.nan), 4),
+        (il.recover_orthogonal_from_adso, np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], 4),
+    ],
+    ids=[
+        "ad-wrong-n", "ad-not-square", "ad-nan", "ad-complex",
+        "adso-not-square", "adso-wrong-n", "adso-nan", "adso-inf",
+    ],
+)
+def test_recover_rejects_malformed_maps(recover, M, n):
+    with pytest.raises(InvalidDimension):
+        recover(M, n)
 
 
 def test_decompose_translation_only():
@@ -184,6 +220,8 @@ def test_decompose_rejects_non_square_or_non_finite_maps():
         il.decompose_isometry(np.full((8, 8), np.nan), SPEC3)
     with pytest.raises(InvalidDimension):
         il.decompose_skew_isometry(np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], CSPEC21)
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(np.eye(8) + 1j * np.eye(8), SPEC3)
 
 
 def test_decompose_frobenius_has_no_canonical_form():
@@ -203,7 +241,7 @@ def test_recover_orthogonal_identity():
     assert res < 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_recover_orthogonal_round_trip(n):
     for trial in range(10):
         Q = il.haar_orthogonal(n, [6 * n, trial], special=True)
@@ -218,6 +256,33 @@ def test_recover_orthogonal_rejects_psi():
         with pytest.raises(NotAdjointImage) as err:
             il.recover_orthogonal_from_adso(M, 4)
         assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_recover_orthogonal_rejects_wrong_branches(n):
+    """-Q.Q^T is refused at every n, and at n = 4 so are +-Q psi(.) Q^T,
+    each with a residual far above RESIDUAL_TOL."""
+    P = il.psi_matrix()
+    for trial in range(10):
+        A = il.so_adjoint_matrix(il.haar_orthogonal(n, [51, n, trial], special=True))
+        for M in (-A, A @ P, -A @ P) if n == 4 else (-A,):
+            with pytest.raises(NotAdjointImage) as err:
+                il.recover_orthogonal_from_adso(M, n)
+            assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_even_n_reflection_congruence_is_refused(n):
+    """At even n the congruence by a reflection is reproduced exactly, but
+    by no rotation, so it is refused with its (tiny) residual."""
+    for trial in range(5):
+        R = il.haar_orthogonal(n, [52, n, trial])
+        if np.linalg.det(R) > 0:
+            R[:, 0] = -R[:, 0]
+        M = il.so_adjoint_matrix(R, allow_reflection=True)
+        with pytest.raises(NotAdjointImage, match="reflection") as err:
+            il.recover_orthogonal_from_adso(M, n)
+        assert err.value.residual < 1e-9
 
 
 def test_decompose_skew_tau():
