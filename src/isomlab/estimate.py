@@ -16,7 +16,9 @@ isometry algebra, so the d^2 + d rows the estimator always builds
 (:func:`default_num_samples`) leave dim L + d rows of oversampling.  A
 near-square row matrix also keeps LAPACK's SVD (gesdd) on its direct
 bidiagonalization; from about 11/6 d^2 rows on, gesdd QR-factors the
-matrix first.
+matrix first.  The rows' samples are one stack from one generator, and
+every function here that draws takes ``seed`` as an int, a list of ints
+or a numpy Generator, which it draws from in place.
 
 The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
 A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
@@ -56,9 +58,6 @@ GAP_RATIO_MIN = 1e3
 #: resampling budget per constraint row before giving up
 MAX_RESAMPLE = 20
 
-#: constraint rows whose gradients one stacked norm_gradient call builds
-ROW_BLOCK = 512
-
 
 @dataclass(frozen=True, eq=False)
 class DimensionReport:
@@ -92,35 +91,31 @@ def default_num_samples(d: int) -> int:
 
 
 def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
-    """Row i is vec(g_X) (x) vec(X) for the sample X drawn from
-    ``[seed, i, attempt]``.  Gradients are built a block of rows at a time;
-    a sample at which the norm is not smooth is redrawn at the next
-    attempt, up to MAX_RESAMPLE, and only that row is redrawn."""
-    d = basis.d
-    rows = np.empty((num_samples, d * d))
-    for start in range(0, num_samples, ROW_BLOCK):
-        index = range(start, min(start + ROW_BLOCK, num_samples))
-        X = np.stack([random_element(spec.space, n, [seed, i, 0]) for i in index])
-        attempt = np.zeros(len(index), dtype=int)
-        while True:
-            try:
-                G = norm_gradient(X, spec)
-                break
-            except DegeneratePoint as exc:
-                redraw = list(exc.members)
-                if not redraw:
-                    raise
-                attempt[redraw] += 1
-                if attempt.max() >= MAX_RESAMPLE:
-                    row = index[int(np.argmax(attempt))]
-                    raise DegeneratePoint(
-                        f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
-                    ) from exc
-                for j in redraw:
-                    X[j] = random_element(spec.space, n, [seed, index[j], int(attempt[j])])
-        block = rows[start : start + len(index)].reshape(len(index), d, d)
-        np.multiply(vectorize(G, basis)[:, :, None], vectorize(X, basis)[:, None, :], out=block)
-    return rows
+    """Row i is vec(g_X) (x) vec(X) for the i-th sample X of one stack drawn
+    from ``default_rng(seed)`` (``seed`` may be a Generator, which is drawn
+    from in place); all gradients come from one stacked call.  A sample at
+    which the norm is not smooth is redrawn from the same generator after
+    the stack, so only its row changes, up to MAX_RESAMPLE tries per row."""
+    rng = np.random.default_rng(seed)
+    X = random_element(spec.space, n, rng, count=num_samples)
+    attempt = np.zeros(num_samples, dtype=int)
+    while True:
+        try:
+            G = norm_gradient(X, spec)
+            break
+        except DegeneratePoint as exc:
+            redraw = list(exc.members)
+            if not redraw:
+                raise
+            attempt[redraw] += 1
+            if attempt.max() >= MAX_RESAMPLE:
+                row = int(np.argmax(attempt))
+                raise DegeneratePoint(
+                    f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
+                ) from exc
+            X[redraw] = random_element(spec.space, n, rng, count=len(redraw))
+    rows = vectorize(G, basis)[:, :, None] * vectorize(X, basis)[:, None, :]
+    return rows.reshape(num_samples, -1)
 
 
 def _null_space_dimension(svals: np.ndarray):
@@ -249,38 +244,36 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     """Check that both canonical forms preserve the C-numerical radius, and
     that conjugation preserves the C-numerical range as an interval.
 
-    For each trial a random element A and Haar unitary U are drawn; the
-    radius is compared across ``A -> eta U A U*`` and
-    ``A -> eta U (-A.T) U*`` for both signs, and for the plain conjugation
-    the range endpoints and the conjugation-invariance of individual orbit
-    values are checked.
+    For each trial a random element A and Haar unitaries U and V are
+    drawn, as three stacks from one generator; the radius is compared
+    across ``A -> eta U A U*`` and ``A -> eta U (-A.T) U*`` for both signs,
+    and for the plain conjugation the range endpoints and the
+    conjugation-invariance of individual orbit values (at V C V*) are
+    checked.
     """
     radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
     wc_interval = 0.0
     wc_pointwise = 0.0
-    for t in range(trials):
-        A = random_element(HERMITIAN_TRACELESS, n, [seed, t, 0])
-        U = haar_unitary(n, [seed, t, 1])
+    rng = np.random.default_rng(seed)
+    As = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)
+    Us = haar_unitary(n, rng, count=trials)
+    Vs = haar_unitary(n, rng, count=trials)
+    for A, U, V in zip(As, Us, Vs):
         r0 = c_numerical_radius(A, C)
-        images = {
-            "conj_plus": U @ A @ U.conj().T,
-            "conj_minus": -(U @ A @ U.conj().T),
-            "cartan_plus": U @ (-A.T) @ U.conj().T,
-            "cartan_minus": -(U @ (-A.T) @ U.conj().T),
-        }
+        conj, cartan = U @ A @ U.conj().T, U @ (-A.T) @ U.conj().T
+        images = {"conj_plus": conj, "conj_minus": -conj, "cartan_plus": cartan, "cartan_minus": -cartan}
         for key, LA in images.items():
             r1 = c_numerical_radius(LA, C)
             radius_dev[key] = max(radius_dev[key], abs(r1 - r0))
         scale = float(np.linalg.norm(A)) * float(np.linalg.norm(C))
         lo0, hi0 = _range_endpoints(A, C)
-        lo1, hi1 = _range_endpoints(images["conj_plus"], C)
+        lo1, hi1 = _range_endpoints(conj, C)
         wc_interval = max(
             wc_interval, max(abs(lo0 - lo1), abs(hi0 - hi1)) / max(scale, 1e-30)
         )
         # conjugation moves each orbit point to another: values match exactly
-        V = haar_unitary(n, [seed, t, 6])
         X = V @ C @ V.conj().T
-        val_moved = float(np.trace(images["conj_plus"] @ (U @ X @ U.conj().T)).real)
+        val_moved = float(np.trace(conj @ (U @ X @ U.conj().T)).real)
         val_base = float(np.trace(A @ X).real)
         wc_pointwise = max(wc_pointwise, abs(val_moved - val_base))
     return PreserverReport(

@@ -42,15 +42,17 @@ def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) 
     return Q
 
 
-def haar_orthogonal(n: int, seed, special: bool = False) -> np.ndarray:
+def haar_orthogonal(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
     """Haar-random orthogonal matrix; ``special`` forces det = +1 by
-    flipping the sign of the last column when needed."""
+    flipping the sign of the last column when needed.  With ``count`` the
+    result is a (count, n, n) stack of independent draws from one
+    generator."""
     rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diagonal(R))
-    if special and np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, -1] = -Q[:, -1]
+    shape = (n, n) if count is None else (count, n, n)
+    Q, R = np.linalg.qr(rng.standard_normal(shape))
+    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    if special:
+        Q[..., -1] *= np.sign(np.linalg.det(Q))[..., None]
     return Q
 
 
@@ -76,17 +78,18 @@ def cartan_matrix(basis: Basis) -> np.ndarray:
 
 def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
     """Max deviation of -(U A U^{-1}).T from (U.T)^{-1} (-A.T) U.T over
-    random traceless Hermitian A."""
-    n = U.shape[0]
-    Ut = U.T
-    Ut_inv = np.linalg.inv(Ut)
-    worst = 0.0
-    for t in range(trials):
-        A = random_element(HERMITIAN_TRACELESS, n, [seed, t])
-        lhs = -(U @ A @ np.linalg.inv(U)).T
-        rhs = Ut_inv @ (-A.T) @ Ut
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    ``trials`` random traceless Hermitian A per unitary.  ``U`` is one
+    (n, n) matrix or a (k, n, n) stack; all k * trials samples come from
+    one generator."""
+    U = np.asarray(U)[..., None, :, :]
+    n = U.shape[-1]
+    lead = U.shape[:-3]
+    A = random_element(HERMITIAN_TRACELESS, n, seed, count=int(np.prod(lead)) * trials)
+    A = A.reshape(*lead, trials, n, n)
+    Ut = np.swapaxes(U, -1, -2)
+    lhs = -np.swapaxes(U @ A @ np.linalg.inv(U), -1, -2)
+    rhs = np.linalg.inv(Ut) @ -np.swapaxes(A, -1, -2) @ Ut
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def so_adjoint_matrix(

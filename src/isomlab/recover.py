@@ -198,9 +198,10 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
 def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
-    D over one stack of ``pairs`` random differences D, drawn from one
-    generator: two stacked norm evaluations in all."""
-    D = random_element(spec.space, n, [seed, 7000], count=pairs)
+    D over one stack of ``pairs`` random differences D, drawn from
+    ``seed`` (a seed or a Generator, drawn from in place): two stacked norm
+    evaluations in all."""
+    D = random_element(spec.space, n, seed, count=pairs)
     lhs = norm_value(apply_map(M, D, basis_for(spec.space, n)), spec)
     rhs = norm_value(D, spec)
     dev = np.abs(lhs - rhs)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,47 @@ def test_config_validation_bounds():
     SuiteConfig(suite="invariance", samples=0).validate()
     with pytest.raises(ValueError, match=r"samples must be >= 0 \(0 picks the per-suite default\)"):
         SuiteConfig(suite="invariance", samples=-1).validate()
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(space="skwe"), "unknown space 'skwe'"),
+        (dict(tol={"invarance": 1e-3}), "unknown tolerance key 'invarance'"),
+        (dict(tol={"invariance": -1.0}), "tolerance invariance must be finite and >= 0"),
+        (dict(tol={"radius": math.nan}), "tolerance radius must be finite and >= 0"),
+        (dict(tol={"radius": "1e-3"}), "tolerance radius must be finite and >= 0"),
+    ],
+    ids=["space", "tol-key", "tol-negative", "tol-nan", "tol-string"],
+)
+def test_run_suite_refuses_an_unknown_space_or_a_bad_tolerance(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(SuiteConfig(suite="invariance", n_values=(2,), samples=2, **kw))
+
+
+def test_record_groups_draw_from_independent_streams(monkeypatch):
+    """Every seeded generator of one report is built once, by one record
+    group, and no two of them start in the same state."""
+    real = np.random.default_rng
+    states = []
+
+    def spy(seed=None):
+        rng = real(seed)
+        if not isinstance(seed, np.random.Generator):
+            states.append(rng.bit_generator.state["state"]["state"])
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    doc = run_suite(SuiteConfig(suite="all"))
+    assert doc.overall_pass
+    assert len(states) <= len(doc.records)
+    assert len(set(states)) == len(states)
+
+
+@pytest.mark.parametrize("seed", [2, 2**32 + 1, 2**63, 2**64 - 1])
+def test_all_suites_pass_at_edge_seeds(seed):
+    doc = run_suite(SuiteConfig(suite="all", seed=seed))
+    assert [r.check_id for r in doc.records if not r.passed] == []
 
 
 def test_parser_defaults():

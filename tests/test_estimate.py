@@ -228,14 +228,17 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
     import isomlab.estimate as est
 
     spec, n, basis = il.schatten(1.0), 3, il.gell_mann_basis(3)
+    num = 20
+    clean = est._constraint_rows(spec, n, basis, num, 7)
     real_draw, real_grad = est.random_element, est.norm_gradient
     draws, grads = [], []
 
-    def draw(space, n, seed):
-        draws.append(tuple(seed[1:]))
-        if tuple(seed[1:]) == (5, 0):
-            return np.diag([1.0, -1.0, 0.0]).astype(complex)  # not smooth for schatten:1
-        return real_draw(space, n, seed)
+    def draw(space, n, seed, count=None):
+        X = real_draw(space, n, seed, count=count)
+        if not draws:
+            X[5] = np.diag([1.0, -1.0, 0.0])  # not smooth for schatten:1
+        draws.append(count)
+        return X
 
     def grad(X, spec):
         grads.append(len(X))
@@ -243,15 +246,18 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     monkeypatch.setattr(est, "norm_gradient", grad)
-    rows = est._constraint_rows(spec, n, basis, 20, 7)
-    assert draws == [(i, 0) for i in range(20)] + [(5, 1)]
-    assert grads == [20, 20]
-    for i in range(20):
-        X = real_draw(spec.space, n, [7, i, 1 if i == 5 else 0])
-        g = real_grad(X, spec)
-        np.testing.assert_array_equal(
-            rows[i], np.outer(il.vectorize(g, basis), il.vectorize(X, basis)).ravel()
-        )
+    rows = est._constraint_rows(spec, n, basis, num, 7)
+    assert draws == [num, 1]
+    assert grads == [num, num]
+    assert np.flatnonzero(np.any(rows != clean, axis=1)).tolist() == [5]
+    # the redrawn sample is the generator's next one
+    rng = np.random.default_rng(7)
+    real_draw(spec.space, n, rng, count=num)
+    X = real_draw(spec.space, n, rng, count=1)[0]
+    g = real_grad(X, spec)
+    np.testing.assert_array_equal(
+        rows[5], np.outer(il.vectorize(g, basis), il.vectorize(X, basis)).ravel()
+    )
 
 
 def test_constraint_rows_give_up_after_the_resample_budget(monkeypatch):
@@ -259,10 +265,11 @@ def test_constraint_rows_give_up_after_the_resample_budget(monkeypatch):
 
     real_draw = est.random_element
 
-    def draw(space, n, seed):
-        if seed[1] == 3:
-            return np.diag([1.0, -1.0, 0.0]).astype(complex)
-        return real_draw(space, n, seed)
+    def draw(space, n, seed, count=None):
+        X = real_draw(space, n, seed, count=count)
+        # row 3 of the first draw and every redraw are not smooth for schatten:1
+        X[3 if count == 10 else slice(None)] = np.diag([1.0, -1.0, 0.0])
+        return X
 
     monkeypatch.setattr(est, "random_element", draw)
     with pytest.raises(DegeneratePoint, match="row 3 after 20 tries"):

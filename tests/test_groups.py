@@ -28,6 +28,16 @@ def test_haar_unitary_count_draws_a_stack():
     assert il.haar_unitary(4, 9).shape == (4, 4)
 
 
+def test_haar_orthogonal_count_draws_a_stack():
+    stack = il.haar_orthogonal(5, 9, count=6)
+    assert stack.shape == (6, 5, 5)
+    npt.assert_allclose(stack @ stack.transpose(0, 2, 1), np.broadcast_to(np.eye(5), (6, 5, 5)), atol=1e-12)
+    npt.assert_array_equal(stack, il.haar_orthogonal(5, 9, count=6))
+    special = il.haar_orthogonal(5, 9, special=True, count=6)
+    npt.assert_allclose(np.linalg.det(special), np.ones(6), atol=1e-12)
+    assert il.haar_orthogonal(5, 9).shape == (5, 5)
+
+
 def test_haar_reproducible():
     npt.assert_array_equal(il.haar_unitary(3, 42), il.haar_unitary(3, 42))
     npt.assert_array_equal(il.haar_orthogonal(3, 42), il.haar_orthogonal(3, 42))

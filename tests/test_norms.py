@@ -349,10 +349,12 @@ def test_check_invariance_is_two_stacked_evaluations_of_the_trial_loop(monkeypat
         return real(A, spec)
 
     for spec, haar in ((il.schatten(1.0), il.haar_unitary), (il.c_spectral((2, 1)), il.haar_orthogonal)):
+        # the same draws as check_invariance: one generator, A's then U's
+        rng = np.random.default_rng([23, 4])
+        stack_a = il.random_element(spec.space, 4, rng, count=9)
+        stack_u = haar(4, rng, count=9)
         worst = 0.0
-        for t in range(9):
-            A = il.random_element(spec.space, 4, [[23, 4], 2 * t])
-            U = haar(4, [[23, 4], 2 * t + 1])
+        for A, U in zip(stack_a, stack_u):
             base = real(A, spec)
             worst = max(worst, abs(real(U @ A @ U.conj().T, spec) - base) / base)
         monkeypatch.setattr(norms, "norm_value", counted)
