@@ -35,7 +35,6 @@ from .groups import (
     haar_unitary,
     psi_matrix,
     so_adjoint_matrix,
-    tau_matrix,
     verify_sigma_normalizes,
 )
 from .matspace import (
@@ -562,11 +561,6 @@ def _skew_records(cfg: SuiteConfig):
                 (f"youla/singular_values/n={n}", "S4_youla", n, "", 0.0, cfg.tolerance("youla")),
             ],
             lambda: _youla_worst(n, count, _stream(cfg, check)),
-        )
-        basis = skew_basis(n)
-        records += _guarded(
-            [(f"tau_is_negation/n={n}", "CK_i", n, "", 0.0, 0.0)],
-            lambda: [float(np.max(np.abs(tau_matrix(basis) + np.eye(basis.d))))],
         )
 
     if 4 in cfg.n_values:

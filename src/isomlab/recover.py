@@ -2,15 +2,17 @@
 
 On the traceless Hermitian space every isometry of a non-Euclidean invariant
 norm is ``A -> eta U (A or -A.T) U^{-1} + B``; on the real skew space it is
-``A -> sign Q psi^f(A) Q.T``, with the entry swap psi only at n = 4.  So the
-linear part lies on one of at most four branches, and each decomposition
-tries them in a fixed order: the first branch on which an explicit inversion
-of the conjugation (congruence) action succeeds wins.  Both inversions are
-one closed form: the conjugating matrix is an extreme eigenvector of the
-rearranged superoperator of the branch's linear part, and the
-``RESIDUAL_TOL`` reconstruction residual alone rejects the wrong branches.
-A map that no branch reproduces (an isometry of the Euclidean norm, say) is
-outside the classified family.
+``A -> sign Q psi^f(A) Q.T``, with the entry swap psi only at n = 4.  Both
+decompositions share one path: the same input checks and isometry
+pre-check, then one branch search over ``(M @ involution if flag else M) /
+sign`` (involution -A.T or psi), where the first branch on which an
+explicit inversion of the conjugation (congruence) action succeeds wins.
+Both inversions are one closed form: the conjugating matrix is an extreme
+eigenvector of the rearranged superoperator of the branch's linear part,
+and one ``RESIDUAL_TOL`` check of the reconstruction residual rejects the
+wrong branches and gives the reported residual.  A map that no branch
+reproduces (an isometry of the Euclidean norm, say) is outside the
+classified family.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .matspace import (  # noqa: F401 (vectorize: perfbench/tracing.py wraps rec
     gell_mann_basis,
     random_element,
     skew_basis,
+    space_dim,
     vectorize,
 )
 from .norms import NormSpec, norm_value
@@ -47,7 +50,7 @@ class IsometryDecomposition:
     where the sigma branch applies A -> -A.T first when ``sigma_flag`` is
     set.  ``unitary`` is determined up to an n-th root of unity and is
     normalized to determinant one; ``residual`` is the max coordinate
-    deviation of the rebuilt linear part from the input.
+    deviation of the rebuilt linear part from the input (up to rounding).
     """
 
     eta: int
@@ -100,6 +103,18 @@ def _coordinate_map(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _reconstruction_residual(rebuilt: np.ndarray, M: np.ndarray) -> float:
+    """Max coordinate deviation of ``rebuilt`` from M; raises
+    :class:`NotAdjointImage` when it exceeds ``RESIDUAL_TOL``."""
+    residual = float(np.max(np.abs(rebuilt - M)))
+    if residual > RESIDUAL_TOL:
+        raise NotAdjointImage(
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}",
+            residual=residual,
+        )
+    return residual
+
+
 def _conjugator(M: np.ndarray, basis: Basis) -> np.ndarray:
     """Read the conjugating matrix of an adjoint image M off its rearranged
     superoperator.
@@ -147,25 +162,24 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     basis = gell_mann_basis(n)
     U = _conjugator(M, basis)
     U = U * np.linalg.det(U) ** (-1.0 / n)
-    residual = float(np.max(np.abs(ad_matrix(U, basis) - M)))
-    if residual > RESIDUAL_TOL:
-        raise NotAdjointImage(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}",
-            residual=residual,
-        )
-    return U, residual
+    return U, _reconstruction_residual(ad_matrix(U, basis), M)
 
 
-def _first_branch(branches, recover, n: int):
-    """``(branch, recover(candidate, n))`` for the first ``(branch,
-    candidate)`` pair whose recovery succeeds; :class:`NotAdjointImage`
-    moves on to the next pair, and
-    :class:`NotInClassifiedForm` is raised when every pair fails."""
-    for branch, candidate in branches:
-        try:
-            return branch, recover(candidate, n)
-        except NotAdjointImage:
-            continue
+def _first_branch(M: np.ndarray, involution: np.ndarray | None, recover, n: int):
+    """``(sign, flag, *recover(candidate, n))`` for the first candidate
+    ``(M @ involution if flag else M) / sign`` in the order (1, F), (-1, F),
+    (1, T), (-1, T) that ``recover`` inverts, the flag branches only when
+    ``involution`` is given.  :class:`NotAdjointImage` moves on to the next
+    branch; :class:`NotInClassifiedForm` is raised when every branch fails.
+    Candidates are built as they are tried, so a rejected map's traceback
+    keeps only the last one alive."""
+    for flag in (False, True) if involution is not None else (False,):
+        linear = M @ involution if flag else M
+        for sign in (1, -1):
+            try:
+                return (sign, flag, *recover(linear / sign, n))
+            except NotAdjointImage:
+                continue
     raise NotInClassifiedForm(
         "no branch of the canonical family reproduces the map"
     )
@@ -175,33 +189,24 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
     """Find the branch (eta, sigma_flag) of a Hermitian-space linear map and
     its conjugating unitary.
 
-    Tries ``(M @ cartan if sigma_flag else M) / eta`` in the fixed order
-    (1, False), (-1, False), (1, True), (-1, True), the sigma branches only
-    for n >= 3 (at n = 2 the involution is itself a conjugation), and
-    returns ``(eta, sigma_flag, U)`` from the first branch that
-    :func:`recover_unitary_from_ad` inverts.  Raises
-    :class:`NotInClassifiedForm` when no branch does.
+    The branch search of :func:`decompose_isometry` on M alone: the
+    involution A -> -A.T is tried only for n >= 3 (at n = 2 it is itself a
+    conjugation).  Returns ``(eta, sigma_flag, U)`` from the first branch
+    that :func:`recover_unitary_from_ad` inverts; raises
+    :class:`NotInClassifiedForm` when none does.
     """
-    # candidates are built as they are tried: a map on a sigma-free branch
-    # never forms M @ cartan, and a rejected map's traceback keeps only the
-    # last candidate alive
-    def branches():
-        for sigma_flag in (False, True) if n >= 3 else (False,):
-            linear = M @ cartan_matrix(gell_mann_basis(n)) if sigma_flag else M
-            for eta in (1, -1):
-                yield (eta, sigma_flag), linear / eta
-
-    (eta, sigma_flag), (U, _) = _first_branch(branches(), recover_unitary_from_ad, n)
+    involution = cartan_matrix(gell_mann_basis(n)) if n >= 3 else None
+    eta, sigma_flag, U, _ = _first_branch(M, involution, recover_unitary_from_ad, n)
     return eta, sigma_flag, U
 
 
-def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50) -> None:
+def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
-    D over one stack of ``pairs`` random differences D, drawn from
-    ``seed`` (a seed or a Generator, drawn from in place): two stacked norm
-    evaluations in all."""
-    D = random_element(spec.space, n, seed, count=pairs)
+    D over one stack of 50 random differences D, drawn from ``seed`` (a
+    seed or a Generator, drawn from in place): two stacked norm evaluations
+    in all."""
+    D = random_element(spec.space, n, seed, count=50)
     lhs = norm_value(apply_map(M, D, basis_for(spec.space, n)), spec)
     rhs = norm_value(D, spec)
     dev = np.abs(lhs - rhs)
@@ -209,6 +214,28 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, pairs: int = 50
         raise NotIsometry(
             f"distance deviation {np.max(dev):.3e} on random pair"
         )
+
+
+def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
+    """Both decompositions' input checks, in order: a finite real square M,
+    a ``spec`` on ``space``, M's size d equal to ``space_dim(space, n)`` for
+    some n >= 2, a finite ``offset`` of shape (d,) (zero when None), then
+    the isometry pre-check.  Returns ``(M, n, offset)``; every failure
+    before the pre-check raises :class:`InvalidDimension`."""
+    M = _coordinate_map(M)
+    d = M.shape[0]
+    if spec.space != space:
+        raise InvalidDimension(f"the norm acts on {spec.space}, the map on {space}")
+    n = 2
+    while space_dim(space, n) < d:
+        n += 1
+    if space_dim(space, n) != d:
+        raise InvalidDimension(f"map size {d} is not the dimension of {space} at any n >= 2")
+    offset = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
+    if offset.shape != (d,) or not np.all(np.isfinite(offset)):
+        raise InvalidDimension(f"offset must be a finite vector of shape ({d},), got {offset.shape}")
+    _check_isometry(M, spec, n, seed)
+    return M, n, offset
 
 
 def decompose_isometry(
@@ -223,44 +250,24 @@ def decompose_isometry(
     vector of the translation (defaults to zero; anything but a finite
     vector of shape (d,) raises :class:`InvalidDimension`).  The map is
     first checked to be an isometry of ``spec`` on random pairs drawn from
-    ``seed`` (the only random numbers a decomposition uses), then
-    :func:`classify_eta_sigma` finds the branch and the conjugating
-    unitary.  At n = 2 the involution branch coincides with a conjugation,
-    so ``sigma_flag`` is always False there.
+    ``seed`` (the only random numbers a decomposition uses), then the
+    branch search of :func:`classify_eta_sigma` finds the branch, the
+    conjugating unitary and the residual.  At n = 2 the involution branch
+    coincides with a conjugation, so ``sigma_flag`` is always False there.
 
     Raises :class:`NotIsometry`, or :class:`NotInClassifiedForm` for
     isometries outside the canonical family (the Euclidean / inner-product
     case admits a full orthogonal group of them).
     """
-    M = _coordinate_map(M)
-    d = M.shape[0]
-    if spec.space != HERMITIAN_TRACELESS:
-        raise InvalidDimension("decompose_isometry acts on the Hermitian space")
-    n = int(round(np.sqrt(d + 1)))
-    if n * n - 1 != d:
-        raise InvalidDimension(f"map size {d} is not of the form n^2 - 1")
+    M, n, offset = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
     basis = gell_mann_basis(n)
-    if offset is None:
-        offset = np.zeros(d)
-    offset = np.asarray(offset, dtype=float)
-    if offset.shape != (d,) or not np.all(np.isfinite(offset)):
-        raise InvalidDimension(
-            f"offset must be a finite coordinate vector of shape ({d},), "
-            f"got shape {offset.shape}"
-        )
-    _check_isometry(M, spec, n, seed)
-    translation = devectorize(offset, basis)
-
-    eta, sigma_flag, U = classify_eta_sigma(M, n)
-    rebuilt = eta * ad_matrix(U, basis)
-    if sigma_flag:
-        rebuilt = rebuilt @ cartan_matrix(basis)
-    residual = float(np.max(np.abs(rebuilt - M)))
+    involution = cartan_matrix(basis) if n >= 3 else None
+    eta, sigma_flag, U, residual = _first_branch(M, involution, recover_unitary_from_ad, n)
     return IsometryDecomposition(
         eta=eta,
         sigma_flag=sigma_flag,
         unitary=U,
-        translation=translation,
+        translation=devectorize(offset, basis),
         residual=residual,
     )
 
@@ -283,14 +290,7 @@ def recover_orthogonal_from_adso(M: np.ndarray, n: int) -> tuple[np.ndarray, flo
         raise InvalidDimension("orthogonal recovery needs n >= 3")
     basis = skew_basis(n)
     Q = _conjugator(M, basis)
-    residual = float(
-        np.max(np.abs(so_adjoint_matrix(Q, basis, allow_reflection=True) - M))
-    )
-    if residual > RESIDUAL_TOL:
-        raise NotAdjointImage(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}",
-            residual=residual,
-        )
+    residual = _reconstruction_residual(so_adjoint_matrix(Q, basis, allow_reflection=True), M)
     if np.linalg.det(Q) < 0:
         if n % 2 == 1:
             # congruence is even in Q; report the det +1 representative
@@ -312,23 +312,13 @@ def decompose_skew_isometry(
 
     Branches are tried in the fixed order (M, -M, M psi, -M psi), the psi
     branches only at n = 4, and the first branch whose congruence recovery
-    succeeds wins.  Raises :class:`NotIsometry` or, when every branch fails
-    (as for multiples of the Euclidean norm), :class:`NotInClassifiedForm`.
+    succeeds wins and gives ``residual``.  Raises :class:`NotIsometry` or,
+    when every branch fails (as for multiples of the Euclidean norm),
+    :class:`NotInClassifiedForm`.
     """
-    M = _coordinate_map(M)
-    m = M.shape[0]
-    n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
-    if n * (n - 1) // 2 != m:
-        raise InvalidDimension(f"map size {m} is not of the form n(n-1)/2")
-    if spec.space != SKEW_REAL:
-        raise InvalidDimension("decompose_skew_isometry acts on the skew space")
-    _check_isometry(M, spec, n, seed)
-
-    branches = [((1, False), M), ((-1, False), -M)]
-    if n == 4:
-        P = psi_matrix()
-        branches += [((1, True), M @ P), ((-1, True), -M @ P)]
-    (sign, flag), (Q, residual) = _first_branch(branches, recover_orthogonal_from_adso, n)
+    M, n, _ = _checked_input(M, spec, SKEW_REAL, seed)
+    involution = psi_matrix() if n == 4 else None
+    sign, flag, Q, residual = _first_branch(M, involution, recover_orthogonal_from_adso, n)
     return SkewIsometryDecomposition(
         sign=sign, psi_flag=flag, orthogonal=Q, residual=residual
     )

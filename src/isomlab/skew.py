@@ -69,33 +69,24 @@ class YoulaForm:
         return np.concatenate([np.repeat(self.a, 2), np.zeros(self.n - 2 * self.r)])
 
 
-def _tie_groups(values: np.ndarray, tol: float):
-    """Split a descending sequence into runs of values equal within tol."""
-    groups, start = [], 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[start] - values[i] > tol:
-            groups.append(range(start, i))
-            start = i
-    return groups
-
-
 def youla_decompose(A: np.ndarray) -> YoulaForm:
     """Compute the orthogonal block canonical form of a skew matrix.
 
     Works through the Hermitian eigendecomposition of iA, whose eigenvalues
     come in pairs +-a_i plus zeros.  For each positive eigenvalue a with
     unit eigenvector v, the real pair (sqrt(2) Im v, sqrt(2) Re v) spans an
-    invariant plane carrying the block [[0, a], [-a, 0]]; block columns are
-    re-orthonormalized within tied groups, the in-plane rotation freedom is
-    fixed by aligning each pair with its dominant row, and the second column
-    is regenerated as -A q / a so the (1, 2) entry of every block is exactly
-    +a.  The kernel block is an orthonormal basis of the complement.  When
-    det Q = -1 a kernel column is flipped; for full-rank even-n inputs no
-    sign-preserving correction exists (the stabilizer of S is a product of
-    plane rotations) and Q is returned with det -1.
+    invariant plane carrying the block [[0, a], [-a, 0]]; both columns are
+    re-orthonormalized against the earlier blocks (Gram-Schmidt, needed when
+    a_i are tied), the in-plane rotation freedom is fixed by aligning each
+    pair with its dominant row, and the second column is regenerated as
+    -A q / a so the (1, 2) entry of every block is exactly +a.  The kernel
+    block is an orthonormal basis of the complement.  When det Q = -1 a
+    kernel column is flipped; for full-rank even-n inputs no sign-preserving
+    correction exists (the stabilizer of S is a product of plane rotations)
+    and Q is returned with det -1.
 
-    Ties among the a_i are ordered deterministically by comparing rounded
-    leading entries of the candidate plane vectors.
+    Tied a_i are not reordered: within a tied group, Q is whichever valid
+    choice the eigendecomposition gives.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or not is_element(A, SKEW_REAL):
@@ -109,16 +100,6 @@ def youla_decompose(A: np.ndarray) -> YoulaForm:
     pos = [i for i in order if w[i] > tol]
     a = np.array([w[i] for i in pos])
     r = len(a)
-
-    # deterministic order within tied block parameters
-    for group in _tie_groups(a, tol if tol > 0 else ZERO_MODE_TOL):
-        if len(group) > 1:
-            idx = list(group)
-            keys = [tuple(np.round(np.abs(V[:, pos[i]]), 8)) for i in idx]
-            ranked = sorted(range(len(idx)), key=lambda j: keys[j], reverse=True)
-            reordered = [pos[idx[j]] for j in ranked]
-            for slot, src in zip(idx, reordered):
-                pos[slot] = src
 
     cols = []
     for i in pos:

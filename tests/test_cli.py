@@ -239,6 +239,21 @@ def test_all_suites_pass_on_the_skew_space(capsys):
     assert "dimension/schatten:1/n=3" in ids
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="d^2 + d constraint rows can underdetermine schatten:1 on so(4): each "
+    "sample's gradient lies in one of the two 3-dim summands, so too few samples "
+    "may fall on one side (reads 10 at seed 27 and 7 at seed 32)",
+)
+@pytest.mark.parametrize("seed", [27, 32])
+def test_skew_trace_norm_dimension_at_n4_is_six(seed):
+    doc = run_suite(
+        SuiteConfig(suite="dimension", space="skew", n_values=(4,), norms=("schatten:1",), seed=seed)
+    )
+    dims = [r for r in doc.records if r.check_id == "dimension/schatten:1/n=4"]
+    assert [r.value for r in dims] == [6.0]
+
+
 def test_unwritable_out_is_a_usage_error_before_any_suite_runs(monkeypatch, tmp_path, capsys):
     import isomlab.cli as cli
 
@@ -437,7 +452,7 @@ def test_skew_suite_writes_failing_records_when_the_block_form_raises(monkeypatc
         "youla/reconstruction/n=4",
         "youla/singular_values/n=4",
     ]
-    assert len(doc.records) == 10
+    assert len(doc.records) == 8
 
 
 def test_skew_suite_counts_only_a_failed_recovery_as_a_rejection(monkeypatch):

@@ -222,6 +222,62 @@ def test_decompose_rejects_non_square_or_non_finite_maps():
         il.decompose_skew_isometry(np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], CSPEC21)
     with pytest.raises(InvalidDimension):
         il.decompose_isometry(np.eye(8) + 1j * np.eye(8), SPEC3)
+    # the input checks run before the isometry pre-check, so a non-isometry
+    # with a spec of the other space, or with a malformed offset, is refused
+    # as malformed input, not as a non-isometry
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(2.0 * np.eye(8), CSPEC21)
+    with pytest.raises(InvalidDimension):
+        il.decompose_skew_isometry(2.0 * np.eye(6), SPEC3)
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(np.eye(7), SPEC3)
+    with pytest.raises(InvalidDimension):
+        il.decompose_skew_isometry(np.eye(7), CSPEC21)
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(2.0 * np.eye(8), SPEC3, offset=np.zeros(7))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hermitian_residual_is_the_deviation_of_the_rebuilt_map(n):
+    """On every branch the reported residual is the max-entry deviation of
+    the map rebuilt from the returned data, for exact maps and for maps
+    perturbed by 1e-9, whose residual is far from rounding (at n = 2 the
+    sigma inputs fold into a conjugation and are rebuilt without the
+    involution)."""
+    basis = il.gell_mann_basis(n)
+    S = il.cartan_matrix(basis)
+    rng = np.random.default_rng([53, n])
+    for trial, eps in enumerate((0.0, 0.0, 1e-9, 1e-9)):
+        U = il.haar_unitary(n, rng, special=True)
+        for eta in (1, -1):
+            for flag in (False, True):
+                M = canonical_map(n, eta, flag, U)
+                M = M + eps * rng.uniform(-1, 1, M.shape)
+                dec = il.decompose_isometry(M, SPEC3, seed=trial)
+                rebuilt = dec.eta * il.ad_matrix(dec.unitary, basis)
+                if dec.sigma_flag:
+                    rebuilt = rebuilt @ S
+                assert abs(dec.residual - np.max(np.abs(rebuilt - M))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_skew_residual_is_the_deviation_of_the_rebuilt_map(n):
+    spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+    P = il.psi_matrix()
+    rng = np.random.default_rng([54, n])
+    for trial, eps in enumerate((0.0, 0.0, 1e-9, 1e-9)):
+        Q = il.haar_orthogonal(n, rng, special=True)
+        for sign in (1, -1):
+            for flag in (False, True) if n == 4 else (False,):
+                M = sign * il.so_adjoint_matrix(Q)
+                if flag:
+                    M = M @ P
+                M = M + eps * rng.uniform(-1, 1, M.shape)
+                dec = il.decompose_skew_isometry(M, spec, seed=trial)
+                rebuilt = dec.sign * il.so_adjoint_matrix(dec.orthogonal)
+                if dec.psi_flag:
+                    rebuilt = rebuilt @ P
+                assert abs(dec.residual - np.max(np.abs(rebuilt - M))) <= 1e-15
 
 
 def test_decompose_frobenius_has_no_canonical_form():
