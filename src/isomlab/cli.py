@@ -71,6 +71,7 @@ DEFAULT_TOL = {
     "invariance": 1e-10,
     "sigma_identity": 1e-11,
     "gap_ratio": 1e3,
+    "containment": 1e-12,
     "roundtrip": 1e-8,
     "unitary_err": 1e-9,
     "youla": 1e-10,
@@ -328,14 +329,14 @@ def _invariance_records(cfg: SuiteConfig):
     return records
 
 
-def _dimension_and_gap(spec: NormSpec, n: int, seed):
-    """Estimated isometry-algebra dimension and gap ratio, an exact gap
-    (ratio inf) capped at 1e308 so that it passes as a finite value."""
+def _dimension_values(spec: NormSpec, n: int, seed):
+    """Estimated isometry-algebra dimension, gap ratio and containment
+    residual of the adjoint algebra's generators."""
     if spec.space == HERMITIAN_TRACELESS:
         rep = isometry_algebra_dimension(spec, n, seed=seed)
     else:
         rep = skew_isometry_algebra_dimension(spec, n, seed=seed)
-    return [rep.estimated_dim, min(rep.gap_ratio, 1e308)]
+    return [rep.estimated_dim, rep.gap_ratio, rep.containment_residual]
 
 
 def _dimension_records(cfg: SuiteConfig):
@@ -356,8 +357,9 @@ def _dimension_records(cfg: SuiteConfig):
                 [
                     (check, tag, n, token, expected, 0, "eq"),
                     (check + "/gap", tag, n, token, cfg.tolerance("gap_ratio"), 0.0, "ge"),
+                    (check + "/containment", tag, n, token, 0.0, cfg.tolerance("containment")),
                 ],
-                lambda: _dimension_and_gap(spec, n, _stream(cfg, check)),
+                lambda: _dimension_values(spec, n, _stream(cfg, check)),
             )
     return records
 
@@ -709,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="sample/trial count (0 = suite default); unbounded work in the "
         "invariance, decompose, skew and cnr suites; the dimension suite ignores "
-        "it and always uses d^2 + d constraint rows",
+        "it and always uses d(d-1)/2 + d constraint rows",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")

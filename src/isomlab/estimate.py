@@ -4,21 +4,41 @@ C-numerical quantities.
 The dimension estimator turns the first-order isometry condition along
 ``t -> exp(tT)`` into one linear constraint per random sample: if g_X is the
 norm gradient at X, a generator T of a one-parameter isometry group must
-satisfy ``<g_X, T X> = 0``.  Stacking many samples gives a constraint matrix
-on the d*d unknowns of T whose numerical null space is the Lie algebra of
-the (linear) isometry group; its dimension is read off a singular-value gap.
-For the classified norms the answer is dichotomous: the adjoint-group
-dimension for genuinely invariant norms, the full rotation-group dimension
-d(d-1)/2 for the Euclidean one, never anything in between.
+satisfy ``<g_X, T X> = 0``.  Why T is sought in so(d) only, and what the
+dimension check then shows:
 
-The constraint matrix has rank at most d^2 - dim L, where L is the
-isometry algebra, so the d^2 + d rows the estimator always builds
-(:func:`default_num_samples`) leave dim L + d rows of oversampling.  A
-near-square row matrix also keeps LAPACK's SVD (gesdd) on its direct
-bidiagonalization; from about 11/6 d^2 rows on, gesdd QR-factors the
-matrix first.  The rows' samples are one stack from one generator, and
-every function here that draws takes ``seed`` as an int, a list of ints
-or a numpy Generator, which it draws from in place.
+1. The linear isometry group G of a norm on R^d is compact, so it preserves
+   the unit ball's John ellipsoid, which is unique (F. John 1948;
+   A. C. Thompson, *Minkowski Geometry*, 1996).
+2. The adjoint group (Ad SU(n) on the traceless Hermitians, O(n)
+   congruence on so(n)) lies in G and acts irreducibly; at n = 4 on the
+   skew space, reflections swap the two 3-dim summands.  So the ellipsoid
+   is a Frobenius ball, G lies in O(d) and Lie(G) in so(d).  Both bases are
+   trace-orthonormal, so in coordinates so(d) is the skew d x d matrices.
+3. Each sample X, with coordinates x and gradient coordinates g, gives one
+   row over the d(d-1)/2 upper entries t_ab of a skew T: ``<g, T x> =
+   sum_{a<b} t_ab (g_a x_b - g_b x_a)``.  The null space of the stacked rows
+   is Lie(G).  Its dimension is read off the largest gap in the singular
+   values, preceded by a row scale: the Euclidean norm's rows vanish
+   identically, so its whole so(d) is null and the gap sits before the
+   first singular value.  For the classified norms the answer is
+   dichotomous: the adjoint-group dimension d for genuinely invariant
+   norms, d(d-1)/2 for the Euclidean one, never anything in between.
+4. Containment: the adjoint algebra's generators, X -> i[H_j, X] on the
+   Hermitian space and X -> [S_j, X] on the skew space, must lie in that
+   null space; the report carries their residual.  A matching dimension
+   plus containment gives Lie(G) = ad(g), so G normalizes the adjoint group.
+5. By Schur's lemma G then lies in +-Aut(su(n)), which is +-Ad(U) and
+   +-Ad(U) sigma (on the skew side +-Q psi^f(.) Q^T, psi only at n = 4).
+   Those are exactly the branches the decompose suite tries, so the
+   dimension, containment and invariance records together check the whole
+   classification, not only its identity component.
+
+The estimator builds d(d-1)/2 + d rows (:func:`default_num_samples`): the
+unknowns plus d rows of oversampling, a near-square matrix that LAPACK's
+SVD (gesdd) bidiagonalizes directly.  The rows' samples are one stack from
+one generator, and every function here that draws takes ``seed`` as an
+int, a list of ints or a numpy Generator, which it draws from in place.
 
 The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
 A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
@@ -34,7 +54,6 @@ sample of the orbit stays available as an independent containment check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +80,12 @@ MAX_RESAMPLE = 20
 
 @dataclass(frozen=True, eq=False)
 class DimensionReport:
-    """Outcome of one Lie-algebra dimension estimation run."""
+    """Outcome of one Lie-algebra dimension estimation run.
+
+    ``containment_residual`` is the largest pairing ``<g, T x>`` of a known
+    generator T of the adjoint algebra with a constraint row, relative to
+    that row's ``|g| |x|`` and to T's size; about 1e-16 when the null space
+    contains the adjoint algebra."""
 
     space: str
     n: int
@@ -70,6 +94,7 @@ class DimensionReport:
     singular_values: np.ndarray
     gap_ratio: float
     samples_used: int
+    containment_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,17 +110,35 @@ class RangeSample:
 
 def default_num_samples(d: int) -> int:
     """Constraint-row count of a dimension estimate on a space of
-    dimension d: the d^2 unknowns of a generator plus d rows of
-    oversampling."""
-    return d * d + d
+    dimension d: the d(d-1)/2 unknowns of a generator in so(d) plus d rows
+    of oversampling."""
+    return d * (d - 1) // 2 + d
+
+
+def _so_rows(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i holds ``g_a x_b - g_b x_a`` for the pairs a < b, in
+    ``np.triu_indices`` order, of the coordinate rows g[i] and x[i]: the
+    pairing <g, T x> as a linear form in the upper entries of a skew T.
+    Filled one a at a time, so no temporary is wider than d."""
+    m, d = g.shape
+    rows = np.empty((m, d * (d - 1) // 2))
+    start = 0
+    for a in range(d - 1):
+        block = rows[:, start:start + d - 1 - a]
+        np.multiply(g[:, a, None], x[:, a + 1:], out=block)
+        block -= x[:, a, None] * g[:, a + 1:]
+        start += d - 1 - a
+    return rows
 
 
 def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
-    """Row i is vec(g_X) (x) vec(X) for the i-th sample X of one stack drawn
-    from ``default_rng(seed)`` (``seed`` may be a Generator, which is drawn
-    from in place); all gradients come from one stacked call.  A sample at
-    which the norm is not smooth is redrawn from the same generator after
-    the stack, so only its row changes, up to MAX_RESAMPLE tries per row."""
+    """The so(d) constraint rows (:func:`_so_rows`) of one stack of
+    samples drawn from ``default_rng(seed)`` (``seed`` may be a Generator,
+    which is drawn from in place), and each row's scale ``|g| |x|``; all
+    gradients come from one stacked call.  A sample at which the norm is
+    not smooth is redrawn from the same generator after the stack, so only
+    its row changes, up to MAX_RESAMPLE tries per row.  A zero or
+    non-finite row scale raises InconclusiveDimension."""
     rng = np.random.default_rng(seed)
     X = random_element(spec.space, n, rng, count=num_samples)
     attempt = np.zeros(num_samples, dtype=int)
@@ -114,27 +157,52 @@ def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
                     f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
                 ) from exc
             X[redraw] = random_element(spec.space, n, rng, count=len(redraw))
-    rows = vectorize(G, basis)[:, :, None] * vectorize(X, basis)[:, None, :]
-    return rows.reshape(num_samples, -1)
+    g, x = vectorize(G, basis), vectorize(X, basis)
+    scales = np.linalg.norm(g, axis=1) * np.linalg.norm(x, axis=1)
+    bad = ~(np.isfinite(scales) & (scales > 0.0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InconclusiveDimension(f"row {row} has scale |g| |x| = {scales[row]!r}")
+    return _so_rows(g, x), scales
 
 
-def _null_space_dimension(svals: np.ndarray):
-    """Largest-gap cut through a descending singular-value sequence.
+def _null_space_dimension(svals: np.ndarray, scale: float):
+    """Largest-gap cut through ``scale`` followed by the descending
+    singular values.
+
+    ``scale`` is the size the rows would have if nothing cancelled (the
+    largest |g| |x|); a cut right after it reads every unknown as null, the
+    Euclidean case.  Every value is floored at eps times the largest, so
+    rounding noise that happens to hold an exact 0 is not an infinite gap,
+    and no ratio exceeds 1/eps.
 
     Returns (null_dim, gap_ratio); the ratio must clear GAP_RATIO_MIN.
     """
-    best_k, best_ratio = None, 0.0
-    for k in range(1, len(svals)):
-        hi, lo = svals[k - 1], svals[k]
-        ratio = math.inf if lo == 0.0 else hi / lo
-        if ratio > best_ratio:
-            best_ratio, best_k = ratio, k
-    if best_k is None or best_ratio < GAP_RATIO_MIN:
+    seq = np.concatenate(([scale], svals))
+    seq = np.maximum(seq, np.finfo(float).eps * seq.max())
+    ratios = seq[:-1] / seq[1:]
+    k = int(np.argmax(ratios))
+    if ratios[k] < GAP_RATIO_MIN:
         raise InconclusiveDimension(
             f"no singular-value gap of ratio >= {GAP_RATIO_MIN:.0e} "
-            f"(best {best_ratio:.2e})"
+            f"(best {ratios[k]:.2e})"
         )
-    return len(svals) - best_k, float(best_ratio)
+    return len(svals) - k, float(ratios[k])
+
+
+def _generator_coordinates(basis) -> np.ndarray:
+    """Upper entries, in ``np.triu_indices`` order, of the coordinate
+    matrices of the adjoint algebra's generators, one row per basis element
+    B_j: X -> i[B_j, X] on the Hermitian space, X -> [B_j, X] on the skew
+    space."""
+    B, d = basis.mats, basis.d
+    comm = B[:, None] @ B[None] - B[None] @ B[:, None]  # [B_j, B_b] at [j, b]
+    if basis.space == HERMITIAN_TRACELESS:
+        comm = 1j * comm
+    # T[j, b, a] = <B_a, image of B_b>, entry (a, b) of generator j's matrix
+    T = vectorize(comm.reshape(d * d, basis.n, basis.n), basis).reshape(d, d, d)
+    upper_a, upper_b = np.triu_indices(d, 1)
+    return T[:, upper_b, upper_a]
 
 
 def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
@@ -145,9 +213,11 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
             "is 0, and one singular value has no gap to read"
         )
     num_samples = default_num_samples(basis.d)
-    rows = _constraint_rows(spec, n, basis, num_samples, seed)
+    rows, scales = _constraint_rows(spec, n, basis, num_samples, seed)
     svals = np.linalg.svd(rows, compute_uv=False)
-    null_dim, gap_ratio = _null_space_dimension(svals)
+    null_dim, gap_ratio = _null_space_dimension(svals, float(scales.max()))
+    gens = _generator_coordinates(basis)
+    pairing = (rows @ gens.T) / np.outer(scales, np.linalg.norm(gens, axis=1))
     return DimensionReport(
         space=spec.space,
         n=n,
@@ -156,6 +226,7 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
         singular_values=svals,
         gap_ratio=gap_ratio,
         samples_used=num_samples,
+        containment_residual=float(np.max(np.abs(pairing))),
     )
 
 

@@ -214,8 +214,8 @@ def test_dimension_suite_ignores_a_huge_sample_count(monkeypatch, capsys):
     seen = _capture_dimension_rows(monkeypatch)
     assert main(["dimension", "--n", "2", "--samples", "100000000"]) == 0
     capsys.readouterr()
-    # d = 3 at n = 2, so d^2 + d = 12 rows; cspec:1,0 does not fit n = 2
-    assert seen == [("schatten:1", 2, 12), ("schatten:3", 2, 12), ("frobenius", 2, 12)]
+    # d = 3 at n = 2, so d(d-1)/2 + d = 6 rows; cspec:1,0 does not fit n = 2
+    assert seen == [("schatten:1", 2, 6), ("schatten:3", 2, 6), ("frobenius", 2, 6)]
 
 
 @pytest.mark.parametrize(
@@ -239,19 +239,35 @@ def test_all_suites_pass_on_the_skew_space(capsys):
     assert "dimension/schatten:1/n=3" in ids
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="d^2 + d constraint rows can underdetermine schatten:1 on so(4): each "
-    "sample's gradient lies in one of the two 3-dim summands, so too few samples "
-    "may fall on one side (reads 10 at seed 27 and 7 at seed 32)",
-)
-@pytest.mark.parametrize("seed", [27, 32])
+@pytest.mark.parametrize("seed", [11, 16, 27, 32, 36, 76])
 def test_skew_trace_norm_dimension_at_n4_is_six(seed):
+    # so(4) splits into two 3-dim summands and each trace-norm gradient lies
+    # in one of them; d^2 + d rows over gl(6) read 7 to 10 at these seeds,
+    # while every so(6) row constrains the 9 unknowns across the summands
     doc = run_suite(
         SuiteConfig(suite="dimension", space="skew", n_values=(4,), norms=("schatten:1",), seed=seed)
     )
     dims = [r for r in doc.records if r.check_id == "dimension/schatten:1/n=4"]
     assert [r.value for r in dims] == [6.0]
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_euclidean_only_spaces_read_their_whole_rotation_algebra(seed):
+    # every norm on the traceless Hermitian 2 x 2 matrices is Euclidean, so
+    # all constraint rows are rounding noise; at these seeds that noise holds
+    # exact zeros, which must not read as an infinite gap
+    doc = run_suite(SuiteConfig(suite="dimension", n_values=(2,), seed=seed))
+    dims = [r.value for r in doc.records if r.check_id.count("/") == 2]
+    assert dims == [3.0, 3.0, 3.0]
+    assert doc.overall_pass
+
+
+def test_every_dimension_check_writes_a_passing_containment_record():
+    doc = run_suite(SuiteConfig(suite="dimension", n_values=(3, 4), seed=3))
+    checks = [r.check_id for r in doc.records if r.check_id.count("/") == 2]
+    contained = [r for r in doc.records if r.check_id.endswith("/containment")]
+    assert [r.check_id for r in contained] == [c + "/containment" for c in checks]
+    assert all(r.passed and r.tolerance == 1e-12 and r.value <= 1e-12 for r in contained)
 
 
 def test_unwritable_out_is_a_usage_error_before_any_suite_runs(monkeypatch, tmp_path, capsys):
@@ -346,15 +362,21 @@ def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monke
     monkeypatch.setattr(cli, "isometry_algebra_dimension", broken)
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3", "cspec:1,0"), seed=7)
     doc = run_suite(cfg)
-    # the dimension and its gap record both fail, with null values
+    # the dimension, gap and containment records all fail, with null values
     assert _failing_ids(doc, error) == [
         "dimension/schatten:3/n=3",
         "dimension/schatten:3/n=3/gap",
+        "dimension/schatten:3/n=3/containment",
         "dimension/schatten:3/n=4",
         "dimension/schatten:3/n=4/gap",
+        "dimension/schatten:3/n=4/containment",
     ]
     skew = [r for r in doc.records if r.spec == "cspec:1,0"]
-    assert [r.check_id for r in skew] == ["dimension/cspec:1,0/n=4", "dimension/cspec:1,0/n=4/gap"]
+    assert [r.check_id for r in skew] == [
+        "dimension/cspec:1,0/n=4",
+        "dimension/cspec:1,0/n=4/gap",
+        "dimension/cspec:1,0/n=4/containment",
+    ]
     assert all(r.passed for r in skew)
     assert not doc.overall_pass
 
@@ -364,15 +386,15 @@ def test_dimension_suite_passes_the_default_row_count(monkeypatch):
     norms = ("schatten:3", "cspec:1,0")
     doc = run_suite(SuiteConfig(suite="dimension", n_values=(2, 3, 4), norms=norms, seed=7))
     assert doc.overall_pass
-    # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; d^2 + d rows
+    # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; d(d-1)/2 + d rows
     assert seen == [
-        ("schatten:3", 2, 12), ("schatten:3", 3, 72), ("schatten:3", 4, 240), ("cspec:1,0", 4, 42),
+        ("schatten:3", 2, 6), ("schatten:3", 3, 36), ("schatten:3", 4, 120), ("cspec:1,0", 4, 21),
     ]
     seen.clear()
     # --samples does not change the row count
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3",), samples=100, seed=7)
     run_suite(cfg)
-    assert seen == [("schatten:3", 3, 72), ("schatten:3", 4, 240)]
+    assert seen == [("schatten:3", 3, 36), ("schatten:3", 4, 120)]
 
 
 def _failing_ids(doc, error):

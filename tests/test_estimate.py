@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import isomlab as il
-from isomlab.errors import DegeneratePoint, InvalidDimension, NotHermitian
+from isomlab.cli import DEFAULT_NORMS, _specs
+from isomlab.errors import (
+    DegeneratePoint,
+    InconclusiveDimension,
+    InvalidDimension,
+    NotHermitian,
+)
 
 
 def diag_traceless(*vals):
@@ -90,10 +97,120 @@ def test_skew_dimension_dichotomy():
         (il.skew_isometry_algebra_dimension, il.frobenius(il.SKEW_REAL), 5, 10),
     ],
 )
-def test_default_row_count_is_d_squared_plus_d(estimator, spec, n, d):
+def test_row_count_is_so_d_dim_plus_d(estimator, spec, n, d):
     rep = estimator(spec, n, seed=8)
-    assert rep.samples_used == d * d + d
-    assert rep.singular_values.shape == (d * d,)
+    assert rep.samples_used == d * (d - 1) // 2 + d
+    assert rep.singular_values.shape == (d * (d - 1) // 2,)
+
+
+def _gl_dimension(spec, n, seed):
+    """Oracle: the dimension read from d^2 + d rows vec(g) (x) vec(x) over
+    all d^2 entries of a generator, the same samples' gradients (the
+    so(d) estimate's samples are the first d(d-1)/2 + d of these), cut at
+    the largest ratio of consecutive singular values."""
+    basis = il.basis_for(spec.space, n)
+    d = basis.d
+    X = il.random_element(spec.space, n, np.random.default_rng(seed), count=d * d + d)
+    g = il.vectorize(il.norm_gradient(X, spec), basis)
+    rows = (g[:, :, None] * il.vectorize(X, basis)[:, None, :]).reshape(d * d + d, d * d)
+    svals = np.linalg.svd(rows, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        ratios = svals[:-1] / svals[1:]
+    return d * d - 1 - int(np.argmax(ratios))
+
+
+# every default norm on both spaces at n <= 5, each (space, token, n) once
+_ORACLE_CASES = {
+    f"{spec.space}/{spec.token()}/n={n}": (spec, n)
+    for space, sizes in (("hermitian", (2, 3, 4, 5)), ("skew", (3, 4, 5)))
+    for n in sizes
+    for spec in _specs(DEFAULT_NORMS, space, n)
+}
+
+
+@pytest.mark.parametrize("spec,n", _ORACLE_CASES.values(), ids=_ORACLE_CASES.keys())
+def test_so_d_rows_match_the_gl_d_oracle(spec, n):
+    rep = il.estimate._algebra_dimension(spec, n, [0, n])
+    assert rep.estimated_dim == _gl_dimension(spec, n, [0, n])
+    assert rep.gap_ratio >= 1e12
+    assert rep.containment_residual <= 1e-12
+
+
+def test_constraint_rows_build_no_d_squared_wide_temporary():
+    import isomlab.estimate as est
+
+    spec, n, basis = il.schatten(3), 7, il.gell_mann_basis(7)
+    num = est.default_num_samples(basis.d)
+    tracemalloc.start()
+    try:
+        rows, _ = est._constraint_rows(spec, n, basis, num, [0, n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1176, 1128)
+    assert peak < 2 * rows.nbytes
+
+
+def test_exact_zeros_in_the_spectrum_are_noise_not_an_infinite_gap():
+    import isomlab.estimate as est
+
+    # a Euclidean space's rows are rounding noise, which can hold exact zeros
+    null_dim, ratio = est._null_space_dimension(np.array([1e-16, 0.0, 0.0]), 1.0)
+    assert null_dim == 3
+    assert ratio == 1.0 / np.finfo(float).eps
+    # a genuine cut inside the spectrum is unaffected by the floor
+    null_dim, ratio = est._null_space_dimension(np.array([0.5, 0.2, 1e-15, 0.0]), 1.0)
+    assert null_dim == 2
+    assert ratio == pytest.approx(0.2 / 1e-15)
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_a_zero_or_non_finite_row_scale_fails_closed(value, monkeypatch):
+    import isomlab.estimate as est
+
+    real_grad = est.norm_gradient
+
+    def grad(X, spec):
+        G = real_grad(X, spec)
+        G[4] = value
+        return G
+
+    monkeypatch.setattr(est, "norm_gradient", grad)
+    with pytest.raises(InconclusiveDimension, match="row 4 has scale"):
+        il.isometry_algebra_dimension(il.schatten(3), 3, seed=1)
+
+
+@pytest.mark.parametrize("space,n", [(il.HERMITIAN_TRACELESS, 3), (il.SKEW_REAL, 4)])
+def test_generator_coordinates_are_the_adjoint_algebra(space, n):
+    import isomlab.estimate as est
+
+    basis = il.basis_for(space, n)
+    d = basis.d
+    upper = np.triu_indices(d, 1)
+    X = il.random_element(space, n, 3)
+    for B, t in zip(basis.mats, est._generator_coordinates(basis)):
+        T = np.zeros((d, d))
+        T[upper] = t
+        T -= T.T
+        image = B @ X - X @ B
+        if space == il.HERMITIAN_TRACELESS:
+            image = 1j * image
+        np.testing.assert_allclose(T @ il.vectorize(X, basis), il.vectorize(image, basis), atol=1e-14)
+
+
+def test_containment_tells_the_adjoint_algebra_from_other_directions():
+    import isomlab.estimate as est
+
+    spec, n = il.schatten(3), 4
+    basis = il.gell_mann_basis(n)
+    rows, scales = est._constraint_rows(spec, n, basis, est.default_num_samples(basis.d), 5)
+
+    def residual(t):
+        return np.max(np.abs(rows @ t) / scales) / np.linalg.norm(t)
+
+    assert max(residual(t) for t in est._generator_coordinates(basis)) <= 1e-14
+    # a random direction of so(15) is no isometry generator of schatten:3
+    assert residual(np.random.default_rng(6).standard_normal(rows.shape[1])) > 1e-3
 
 
 def test_dimension_rejects_wrong_space():
@@ -246,18 +363,20 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     monkeypatch.setattr(est, "norm_gradient", grad)
-    rows = est._constraint_rows(spec, n, basis, num, 7)
+    rows, scales = est._constraint_rows(spec, n, basis, num, 7)
     assert draws == [num, 1]
     assert grads == [num, num]
-    assert np.flatnonzero(np.any(rows != clean, axis=1)).tolist() == [5]
-    # the redrawn sample is the generator's next one
+    assert np.flatnonzero(np.any(rows != clean[0], axis=1)).tolist() == [5]
+    assert np.flatnonzero(scales != clean[1]).tolist() == [5]
+    # the redrawn sample is the generator's next one, and its row pairs
+    # <g, T x> with the upper entries of a skew T
     rng = np.random.default_rng(7)
     real_draw(spec.space, n, rng, count=num)
     X = real_draw(spec.space, n, rng, count=1)[0]
-    g = real_grad(X, spec)
-    np.testing.assert_array_equal(
-        rows[5], np.outer(il.vectorize(g, basis), il.vectorize(X, basis)).ravel()
-    )
+    g, x = il.vectorize(real_grad(X, spec), basis), il.vectorize(X, basis)
+    upper = np.triu_indices(basis.d, 1)
+    np.testing.assert_array_equal(rows[5], (np.outer(g, x) - np.outer(x, g))[upper])
+    assert scales[5] == np.linalg.norm(g) * np.linalg.norm(x)
 
 
 def test_constraint_rows_give_up_after_the_resample_budget(monkeypatch):
