@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -185,7 +187,12 @@ def test_precheck_rejects_perturbed_isometries(n):
         il.decompose_skew_isometry(Q + 1e-6 * rng.standard_normal(Q.shape), spec)
 
 
-def test_precheck_makes_two_stacked_norm_evaluations(monkeypatch):
+def test_distance_test_runs_only_when_the_residual_cannot_certify(monkeypatch):
+    """An exact map of every branch is certified by its residual: no norm
+    evaluation, and nothing drawn from a Generator passed as seed.  A map
+    perturbed by 1e-9 (n d residual above ISOMETRY_TOL) and a Euclidean
+    rotation (no branch) each get the distance test: two (50, n, n) norm
+    evaluations."""
     import isomlab.recover as recover
 
     shapes = []
@@ -195,12 +202,160 @@ def test_precheck_makes_two_stacked_norm_evaluations(monkeypatch):
         return il.norm_value(A, spec)
 
     monkeypatch.setattr(recover, "norm_value", counted)
-    U = il.haar_unitary(4, 48, special=True)
-    il.decompose_isometry(il.ad_matrix(U), SPEC3, seed=1)
+    rng = np.random.default_rng(48)
+    state = rng.bit_generator.state
+    P = il.psi_matrix()
+    for n in (2, 3, 4):
+        U = il.haar_unitary(n, [48, n], special=True)
+        for eta in (1, -1):
+            for flag in (False, True) if n >= 3 else (False,):
+                dec = il.decompose_isometry(canonical_map(n, eta, flag, U), SPEC3, seed=rng)
+                assert (dec.eta, dec.sigma_flag) == (eta, flag)
+    for n in (3, 4):
+        spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+        A = il.so_adjoint_matrix(il.haar_orthogonal(n, [48, n], special=True))
+        for sign in (1, -1):
+            for flag in (False, True) if n == 4 else (False,):
+                dec = il.decompose_skew_isometry(sign * (A @ P if flag else A), spec, seed=rng)
+                assert (dec.sign, dec.psi_flag) == (sign, flag)
+    assert shapes == []
+    assert rng.bit_generator.state == state
+
+    noise = np.random.default_rng(49)
+    A = il.ad_matrix(il.haar_unitary(4, 49, special=True))
+    dec = il.decompose_isometry(A + 1e-9 * noise.uniform(-1, 1, A.shape), SPEC3, seed=rng)
+    assert 4 * 15 * dec.residual > recover.ISOMETRY_TOL
     assert shapes == [(50, 4, 4), (50, 4, 4)]
     shapes.clear()
-    il.decompose_skew_isometry(il.psi_matrix(), CSPEC21, seed=1)
+    A = il.so_adjoint_matrix(il.haar_orthogonal(4, 49, special=True)) @ P
+    dec = il.decompose_skew_isometry(A + 1e-9 * noise.uniform(-1, 1, A.shape), CSPEC21, seed=rng)
+    assert 4 * 6 * dec.residual > recover.ISOMETRY_TOL
     assert shapes == [(50, 4, 4), (50, 4, 4)]
+    shapes.clear()
+    with pytest.raises(NotInClassifiedForm):
+        il.decompose_isometry(il.haar_orthogonal(15, 50, special=True), il.frobenius(), seed=rng)
+    assert shapes == [(50, 4, 4), (50, 4, 4)]
+    assert rng.bit_generator.state != state
+
+
+def _parent_order(M, spec, seed, offset=None):
+    """The decompositions' outcome in the order they had before the residual
+    certificate: the distance test first, then the branch search through the
+    public inversions.  Returns ``(sign, flag)`` or the class raised."""
+    import isomlab.recover as recover
+
+    skew = spec.space == il.SKEW_REAL
+    try:
+        # a Frobenius spec and seed 0 leave only the map and offset checks,
+        # which came before the distance test
+        M, n, _, _ = recover._checked_input(M, il.frobenius(spec.space), spec.space, 0, offset)
+        recover._check_isometry(M, spec, n, seed)
+        if skew:
+            involution = il.psi_matrix() if n == 4 else None
+            invert = il.recover_orthogonal_from_adso
+        else:
+            involution = il.cartan_matrix(il.gell_mann_basis(n)) if n >= 3 else None
+            invert = il.recover_unitary_from_ad
+        for flag in (False, True) if involution is not None else (False,):
+            linear = M @ involution if flag else M
+            for sign in (1, -1):
+                try:
+                    invert(linear / sign, n)
+                    return sign, flag
+                except NotAdjointImage:
+                    continue
+        raise NotInClassifiedForm("no branch")
+    except Exception as exc:  # the class is the oracle's answer
+        return type(exc)
+
+
+def _decomposed(M, spec, seed, offset=None):
+    try:
+        if spec.space == il.SKEW_REAL:
+            dec = il.decompose_skew_isometry(M, spec, seed=seed)
+            return dec.sign, dec.psi_flag
+        dec = il.decompose_isometry(M, spec, offset=offset, seed=seed)
+        return dec.eta, dec.sigma_flag
+    except Exception as exc:
+        return type(exc)
+
+
+def _oracle_cases():
+    """Every branch at Hermitian n = 2..5 and skew n = 3..5, exact and
+    perturbed, even-n reflections, Euclidean rotations, Gaussian maps and
+    bad seeds and specs."""
+    rng = np.random.default_rng(55)
+    eps_values = (0.0, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+    for n in (2, 3, 4, 5):
+        basis = il.gell_mann_basis(n)
+        S = il.cartan_matrix(basis)
+        A = il.ad_matrix(il.haar_unitary(n, rng, special=True), basis)
+        for eps in eps_values:
+            for eta in (1, -1):
+                for flag in (False, True):
+                    M = eta * (A @ S if flag else A)
+                    yield f"herm-n{n}-{eta}-{flag}-{eps}", M + eps * rng.uniform(-1, 1, M.shape), SPEC3
+    for n in (3, 4, 5):
+        spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+        A = il.so_adjoint_matrix(il.haar_orthogonal(n, rng, special=True))
+        for eps in eps_values:
+            for sign in (1, -1):
+                for flag in (False, True) if n == 4 else (False,):
+                    M = sign * (A @ il.psi_matrix() if flag else A)
+                    yield f"skew-n{n}-{sign}-{flag}-{eps}", M + eps * rng.uniform(-1, 1, M.shape), spec
+    for n in (4, 6):
+        spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+        R = il.haar_orthogonal(n, rng)
+        if np.linalg.det(R) > 0:
+            R[:, 0] = -R[:, 0]
+        M = il.so_adjoint_matrix(R, allow_reflection=True)
+        for eps in (0.0, 1e-9, 1e-7):
+            yield f"reflection-n{n}-{eps}", M + eps * rng.uniform(-1, 1, M.shape), spec
+    for n in (2, 3, 4):
+        d = n * n - 1
+        yield f"euclidean-herm-n{n}", il.haar_orthogonal(d, rng, special=True), il.frobenius()
+        yield f"gaussian-herm-n{n}", rng.standard_normal((d, d)), SPEC3
+    for n in (3, 4, 5):
+        d = n * (n - 1) // 2
+        yield f"euclidean-skew-n{n}", il.haar_orthogonal(d, rng, special=True), il.frobenius(il.SKEW_REAL)
+        yield f"gaussian-skew-n{n}", rng.standard_normal((d, d)), il.schatten(3, il.SKEW_REAL)
+    yield "skew-n2-isometry", -np.eye(1), il.frobenius(il.SKEW_REAL)
+    yield "skew-n2-scaled", 2.0 * np.eye(1), il.frobenius(il.SKEW_REAL)
+    yield "kyfan-k-above-n", np.eye(8), il.ky_fan(4)
+    yield "cspec-wrong-length", np.eye(3), CSPEC21
+
+
+def test_decompositions_raise_what_the_distance_test_first_order_raises():
+    """Moving the distance test behind the branch search changes no
+    outcome: each input gives the same branch, or raises the same class,
+    as the order with the distance test first."""
+    for case, M, spec in _oracle_cases():
+        for seed in (0, np.random.default_rng(56)):
+            expected = _parent_order(M, spec, copy.deepcopy(seed))
+            assert _decomposed(M, spec, copy.deepcopy(seed)) == expected, case
+    M = canonical_map(3, 1, False, il.haar_unitary(3, 58, special=True))
+    assert _decomposed(M, SPEC3, -1) == _parent_order(M, SPEC3, -1) == ValueError
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_a_rejected_map_keeps_no_eigen_array_alive(space):
+    """NotInClassifiedForm's traceback (and any exception chained to it)
+    holds no array larger than the (d, d) map in any frame, so a caller
+    that keeps the exception keeps no eigenvectors of the branch search."""
+    d = 15 if space == il.HERMITIAN_TRACELESS else 6
+    decompose = il.decompose_isometry if space == il.HERMITIAN_TRACELESS else il.decompose_skew_isometry
+    M = il.haar_orthogonal(d, [57, d], special=True)
+    with pytest.raises(NotInClassifiedForm) as err:
+        decompose(M, il.frobenius(space), seed=0)
+    exc = err.value
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                if isinstance(value, np.ndarray):
+                    assert value.size <= d * d, (tb.tb_frame.f_code.co_name, name, value.shape)
+            tb = tb.tb_next
+        exc = exc.__context__
 
 
 @pytest.mark.parametrize(
@@ -222,7 +377,7 @@ def test_decompose_rejects_non_square_or_non_finite_maps():
         il.decompose_skew_isometry(np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], CSPEC21)
     with pytest.raises(InvalidDimension):
         il.decompose_isometry(np.eye(8) + 1j * np.eye(8), SPEC3)
-    # the input checks run before the isometry pre-check, so a non-isometry
+    # the input checks run before the isometry distance test, so a non-isometry
     # with a spec of the other space, or with a malformed offset, is refused
     # as malformed input, not as a non-isometry
     with pytest.raises(InvalidDimension):
