@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="sample/trial count (0 = suite default); unbounded work in the "
         "invariance, decompose, skew and cnr suites; the dimension suite ignores "
-        "it and always uses d(d-1)/2 + d constraint rows",
+        "it and uses the largest sign block plus d constraint rows",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")

@@ -24,21 +24,35 @@ dimension check then shows:
    first singular value.  For the classified norms the answer is
    dichotomous: the adjoint-group dimension d for genuinely invariant
    norms, d(d-1)/2 for the Euclidean one, never anything in between.
-4. Containment: the adjoint algebra's generators, X -> i[H_j, X] on the
+4. Sign blocks: the adjoint group contains X -> D X D for every
+   D = diag(+-1) of determinant 1 (D lies in SO(n), inside SU(n)), and in
+   both bases that map flips coordinate signs: D B D = chi_B(D) B, with
+   chi_B(D) = s_j s_k for an off-diagonal pair {j, k} and 1 on the
+   diagonal ladder.  Its coordinate map S is then a diagonal +-1 matrix,
+   and t_ab moves by chi_a chi_b under T -> S T S; on determinant-1 D a
+   mask and its complement give one sign, so the characters are the masks
+   {j, k} xor {j', k'} taken up to complement.  The gradient is equivariant
+   (grad N(S x) = S grad N(x)), so Lie(G) is invariant under T -> S T S and
+   is the direct sum of its parts in the character blocks; each part is the
+   null space of the rows restricted to that block's columns.  One sample
+   gives one row to every block, so the estimator draws the largest
+   block's size plus d samples (84 at Hermitian n = 7, where so(d) has 1128
+   unknowns), takes the singular values of each block in one stacked SVD
+   per block size, and reads the gap off all of them merged and sorted.
+5. Containment: the adjoint algebra's generators, X -> i[H_j, X] on the
    Hermitian space and X -> [S_j, X] on the skew space, must lie in that
-   null space; the report carries their residual.  A matching dimension
-   plus containment gives Lie(G) = ad(g), so G normalizes the adjoint group.
-5. By Schur's lemma G then lies in +-Aut(su(n)), which is +-Ad(U) and
+   null space; the report carries their residual over the full rows.  A
+   matching dimension plus containment gives Lie(G) = ad(g), so G
+   normalizes the adjoint group.
+6. By Schur's lemma G then lies in +-Aut(su(n)), which is +-Ad(U) and
    +-Ad(U) sigma (on the skew side +-Q psi^f(.) Q^T, psi only at n = 4).
    Those are exactly the branches the decompose suite tries, so the
    dimension, containment and invariance records together check the whole
    classification, not only its identity component.
 
-The estimator builds d(d-1)/2 + d rows (:func:`default_num_samples`): the
-unknowns plus d rows of oversampling, a near-square matrix that LAPACK's
-SVD (gesdd) bidiagonalizes directly.  The rows' samples are one stack from
-one generator, and every function here that draws takes ``seed`` as an
-int, a list of ints or a numpy Generator, which it draws from in place.
+The rows' samples are one stack from one generator, and every function
+here that draws takes ``seed`` as an int, a list of ints or a numpy
+Generator, which it draws from in place.
 
 The C-numerical range ``W_C(A) = {tr(A U C U*) : U unitary}`` of Hermitian
 A and C is computed in closed form: tr(A U C U*) = sum_ij a_i c_j |u_ij|^2 is
@@ -54,6 +68,7 @@ sample of the orbit stays available as an independent containment check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,10 +97,13 @@ MAX_RESAMPLE = 20
 class DimensionReport:
     """Outcome of one Lie-algebra dimension estimation run.
 
-    ``containment_residual`` is the largest pairing ``<g, T x>`` of a known
-    generator T of the adjoint algebra with a constraint row, relative to
-    that row's ``|g| |x|`` and to T's size; about 1e-16 when the null space
-    contains the adjoint algebra."""
+    ``samples_used`` is the number of constraint rows built: the largest
+    sign block's size plus d.  ``singular_values`` holds every sign
+    block's singular values merged in descending order, d(d-1)/2 of them,
+    one per so(d) unknown.  ``containment_residual`` is the largest pairing
+    ``<g, T x>`` of a known generator T of the adjoint algebra with a
+    constraint row, relative to that row's ``|g| |x|`` and to T's size;
+    about 1e-16 when the null space contains the adjoint algebra."""
 
     space: str
     n: int
@@ -108,11 +126,34 @@ class RangeSample:
     radius: float
 
 
-def default_num_samples(d: int) -> int:
-    """Constraint-row count of a dimension estimate on a space of
-    dimension d: the d(d-1)/2 unknowns of a generator in so(d) plus d rows
-    of oversampling."""
-    return d * (d - 1) // 2 + d
+@functools.lru_cache(maxsize=None)
+def _sign_blocks(basis) -> tuple[np.ndarray, ...]:
+    """The so(d) unknowns t_ab grouped by sign character (module docstring,
+    step 4), as read-only index arrays into the ``np.triu_indices(d, 1)``
+    order: one (k, s) array per distinct block size s, largest first, each
+    row one block.
+
+    D B D = s_r s_c B for any nonzero entry (r, c) of a basis element B, so
+    B's mask is {r} xor {c}; t_ab's is m_a xor m_b, up to complement (each
+    mask is complemented so that it leaves out coordinate 0).  Cached per
+    basis, which is cached per (space, n)."""
+    n, d = basis.n, basis.d
+    r, c = np.divmod(np.abs(basis.mats).reshape(d, n * n).argmax(axis=1), n)
+    masks = np.zeros((d, n), dtype=bool)
+    masks[np.arange(d), r] = True
+    masks[np.arange(d), c] ^= True
+    upper_a, upper_b = np.triu_indices(d, 1)
+    chars = masks[upper_a] ^ masks[upper_b]
+    chars ^= chars[:, :1]
+    _, block_of, sizes = np.unique(chars, axis=0, return_inverse=True, return_counts=True)
+    blocks = np.split(np.argsort(block_of.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+    stacks = tuple(
+        np.stack([block for block in blocks if len(block) == size])
+        for size in sorted(set(sizes.tolist()), reverse=True)
+    )
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
 
 
 def _so_rows(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,9 +253,15 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
             f"the {spec.space} space at n = {n} is a line: its isometry algebra "
             "is 0, and one singular value has no gap to read"
         )
-    num_samples = default_num_samples(basis.d)
+    blocks = _sign_blocks(basis)
+    num_samples = blocks[0].shape[1] + basis.d
     rows, scales = _constraint_rows(spec, n, basis, num_samples, seed)
-    svals = np.linalg.svd(rows, compute_uv=False)
+    # one stacked SVD per block size, each over a (k, rows, s) stack
+    svals = np.concatenate([
+        np.linalg.svd(rows[:, idx].swapaxes(0, 1), compute_uv=False).ravel()
+        for idx in blocks
+    ])
+    svals = np.sort(svals)[::-1]
     null_dim, gap_ratio = _null_space_dimension(svals, float(scales.max()))
     gens = _generator_coordinates(basis)
     pairing = (rows @ gens.T) / np.outer(scales, np.linalg.norm(gens, axis=1))
@@ -277,8 +324,11 @@ def c_numerical_range_sample(
 
     ``lo`` and ``hi`` are the closed-form endpoints (see the module
     docstring); ``values`` holds only the Monte Carlo orbit values, an
-    independent sample that must lie in ``[lo, hi]``.
+    independent sample that must lie in ``[lo, hi]``, and is empty for
+    ``trials = 0``.  A negative ``trials`` raises InvalidDimension.
     """
+    if trials < 0:
+        raise InvalidDimension(f"need trials >= 0, got {trials}")
     A = np.asarray(A)
     C = np.asarray(C)
     lo, hi = _range_endpoints(A, C)
@@ -320,8 +370,10 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     across ``A -> eta U A U*`` and ``A -> eta U (-A.T) U*`` for both signs,
     and for the plain conjugation the range endpoints and the
     conjugation-invariance of individual orbit values (at V C V*) are
-    checked.
+    checked.  A negative ``trials`` raises InvalidDimension.
     """
+    if trials < 0:
+        raise InvalidDimension(f"need trials >= 0, got {trials}")
     radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
     wc_interval = 0.0
     wc_pointwise = 0.0

@@ -16,6 +16,7 @@ Coordinate vectors are plain float arrays; linear maps on a space are plain
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,12 @@ def skew_basis(n: int) -> Basis:
 
 
 def basis_for(space: str, n: int) -> Basis:
-    """Return the package-wide basis for the given space tag."""
+    """Return the package-wide basis for the given space tag; an ``n``
+    that is not an integer raises InvalidDimension."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidDimension(f"need an integer n, got {n!r}") from None
     if space == HERMITIAN_TRACELESS:
         return gell_mann_basis(n)
     if space == SKEW_REAL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
+from .errors import DegeneratePoint, InvalidDimension, InvalidNormSpec, SpecMismatch
 from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
@@ -335,11 +335,14 @@ def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:
     Samples Haar unitaries acting by similarity (Hermitian space) or Haar
     orthogonal matrices acting by congruence (skew space) on random space
     elements, both drawn as stacks from one generator; every implemented
-    spec stays below 1e-10.
+    spec stays below 1e-10.  ``trials = 0`` gives 0.0, a negative count
+    raises InvalidDimension.
     """
     from .groups import haar_orthogonal, haar_unitary
 
-    if trials < 1:
+    if trials < 0:
+        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    if trials == 0:
         return 0.0
     rng = np.random.default_rng(seed)
     A = random_element(spec.space, n, rng, count=trials)

@@ -214,7 +214,8 @@ def test_dimension_suite_ignores_a_huge_sample_count(monkeypatch, capsys):
     seen = _capture_dimension_rows(monkeypatch)
     assert main(["dimension", "--n", "2", "--samples", "100000000"]) == 0
     capsys.readouterr()
-    # d = 3 at n = 2, so d(d-1)/2 + d = 6 rows; cspec:1,0 does not fit n = 2
+    # d = 3 at n = 2, one sign block of all 3 unknowns, so 3 + d = 6 rows;
+    # cspec:1,0 does not fit n = 2
     assert seen == [("schatten:1", 2, 6), ("schatten:3", 2, 6), ("frobenius", 2, 6)]
 
 
@@ -386,15 +387,16 @@ def test_dimension_suite_passes_the_default_row_count(monkeypatch):
     norms = ("schatten:3", "cspec:1,0")
     doc = run_suite(SuiteConfig(suite="dimension", n_values=(2, 3, 4), norms=norms, seed=7))
     assert doc.overall_pass
-    # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; d(d-1)/2 + d rows
+    # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; the
+    # largest sign block plus d rows: 3 + 3, 8 + 8, 28 + 15 and 4 + 6
     assert seen == [
-        ("schatten:3", 2, 6), ("schatten:3", 3, 36), ("schatten:3", 4, 120), ("cspec:1,0", 4, 21),
+        ("schatten:3", 2, 6), ("schatten:3", 3, 16), ("schatten:3", 4, 43), ("cspec:1,0", 4, 10),
     ]
     seen.clear()
     # --samples does not change the row count
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3",), samples=100, seed=7)
     run_suite(cfg)
-    assert seen == [("schatten:3", 3, 36), ("schatten:3", 4, 120)]
+    assert seen == [("schatten:3", 3, 16), ("schatten:3", 4, 43)]
 
 
 def _failing_ids(doc, error):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -98,16 +98,19 @@ def test_skew_dimension_dichotomy():
     ],
 )
 def test_row_count_is_so_d_dim_plus_d(estimator, spec, n, d):
+    # the largest sign block plus d: 8 + 8, 28 + 15, 4 + 6 and 3 + 10 rows
+    rows = {8: 16, 15: 43, 6: 10, 10: 13}[d]
     rep = estimator(spec, n, seed=8)
-    assert rep.samples_used == d * (d - 1) // 2 + d
+    assert rep.samples_used == rows
     assert rep.singular_values.shape == (d * (d - 1) // 2,)
 
 
 def _gl_dimension(spec, n, seed):
     """Oracle: the dimension read from d^2 + d rows vec(g) (x) vec(x) over
     all d^2 entries of a generator, the same samples' gradients (the
-    so(d) estimate's samples are the first d(d-1)/2 + d of these), cut at
-    the largest ratio of consecutive singular values."""
+    so(d) estimate's samples, the largest sign block's size plus d, are the
+    first of these), cut at the largest ratio of consecutive singular
+    values."""
     basis = il.basis_for(spec.space, n)
     d = basis.d
     X = il.random_element(spec.space, n, np.random.default_rng(seed), count=d * d + d)
@@ -136,18 +139,93 @@ def test_so_d_rows_match_the_gl_d_oracle(spec, n):
     assert rep.containment_residual <= 1e-12
 
 
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sign_blocks_are_characters_of_the_sign_flips(space, n):
+    import isomlab.estimate as est
+
+    basis = il.basis_for(space, n)
+    d = basis.d
+    blocks = est._sign_blocks(basis)
+    covered = sorted(i for stack in blocks for i in stack.ravel().tolist())
+    assert covered == list(range(d * (d - 1) // 2))
+    upper_a, upper_b = np.triu_indices(d, 1)
+    mixed = False
+    for signs in product((1.0, -1.0), repeat=n):
+        D = np.diag(signs)
+        # row j holds the coordinates of D B_j D: a diagonal +-1 map
+        S = il.vectorize(D @ basis.mats @ D, basis)
+        chi = np.round(np.diag(S))
+        np.testing.assert_array_equal(np.abs(chi), 1.0)
+        np.testing.assert_allclose(S, np.diag(chi), rtol=0, atol=1e-15)
+        moves = [(chi[upper_a] * chi[upper_b])[stack] for stack in blocks]
+        constant = all(np.all(m == m[:, :1]) for m in moves)
+        # a mask and its complement share a block, one sign when det D = 1;
+        # at odd n, D or -D has det 1 and both act alike
+        if math.prod(signs) > 0 or n % 2:
+            assert constant
+        mixed |= not constant
+    # complementary masks merge at even n (skew n = 2 has no unknowns)
+    assert mixed == (n % 2 == 0 and d > 1)
+
+
+def _full_width_dimension(spec, n, seed):
+    """Oracle: the dimension read off one SVD of all d(d-1)/2 so(d) columns
+    over d(d-1)/2 + d rows, cut as the estimator cuts."""
+    import isomlab.estimate as est
+
+    basis = il.basis_for(spec.space, n)
+    unknowns = basis.d * (basis.d - 1) // 2
+    rows, scales = est._constraint_rows(spec, n, basis, unknowns + basis.d, seed)
+    svals = np.linalg.svd(rows, compute_uv=False)
+    return est._null_space_dimension(svals, float(scales.max()))[0]
+
+
+# every default norm on both spaces at n <= 6, each (space, token, n) once
+_FULL_WIDTH_CASES = {
+    f"{spec.space}/{spec.token()}/n={n}": (spec, n)
+    for space, sizes in (("hermitian", (2, 3, 4, 5, 6)), ("skew", (3, 4, 5, 6)))
+    for n in sizes
+    for spec in _specs(DEFAULT_NORMS, space, n)
+}
+
+
+@pytest.mark.parametrize("spec,n", _FULL_WIDTH_CASES.values(), ids=_FULL_WIDTH_CASES.keys())
+def test_sign_blocks_match_the_full_width_svd(spec, n):
+    for seed in range(5):
+        rep = il.estimate._algebra_dimension(spec, n, seed)
+        assert rep.estimated_dim == _full_width_dimension(spec, n, seed)
+
+
+def test_block_solve_makes_no_svd_wider_than_the_largest_block(monkeypatch):
+    import isomlab.estimate as est
+
+    real, widths = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(est.np.linalg, "svd", svd)
+    rep = il.isometry_algebra_dimension(il.schatten(3), 7, seed=[0, 7])
+    assert rep.estimated_dim == 48
+    assert rep.singular_values.shape == (1128,)
+    # blocks of 36, 32 and 12 unknowns: one stacked SVD per size
+    assert widths == [36, 32, 12]
+
+
 def test_constraint_rows_build_no_d_squared_wide_temporary():
     import isomlab.estimate as est
 
     spec, n, basis = il.schatten(3), 7, il.gell_mann_basis(7)
-    num = est.default_num_samples(basis.d)
+    num = 84  # the largest sign block, 36, plus d = 48
     tracemalloc.start()
     try:
         rows, _ = est._constraint_rows(spec, n, basis, num, [0, n])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (1176, 1128)
+    assert rows.shape == (84, 1128)
     assert peak < 2 * rows.nbytes
 
 
@@ -203,7 +281,8 @@ def test_containment_tells_the_adjoint_algebra_from_other_directions():
 
     spec, n = il.schatten(3), 4
     basis = il.gell_mann_basis(n)
-    rows, scales = est._constraint_rows(spec, n, basis, est.default_num_samples(basis.d), 5)
+    # the estimator's 43 rows: the largest sign block, 28, plus d = 15
+    rows, scales = est._constraint_rows(spec, n, basis, 43, 5)
 
     def residual(t):
         return np.max(np.abs(rows @ t) / scales) / np.linalg.norm(t)
@@ -230,6 +309,35 @@ def test_skew_dimension_refuses_the_line_before_building_rows(spec, monkeypatch)
     monkeypatch.setattr(estimate, "_constraint_rows", no_rows)
     with pytest.raises(InvalidDimension, match="is a line: its isometry algebra is 0"):
         il.skew_isometry_algebra_dimension(spec, 2)
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, "4"])
+def test_dimension_refuses_a_non_integer_n(n):
+    with pytest.raises(InvalidDimension, match="need an integer n"):
+        il.isometry_algebra_dimension(il.schatten(3), n)
+    with pytest.raises(InvalidDimension, match="need an integer n"):
+        il.skew_isometry_algebra_dimension(il.c_spectral((1, 0)), n)
+
+
+_NEGATIVE_TRIALS = {
+    "check_invariance": lambda C: il.check_invariance(il.schatten(3), 3, -1, 0),
+    "c_numerical_range_sample": lambda C: il.c_numerical_range_sample(C, C, -1),
+    "verify_preserver_forms": lambda C: il.verify_preserver_forms(C, 3, -1),
+}
+
+
+@pytest.mark.parametrize("call", _NEGATIVE_TRIALS.values(), ids=_NEGATIVE_TRIALS.keys())
+def test_a_negative_trial_count_fails_closed(call):
+    C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
+    with pytest.raises(InvalidDimension, match="need trials >= 0, got -1"):
+        call(C)
+
+
+def test_zero_trials_keep_their_meaning():
+    C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
+    assert il.check_invariance(il.schatten(3), 3, 0, 0) == 0.0
+    assert il.c_numerical_range_sample(C, C, 0).values.shape == (0,)
+    assert il.verify_preserver_forms(C, 3, 0).trials == 0
 
 
 def test_range_sample_aligned_case():
