@@ -55,7 +55,6 @@ from .groups import (
     haar_unitary,
     psi_matrix,
     so_adjoint_matrix,
-    tau_matrix,
     verify_sigma_normalizes,
 )
 from .skew import (

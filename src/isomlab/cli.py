@@ -366,24 +366,20 @@ def _dimension_records(cfg: SuiteConfig):
 
 def _hermitian_round_trips(spec: NormSpec, n: int, count: int, rng):
     """Branch matches, worst residual and worst unitary error over ``count``
-    random affine isometries of the Hermitian space."""
+    random affine isometries of the Hermitian space, decomposed as one
+    stack."""
     basis = gell_mann_basis(n)
-    sigma = cartan_matrix(basis)
     eta = 1 - 2 * rng.integers(2, size=count)
     flag = rng.integers(2, size=count).astype(bool) & (n >= 3)
     U = haar_unitary(n, rng, special=True, count=count)
     B = vectorize(random_element(HERMITIAN_TRACELESS, n, rng, count=count), basis)
-    matches, worst_res, worst_uerr = 0, 0.0, 0.0
-    for t in range(count):
-        M = eta[t] * ad_matrix(U[t], basis)
-        if flag[t]:
-            M = M @ sigma
-        dec = decompose_isometry(M, spec, offset=B[t], seed=rng)
-        if dec.eta == eta[t] and dec.sigma_flag == flag[t]:
-            matches += 1
-        worst_res = max(worst_res, dec.residual)
-        worst_uerr = max(worst_uerr, unitary_phase_distance(U[t], dec.unitary))
-    return [matches, worst_res, worst_uerr]
+    M = eta[:, None, None] * ad_matrix(U, basis)
+    M[flag] = M[flag] @ cartan_matrix(basis)
+    decs = decompose_isometry(M, spec, offset=B, seed=rng)
+    found = np.array([(dec.eta, dec.sigma_flag, dec.residual) for dec in decs])
+    matches = np.count_nonzero((found[:, 0] == eta) & (found[:, 1] == flag))
+    uerr = unitary_phase_distance(U, np.stack([dec.unitary for dec in decs]))
+    return [matches, np.max(found[:, 2], initial=0.0), np.max(uerr, initial=0.0)]
 
 
 def _frobenius_deviation(n: int, count: int, rng):
@@ -398,36 +394,30 @@ def _frobenius_deviation(n: int, count: int, rng):
 
 
 def _euclidean_rejections(n: int, count: int, rng):
-    """How many of ``count`` Haar rotations of the coordinates
-    decompose_isometry rejects as having no canonical form."""
-    fro = frobenius()
-    rejected = 0
-    for M in haar_orthogonal(n * n - 1, rng, special=True, count=count):
-        try:
-            decompose_isometry(M, fro, seed=rng)
-        except NotInClassifiedForm:
-            rejected += 1
-    return [rejected]
+    """How many of ``count`` Haar rotations of the coordinates, decomposed
+    as one stack, decompose_isometry rejects as having no canonical form."""
+    rotations = haar_orthogonal(n * n - 1, rng, special=True, count=count)
+    try:
+        decompose_isometry(rotations, frobenius(), seed=rng)
+    except NotInClassifiedForm as exc:
+        return [len(exc.members)]
+    return [0]
 
 
 def _skew_round_trips(spec: NormSpec, n: int, count: int, use_psi: bool, rng):
     """Branch matches and worst residual over ``count`` random skew-space
-    isometries, with the n = 4 coordinate swap when ``use_psi``."""
-    basis = skew_basis(n)
-    psi = psi_matrix()
+    isometries, with the n = 4 coordinate swap when ``use_psi``, decomposed
+    as one stack."""
     sign = 1 - 2 * rng.integers(2, size=count)
     flag = rng.integers(2, size=count).astype(bool) & use_psi
     Q = haar_orthogonal(n, rng, special=True, count=count)
-    matches, worst_res = 0, 0.0
-    for t in range(count):
-        M = sign[t] * so_adjoint_matrix(Q[t], basis)
-        if flag[t]:
-            M = M @ psi
-        dec = decompose_skew_isometry(M, spec, seed=rng)
-        if (dec.sign, dec.psi_flag) == (sign[t], flag[t]):
-            matches += 1
-        worst_res = max(worst_res, dec.residual)
-    return [matches, worst_res]
+    M = sign[:, None, None] * so_adjoint_matrix(Q, skew_basis(n))
+    if use_psi:
+        M[flag] = M[flag] @ psi_matrix()
+    decs = decompose_skew_isometry(M, spec, seed=rng)
+    found = np.array([(dec.sign, dec.psi_flag, dec.residual) for dec in decs])
+    matches = np.count_nonzero((found[:, 0] == sign) & (found[:, 1] == flag))
+    return [matches, np.max(found[:, 2], initial=0.0)]
 
 
 def _first_non_euclidean(cfg: SuiteConfig, space: str, n: int, target: str) -> NormSpec | None:
@@ -501,40 +491,41 @@ def _decompose_records(cfg: SuiteConfig):
 
 def _youla_worst(n: int, count: int, rng):
     """Worst scaled reconstruction residual and worst singular-value error of
-    the block canonical form over ``count`` random skew matrices."""
+    the block canonical form over ``count`` random skew matrices, decomposed
+    as one stack."""
     A = random_element(SKEW_REAL, n, rng, count=count)
-    sv_ref = np.linalg.svd(A, compute_uv=False)
-    worst_rec, worst_sv = 0.0, 0.0
-    for a, sv in zip(A, sv_ref):
-        form = youla_decompose(a)
-        worst_rec = max(worst_rec, form.residual / (1.0 + float(np.max(np.abs(a)))))
-        worst_sv = max(worst_sv, float(np.max(np.abs(form.singular_values - sv))))
-    return [worst_rec, worst_sv]
+    forms = youla_decompose(A)
+    residual = np.array([form.residual for form in forms])
+    sv = np.stack([form.singular_values for form in forms])
+    worst_rec = residual / (1.0 + np.max(np.abs(A), axis=(-2, -1)))
+    worst_sv = np.abs(sv - np.linalg.svd(A, compute_uv=False))
+    return [np.max(worst_rec, initial=0.0), np.max(worst_sv, initial=0.0)]
 
 
 def _psi_charpoly_worst(count: int, rng):
     """Worst scaled change of the characteristic polynomial under psi, and
     worst miss of its Pfaffian form, over ``count`` random 4 x 4 skew
     matrices."""
-    worst_cp, worst_pf = 0.0, 0.0
-    for A in random_element(SKEW_REAL, 4, rng, count=count):
-        ca = char_poly_skew(A)
-        cb = char_poly_skew(psi_apply(A))
-        scale = 1.0 + float(np.max(np.abs(ca)))
-        worst_cp = max(worst_cp, float(np.max(np.abs(ca - cb))) / scale)
-        p = float(np.sum(np.triu(A, 1) ** 2))
-        ident = np.array([1.0, 0.0, p, 0.0, pfaffian4(A) ** 2])
-        worst_pf = max(worst_pf, float(np.max(np.abs(ca - ident))) / scale)
-    return [worst_cp, worst_pf]
+    A = random_element(SKEW_REAL, 4, rng, count=count)
+    ca = char_poly_skew(A)
+    cb = char_poly_skew(psi_apply(A))
+    scale = 1.0 + np.max(np.abs(ca), axis=1)
+    ident = np.zeros_like(ca)
+    ident[:, 0] = 1.0
+    ident[:, 2] = np.sum(np.triu(A, 1) ** 2, axis=(1, 2))
+    ident[:, 4] = pfaffian4(A) ** 2
+    worst_cp = np.max(np.abs(ca - cb), axis=1) / scale
+    worst_pf = np.max(np.abs(ca - ident), axis=1) / scale
+    return [np.max(worst_cp, initial=0.0), np.max(worst_pf, initial=0.0)]
 
 
 def _psi_closure_worst(count: int, rng):
+    """Worst residual of the congruence recovery of psi Ad(Q) psi over
+    ``count`` Haar rotations, recovered as one stack."""
     psi = psi_matrix()
-    worst_cl = 0.0
-    for Q in haar_orthogonal(4, rng, special=True, count=count):
-        _, res = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi, 4)
-        worst_cl = max(worst_cl, res)
-    return [worst_cl]
+    Q = haar_orthogonal(4, rng, special=True, count=count)
+    _, residual = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi, 4)
+    return [np.max(residual, initial=0.0)]
 
 
 def _psi_reject_residual():

@@ -39,7 +39,13 @@ class NotIsometry(IsomlabError):
 
 
 class NotInClassifiedForm(IsomlabError):
-    """Isometry does not match any of the classified canonical forms."""
+    """Isometry does not match any of the classified canonical forms;
+    ``members`` indexes the members of a stack that no branch reproduces
+    (0: one map)."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(int(i) for i in members)
 
 
 class NotAdjointImage(IsomlabError):

@@ -83,7 +83,7 @@ from .matspace import (
     random_element,
     vectorize,
 )
-from .norms import NormSpec, norm_gradient
+from .norms import NormSpec, _trial_count, norm_gradient
 from .groups import haar_unitary
 
 #: smallest acceptable ratio across the singular-value gap
@@ -325,10 +325,10 @@ def c_numerical_range_sample(
     ``lo`` and ``hi`` are the closed-form endpoints (see the module
     docstring); ``values`` holds only the Monte Carlo orbit values, an
     independent sample that must lie in ``[lo, hi]``, and is empty for
-    ``trials = 0``.  A negative ``trials`` raises InvalidDimension.
+    ``trials = 0``.  A negative or non-integer ``trials`` raises
+    InvalidDimension.
     """
-    if trials < 0:
-        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    trials = _trial_count(trials)
     A = np.asarray(A)
     C = np.asarray(C)
     lo, hi = _range_endpoints(A, C)
@@ -370,10 +370,9 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     across ``A -> eta U A U*`` and ``A -> eta U (-A.T) U*`` for both signs,
     and for the plain conjugation the range endpoints and the
     conjugation-invariance of individual orbit values (at V C V*) are
-    checked.  A negative ``trials`` raises InvalidDimension.
+    checked.  A negative or non-integer ``trials`` raises InvalidDimension.
     """
-    if trials < 0:
-        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    trials = _trial_count(trials)
     radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
     wc_interval = 0.0
     wc_pointwise = 0.0

@@ -2,12 +2,15 @@
 
 Constructs the generators of every isometry group handled by the package:
 adjoint conjugation maps of (special) unitary and orthogonal matrices, the
-negative-transpose involution on the Hermitian space, the transpose map and
-the n = 4 entry swap on the skew space, plus Haar sampling.  All maps are
-(d, d) real arrays relative to the package bases.
+negative-transpose involution on the Hermitian space and the n = 4 entry
+swap on the skew space, plus Haar sampling.  All maps are (d, d) real
+arrays relative to the package bases (the transpose map of the skew space
+is -I there, since A.T = -A).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,20 +63,29 @@ def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     """Coordinate matrix of A -> U A U^{-1} on the traceless Hermitian space.
 
     The result is real orthogonal with determinant +1, and depends on U only
-    through its class modulo n-th roots of unity.
+    through its class modulo n-th roots of unity.  ``U`` is one (n, n)
+    unitary, giving a (d, d) map, or a (k, n, n) stack, giving the (k, d, d)
+    stack of their maps; a member gets the bits it gets alone.
     """
-    n = U.shape[0]
+    U = np.asarray(U)
+    n = U.shape[-1]
     if basis is None:
         basis = gell_mann_basis(n)
     if basis.n != n:
         raise InvalidDimension(f"basis n={basis.n} does not match U n={n}")
-    conjugated = U @ basis.mats @ U.conj().T
-    return np.einsum("ajk,ikj->ai", basis.mats, conjugated).real
+    conjugated = U[..., None, :, :] @ basis.mats @ U.conj().swapaxes(-1, -2)[..., None, :, :]
+    return np.einsum("ajk,...ikj->...ai", basis.mats, conjugated).real
 
 
+@functools.lru_cache(maxsize=None)
 def cartan_matrix(basis: Basis) -> np.ndarray:
-    """Coordinate matrix of the involution A -> -A.T on the Hermitian space."""
-    return np.ascontiguousarray(vectorize(-np.swapaxes(basis.mats, 1, 2), basis).T)
+    """Coordinate matrix of the involution A -> -A.T on the Hermitian space.
+
+    Built once per basis (bases are cached per n) and returned read-only,
+    since every Hermitian decomposition at n >= 3 uses it."""
+    sigma = np.ascontiguousarray(vectorize(-np.swapaxes(basis.mats, 1, 2), basis).T)
+    sigma.setflags(write=False)
+    return sigma
 
 
 def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
@@ -99,17 +111,22 @@ def so_adjoint_matrix(
 
     Q must lie in SO(n); congruence by a reflection (det -1) is only built
     when ``allow_reflection`` is set, for orthogonal-orbit experiments.
+    ``Q`` is one (n, n) matrix, giving a (d, d) map, or a (k, n, n) stack,
+    giving the (k, d, d) stack of their maps; a member gets the bits it
+    gets alone, and one reflection in a stack raises.
     """
-    n = Q.shape[0]
+    Q = np.asarray(Q)
+    n = Q.shape[-1]
     if basis is None:
         basis = skew_basis(n)
     if basis.n != n:
         raise InvalidDimension(f"basis n={basis.n} does not match Q n={n}")
-    det = np.linalg.det(Q)
-    if det < 0 and not allow_reflection:
-        raise NotSpecialOrthogonal(f"det Q = {det:.6f}; expected +1")
-    conjugated = Q @ basis.mats @ Q.T
-    return np.einsum("ajk,ijk->ai", basis.mats, conjugated)
+    if not allow_reflection:
+        det = np.linalg.det(Q)
+        if (det < 0).any():
+            raise NotSpecialOrthogonal(f"det Q = {np.min(det):.6f}; expected +1")
+    conjugated = Q[..., None, :, :] @ basis.mats @ Q.swapaxes(-1, -2)[..., None, :, :]
+    return np.einsum("ajk,...ijk->...ai", basis.mats, conjugated)
 
 
 def psi_matrix() -> np.ndarray:
@@ -119,9 +136,3 @@ def psi_matrix() -> np.ndarray:
     P = np.eye(6)
     P[[2, 3]] = P[[3, 2]]
     return P
-
-
-def tau_matrix(basis: Basis) -> np.ndarray:
-    """Coordinate matrix of the transpose map on the skew space; equals -I
-    since A.T = -A there."""
-    return -np.eye(basis.d)

@@ -17,6 +17,7 @@ functions", Math. Oper. Res. 21 (1996)), projected back onto the space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,19 +330,30 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     return G.reshape(shape)
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as a count: an integer >= 0, else InvalidDimension (a
+    float such as 2.5 or a negative count would otherwise reach numpy)."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise InvalidDimension(f"need an integer trial count, got {trials!r}") from None
+    if trials < 0:
+        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    return trials
+
+
 def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:
     """Max relative deviation of the norm over random group moves.
 
     Samples Haar unitaries acting by similarity (Hermitian space) or Haar
     orthogonal matrices acting by congruence (skew space) on random space
     elements, both drawn as stacks from one generator; every implemented
-    spec stays below 1e-10.  ``trials = 0`` gives 0.0, a negative count
-    raises InvalidDimension.
+    spec stays below 1e-10.  ``trials = 0`` gives 0.0; a negative or
+    non-integer count raises InvalidDimension.
     """
     from .groups import haar_orthogonal, haar_unitary
 
-    if trials < 0:
-        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    trials = _trial_count(trials)
     if trials == 0:
         return 0.0
     rng = np.random.default_rng(seed)

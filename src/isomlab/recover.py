@@ -33,6 +33,13 @@ branch fails it runs before :class:`NotInClassifiedForm` is raised, so a
 non-isometry is still reported as :class:`NotIsometry`.  The distance test
 is the only consumer of random numbers, so a ``Generator`` passed as
 ``seed`` is drawn from only when it runs.
+
+Stacks.  Both decompositions and the inversions take a (k, d, d) stack of
+maps through the same code as one map (k = 1): one stacked ``eigh`` per
+flag over the members still open, one stacked fit per sign, and one
+distance test over the uncertified members, which draws their samples in
+member order from one ``random_element`` call, as k single calls would in
+turn.  Every stacked numpy call used gives a member the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -43,11 +50,10 @@ import numpy as np
 
 from .errors import InvalidDimension, NotAdjointImage, NotInClassifiedForm, NotIsometry
 from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix
-from .matspace import (  # noqa: F401 (vectorize: perfbench/tracing.py wraps recover's binding)
+from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     Basis,
-    apply_map,
     basis_for,
     devectorize,
     gell_mann_basis,
@@ -96,11 +102,13 @@ class SkewIsometryDecomposition:
     residual: float
 
 
-def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float:
-    """min over n-th roots of unity zeta of max-entry |U - zeta V|."""
-    n = U.shape[0]
-    zetas = np.exp(2j * np.pi * np.arange(n) / n)
-    return min(float(np.max(np.abs(U - z * V))) for z in zetas)
+def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float | np.ndarray:
+    """min over n-th roots of unity zeta of max-entry |U - zeta V|; per
+    member (a (k,) array) for two (k, n, n) stacks."""
+    U, V = np.asarray(U), np.asarray(V)
+    zetas = np.exp(2j * np.pi * np.arange(U.shape[-1]) / U.shape[-1])[:, None, None]
+    dist = np.abs(U[..., None, :, :] - zetas * V[..., None, :, :]).max(axis=(-2, -1)).min(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
@@ -111,39 +119,29 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
 
 
 def _polar_orthogonal(B: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix (unitary, for complex B): W Vh of B's SVD."""
+    """Nearest orthogonal matrix (unitary, for complex B) to each member of
+    a stack: W Vh of its SVD."""
     W, _, Vh = np.linalg.svd(B)
     return W @ Vh
 
 
 def _coordinate_map(M: np.ndarray) -> np.ndarray:
+    """M as a finite real (d, d) map or (k, d, d) stack of maps."""
     if np.iscomplexobj(M):
         raise InvalidDimension("a coordinate map is real, got a complex matrix")
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.all(np.isfinite(M)):
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or not np.all(np.isfinite(M)):
         raise InvalidDimension(
-            f"a coordinate map is a finite square matrix, got shape {M.shape}"
+            f"a coordinate map is a finite square matrix or a stack of them, got shape {M.shape}"
         )
     return M
 
 
-def _reconstruction_residual(rebuilt: np.ndarray, M: np.ndarray) -> float:
-    """Max coordinate deviation of ``rebuilt`` from M; raises
-    :class:`NotAdjointImage` when it exceeds ``RESIDUAL_TOL``."""
-    residual = float(np.max(np.abs(rebuilt - M)))
-    if residual > RESIDUAL_TOL:
-        raise NotAdjointImage(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}",
-            residual=residual,
-        )
-    return residual
-
-
 def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
-    """The rearranged superoperator of a coordinate map M, negated on the
-    skew space.
+    """The rearranged superoperators of a (k, d, d) stack of coordinate
+    maps, negated on the skew space.
 
-    With ``images[i]`` the matrix that column i of M represents, the
+    With ``images[i]`` the matrix that column i of a map M represents, the
     rearrangement ``T[(a, c), (b, d)] = sum_i images[i][a, b] B_i[d, c]``
     is Hermitian for every real M (C. F. Van Loan and N. Pitsianis,
     "Approximation with Kronecker products", 1993).  For ``M =
@@ -153,53 +151,77 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     vec(Q).T - P)/2`` with the involution ``P: Y -> Q Y.T Q``, so vec(Q) is
     the top eigenvector of -T (what the skew space gets back), (n - 2)/2
     above the rest of its spectrum.  Whether M was an adjoint image at all
-    is left to the caller's reconstruction residual.  Raises :class:`InvalidDimension`
-    unless M is a finite real (d, d) matrix for the basis.
+    is left to the caller's reconstruction residual.  Raises
+    :class:`InvalidDimension` unless the maps are (d, d) for the basis.
     """
-    M = _coordinate_map(M)
     n, d = basis.n, basis.d
-    if M.shape != (d, d):
+    if M.ndim != 3 or M.shape[1:] != (d, d):
         raise InvalidDimension(
-            f"a map on the n = {n} space has shape ({d}, {d}), got {M.shape}"
+            f"a map on the n = {n} space has shape ({d}, {d}), got {M.shape[1:]}"
         )
-    images = devectorize(M.T, basis)
-    T = images.reshape(d, n * n).T @ basis.mats.reshape(d, n * n)
-    T = T.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    k = len(M)
+    images = devectorize(M.swapaxes(-1, -2).reshape(k * d, d), basis)
+    T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ basis.mats.reshape(d, n * n)
+    T = T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
     return -T if basis.space == SKEW_REAL else T
 
 
 def _conjugator(M: np.ndarray, basis: Basis) -> np.ndarray:
-    """The top eigenvector of M's rearranged superoperator, reshaped to
-    (n, n) and polished to the nearest unitary (orthogonal) matrix."""
+    """The top eigenvector of each map's rearranged superoperator, reshaped
+    to (n, n) and polished to the nearest unitary (orthogonal) matrix."""
     _, V = np.linalg.eigh(_rearranged(M, basis))
-    return _polar_orthogonal(V[:, -1].reshape(basis.n, basis.n))
+    return _polar_orthogonal(V[..., -1].reshape(-1, basis.n, basis.n))
 
 
-def _unitary_fit(U: np.ndarray, M: np.ndarray, basis: Basis) -> tuple[np.ndarray, float]:
-    """``(U, residual)`` with the unitary U normalized to determinant one
-    and ``residual`` the max coordinate deviation of ``ad_matrix(U)`` from
-    M; raises :class:`NotAdjointImage` when it exceeds ``RESIDUAL_TOL``."""
-    U = U * np.linalg.det(U) ** (-1.0 / basis.n)
-    return U, _reconstruction_residual(ad_matrix(U, basis), M)
+def _unitary_fit(U: np.ndarray, M: np.ndarray, basis: Basis):
+    """``(U, residual, accepted)`` for a (k, n, n) stack of unitaries and
+    the (k, d, d) maps they should reproduce: each U normalized to
+    determinant one, ``residual`` the max coordinate deviation of its
+    ``ad_matrix`` from its map, and ``accepted`` where that is within
+    ``RESIDUAL_TOL``."""
+    U = U * (np.linalg.det(U) ** (-1.0 / basis.n))[:, None, None]
+    residual = np.max(np.abs(ad_matrix(U, basis) - M), axis=(-2, -1))
+    return U, residual, residual <= RESIDUAL_TOL
 
 
-def _rotation_fit(Q: np.ndarray, M: np.ndarray, basis: Basis) -> tuple[np.ndarray, float]:
-    """``(Q, residual)`` with ``residual`` the max coordinate deviation of
-    the congruence by the orthogonal Q from M and Q made a rotation; raises
-    :class:`NotAdjointImage` when the residual exceeds ``RESIDUAL_TOL``, or
-    when Q is a reflection at even n, which no rotation reproduces (at odd
-    n the rotation -Q gives the same congruence)."""
-    residual = _reconstruction_residual(so_adjoint_matrix(Q, basis, allow_reflection=True), M)
-    if np.linalg.det(Q) < 0:
-        if basis.n % 2 == 1:
-            Q = -Q
+def _rotation_fit(Q: np.ndarray, M: np.ndarray, basis: Basis):
+    """``(Q, residual, accepted)`` for a (k, n, n) stack of orthogonal
+    matrices and the (k, d, d) maps they should reproduce: ``residual`` the
+    max coordinate deviation of the congruence by Q from its map, each Q
+    made a rotation, and ``accepted`` where the residual is within
+    ``RESIDUAL_TOL`` and Q is not a reflection at even n, which no rotation
+    reproduces (at odd n the rotation -Q gives the same congruence)."""
+    residual = np.max(
+        np.abs(so_adjoint_matrix(Q, basis, allow_reflection=True) - M), axis=(-2, -1)
+    )
+    reflection = np.linalg.det(Q) < 0
+    if basis.n % 2 == 0:
+        return Q, residual, (residual <= RESIDUAL_TOL) & ~reflection
+    if reflection.any():
+        Q = np.where(reflection[:, None, None], -Q, Q)
+    return Q, residual, residual <= RESIDUAL_TOL
+
+
+def _inverted(M: np.ndarray, basis: Basis, fit):
+    """The public inversions' path: ``fit`` applied to each map's
+    conjugator.  Returns ``(conjugator, residual)``, one of each for one
+    map and stacked for a stack, or raises :class:`NotAdjointImage` for the
+    first member refused."""
+    M = _coordinate_map(M)
+    single = M.ndim == 2
+    M = M.reshape(-1, *M.shape[-2:])
+    C, residual, accepted = fit(_conjugator(M, basis), M, basis)
+    if not accepted.all():
+        r = float(residual[np.argmin(accepted)])
+        if r > RESIDUAL_TOL:
+            message = f"reconstruction residual {r:.3e} exceeds {RESIDUAL_TOL:.0e}"
         else:
-            raise NotAdjointImage(
+            message = (
                 "map is the congruence by a reflection, which no rotation "
-                f"reproduces at even n (residual {residual:.3e})",
-                residual=residual,
+                f"reproduces at even n (residual {r:.3e})"
             )
-    return Q, residual
+        raise NotAdjointImage(message, residual=r)
+    return (C[0], float(residual[0])) if single else (C, residual)
 
 
 def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -213,61 +235,67 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when the residual
     exceeds ``RESIDUAL_TOL``.
     """
-    basis = gell_mann_basis(n)
-    return _unitary_fit(_conjugator(M, basis), M, basis)
+    return _inverted(M, gell_mann_basis(n), _unitary_fit)
 
 
-def recover_orthogonal_from_adso(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+def recover_orthogonal_from_adso(M: np.ndarray, n: int):
     """Invert the congruence action on the skew space: find Q with
     ``so_adjoint_matrix(Q) = M``, up to global sign.
 
     Q is the top eigenvector of M's negated rearranged superoperator (see
     :func:`_rearranged`), which is separated from the rest of the spectrum
     only for n >= 3; :class:`InvalidDimension` is raised below that, and
-    unless M is a finite real (n(n-1)/2)-square matrix.  Returns ``(Q,
-    residual)`` with Q in SO(n) and ``residual`` the max coordinate
-    deviation of the congruence by Q from M.  Raises
-    :class:`NotAdjointImage` when the residual exceeds ``RESIDUAL_TOL``, or
-    when M is the congruence by a reflection at even n, which no rotation
-    reproduces (at odd n the rotation -Q is returned instead).
+    unless M is a finite real (n(n-1)/2)-square matrix or a (k, d, d) stack
+    of them.  Returns ``(Q, residual)`` with Q in SO(n) and ``residual`` the
+    max coordinate deviation of the congruence by Q from M; for a stack, a
+    (k, n, n) stack of rotations and a (k,) array of residuals, each member
+    what it gets alone.  Raises :class:`NotAdjointImage` when a residual
+    exceeds ``RESIDUAL_TOL``, or when M is the congruence by a reflection at
+    even n, which no rotation reproduces (at odd n the rotation -Q is
+    returned instead); in a stack, for the first member refused.
     """
     if n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    basis = skew_basis(n)
-    return _rotation_fit(_conjugator(M, basis), M, basis)
+    return _inverted(M, skew_basis(n), _rotation_fit)
 
 
-def _signed_branch(linear: np.ndarray, basis: Basis, fit):
-    """``(sign, *fit(conjugator, linear / sign, basis))`` for the first sign
-    in (1, -1) that ``fit`` accepts, or None when it refuses both with
-    :class:`NotAdjointImage`.  One ``eigh`` of linear's rearranged
-    superoperator serves both signs: its top eigenvector for +1, its bottom
-    one (the top one of ``-linear``'s) for -1.  The eigenvectors live only
-    in this frame, which has ended before any caller raises, so a rejected
-    map's traceback keeps no eigen array alive."""
-    _, V = np.linalg.eigh(_rearranged(linear, basis))
-    for sign, column in ((1, -1), (-1, 0)):
-        conjugator = _polar_orthogonal(V[:, column].reshape(basis.n, basis.n))
-        try:
-            return (sign, *fit(conjugator, linear / sign, basis))
-        except NotAdjointImage:
-            continue
-    return None
+def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, fit):
+    """``(sign, flag, conjugator, residual)``, one entry per member of the
+    (k, d, d) stack M, for the first branch ``(M @ involution if flag else
+    M) / sign`` in the order (1, F), (-1, F), (1, T), (-1, T) that ``fit``
+    (:func:`_unitary_fit` or :func:`_rotation_fit`) accepts, the flag
+    branches only when ``involution`` is given.  Where every branch fails,
+    ``sign`` is 0 and ``residual`` infinite.
 
-
-def _first_branch(M: np.ndarray, involution: np.ndarray | None, basis: Basis, fit):
-    """``(sign, flag, conjugator, residual)`` for the first branch
-    ``(M @ involution if flag else M) / sign`` in the order (1, F), (-1, F),
-    (1, T), (-1, T) that ``fit`` accepts (:func:`_unitary_fit` or
-    :func:`_rotation_fit`), the flag branches only when ``involution`` is
-    given; None when every branch fails.  Each flag's candidate is built
-    as it is tried."""
-    for flag in (False, True) if involution is not None else (False,):
-        found = _signed_branch(M @ involution if flag else M, basis, fit)
-        if found is not None:
-            sign, conjugator, residual = found
-            return sign, flag, conjugator, residual
-    return None
+    Per flag there is one stacked ``eigh`` of the rearranged superoperators
+    of the members still open.  Per sign there is then one stacked polar
+    fit and rebuild over the members still open: the top eigenvectors for
+    +1, the bottom ones (the top ones of ``-linear``'s) for -1.  So a
+    member gets the bits it gets alone, and a single map does the work it
+    did before stacking.  The eigenvectors live only in this frame, which
+    has ended before any caller raises, so a rejected map's traceback keeps
+    no eigen array alive."""
+    k, n = len(M), basis.n
+    sign = np.zeros(k, dtype=int)
+    flag = np.zeros(k, dtype=bool)
+    conjugator = np.zeros((k, n, n), dtype=basis.mats.dtype)
+    residual = np.full(k, np.inf)
+    todo = np.arange(k)  # the members no branch has reproduced yet
+    for f in (False, True) if involution is not None else (False,):
+        linear = M[todo] @ involution if f else M
+        _, V = np.linalg.eigh(_rearranged(linear, basis))
+        for s, column in ((1, -1), (-1, 0)):
+            ends = V[..., column].reshape(-1, n, n)
+            C, res, accepted = fit(_polar_orthogonal(ends), linear / s, basis)
+            if not accepted.any():
+                continue
+            won = todo[accepted]
+            sign[won], flag[won] = s, f
+            conjugator[won], residual[won] = C[accepted], res[accepted]
+            if accepted.all():
+                return sign, flag, conjugator, residual
+            todo, linear, V = todo[~accepted], linear[~accepted], V[~accepted]
+    return sign, flag, conjugator, residual
 
 
 def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
@@ -282,24 +310,28 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
     matrix, and :class:`NotInClassifiedForm` when no branch does.
     """
     basis = gell_mann_basis(n)
-    M = _coordinate_map(M)
+    M = _coordinate_map(M)[None]
     involution = cartan_matrix(basis) if n >= 3 else None
-    found = _first_branch(M, involution, basis, _unitary_fit)
-    if found is None:
-        raise NotInClassifiedForm("no branch of the canonical family reproduces the map")
-    eta, sigma_flag, U, _ = found
-    return eta, sigma_flag, U
+    eta, sigma_flag, U, _ = _branch_search(M, involution, basis, _unitary_fit)
+    if not eta[0]:
+        raise NotInClassifiedForm("no branch of the canonical family reproduces the map", members=(0,))
+    return int(eta[0]), bool(sigma_flag[0]), U[0]
 
 
 def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
-    D over one stack of 50 random differences D, drawn from ``seed`` (a
-    seed or a Generator, drawn from in place): two stacked norm evaluations
-    in all.  Raises :class:`NotIsometry` when a relative deviation exceeds
+    D over 50 random differences D per member of the (k, d, d) stack M,
+    drawn from ``seed`` (a seed or a Generator, drawn from in place) in one
+    ``random_element`` call, member after member: the stream k one-member
+    tests draw in turn.  Two stacked norm evaluations in all.  Raises
+    :class:`NotIsometry` when a relative deviation exceeds
     ``ISOMETRY_TOL``."""
-    D = random_element(spec.space, n, seed, count=50)
-    lhs = norm_value(apply_map(M, D, basis_for(spec.space, n)), spec)
+    basis = basis_for(spec.space, n)
+    k, d = len(M), basis.d
+    D = random_element(spec.space, n, seed, count=50 * k)
+    moved = vectorize(D, basis).reshape(k, 50, d) @ M.swapaxes(-1, -2)
+    lhs = norm_value(devectorize(moved.reshape(50 * k, d), basis), spec)
     rhs = norm_value(D, spec)
     dev = np.abs(lhs - rhs)
     if not np.all(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30)):
@@ -309,18 +341,19 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
 
 
 def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
-    """Both decompositions' input checks, in order: a finite real square M,
-    a ``spec`` on ``space``, M's size d equal to ``space_dim(space, n)`` for
-    some n >= 2, a finite ``offset`` of shape (d,) (zero when None), a
-    ``seed`` that ``np.random.default_rng`` accepts, and spec parameters
-    that fit n.  Returns ``(M, n, offset, rng)`` with ``rng`` the generator
-    made from ``seed`` (``seed`` itself when it is one), nothing drawn from
-    it yet.  Every failure before the seed raises
-    :class:`InvalidDimension`.  The distance test is not among these
-    checks: it runs after the branch search, and only when the residual
-    cannot certify the map (see the module docstring)."""
+    """Both decompositions' input checks, in order: a finite real square M
+    (one map or a (k, d, d) stack), a ``spec`` on ``space``, M's size d
+    equal to ``space_dim(space, n)`` for some n >= 2, a finite ``offset``
+    of M's leading shape by d (zero when None), a ``seed`` that
+    ``np.random.default_rng`` accepts, and spec parameters that fit n.
+    Returns ``(M, n, offset, rng)`` with M a (k, d, d) stack, ``offset`` a
+    (k, d) array and ``rng`` the generator made from ``seed`` (``seed``
+    itself when it is one), nothing drawn from it yet.  Every failure
+    before the seed raises :class:`InvalidDimension`.  The distance test is
+    not among these checks: it runs after the branch search, and only when
+    the residual cannot certify the map (see the module docstring)."""
     M = _coordinate_map(M)
-    d = M.shape[0]
+    d = M.shape[-1]
     if spec.space != space:
         raise InvalidDimension(f"the norm acts on {spec.space}, the map on {space}")
     n = 2
@@ -328,24 +361,32 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
         n += 1
     if space_dim(space, n) != d:
         raise InvalidDimension(f"map size {d} is not the dimension of {space} at any n >= 2")
-    offset = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-    if offset.shape != (d,) or not np.all(np.isfinite(offset)):
-        raise InvalidDimension(f"offset must be a finite vector of shape ({d},), got {offset.shape}")
+    offset = np.zeros(M.shape[:-1]) if offset is None else np.asarray(offset, dtype=float)
+    if offset.shape != M.shape[:-1] or not np.all(np.isfinite(offset)):
+        raise InvalidDimension(
+            f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}"
+        )
     rng = np.random.default_rng(seed)
     _check_parameters(spec, n)
-    return M, n, offset, rng
+    return M.reshape(-1, d, d), n, offset.reshape(-1, d), rng
 
 
-def _certified_branch(M, spec: NormSpec, rng, involution, basis: Basis, fit):
-    """:func:`_first_branch`'s winner, after the distance test when ``n d
-    residual`` exceeds ``ISOMETRY_TOL``.  When every branch fails the
-    distance test runs first, then :class:`NotInClassifiedForm` is raised."""
-    found = _first_branch(M, involution, basis, fit)
-    if found is None or basis.n * basis.d * found[-1] > ISOMETRY_TOL:
-        _check_isometry(M, spec, basis.n, rng)
-    if found is None:
-        raise NotInClassifiedForm("no branch of the canonical family reproduces the map")
-    return found
+def _certified_branches(M, spec: NormSpec, rng, involution, basis: Basis, fit):
+    """:func:`_branch_search`'s winners ``(sign, flag, conjugator,
+    residual)``, after one distance test over the members whose ``n d
+    residual`` exceeds ``ISOMETRY_TOL``, those that no branch reproduces
+    (infinite residual) among them.  Then :class:`NotInClassifiedForm`
+    names the latter in ``members``."""
+    sign, flag, conjugator, residual = _branch_search(M, involution, basis, fit)
+    uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
+    if uncertified.any():
+        _check_isometry(M[uncertified], spec, basis.n, rng)
+        missing = np.flatnonzero(sign == 0)
+        if missing.size:
+            raise NotInClassifiedForm(
+                "no branch of the canonical family reproduces the map", members=missing
+            )
+    return sign, flag, conjugator, residual
 
 
 def decompose_isometry(
@@ -353,42 +394,52 @@ def decompose_isometry(
     spec: NormSpec,
     offset: np.ndarray | None = None,
     seed=0,
-) -> IsometryDecomposition:
+):
     """Decompose an affine isometry of a Hermitian-space norm.
 
     ``M`` is the linear part in coordinates, ``offset`` the coordinate
     vector of the translation (defaults to zero; anything but a finite
     vector of shape (d,) raises :class:`InvalidDimension`).  The branch
-    search of :func:`classify_eta_sigma` finds the branch, the conjugating
-    unitary and the residual.  A residual with ``n d residual`` within
-    ``ISOMETRY_TOL`` certifies that M is an isometry of ``spec``; otherwise
-    M is checked to be one on random pairs drawn from ``seed`` (the only
-    random numbers a decomposition uses, so a Generator passed as ``seed``
-    is drawn from only then).  At n = 2 the involution branch coincides
-    with a conjugation, so ``sigma_flag`` is always False there.
+    search (:func:`_branch_search`, the module docstring's order) finds the
+    branch, the conjugating unitary and the residual.  A residual with ``n
+    d residual`` within ``ISOMETRY_TOL`` certifies that M is an isometry of
+    ``spec``; otherwise M is checked to be one on random pairs drawn from
+    ``seed`` (the only random numbers a decomposition uses, so a Generator
+    passed as ``seed`` is drawn from only then).  At n = 2 the involution
+    branch coincides with a conjugation, so ``sigma_flag`` is always False
+    there.
 
-    Raises :class:`NotIsometry`, or :class:`NotInClassifiedForm` for
-    isometries outside the canonical family (the Euclidean / inner-product
-    case admits a full orthogonal group of them); the distance test runs
-    before the latter is raised, so a non-isometry is always
-    :class:`NotIsometry`.
+    ``M`` may also be a (k, d, d) stack of maps, with ``offset`` then of
+    shape (k, d); the result is a tuple of k decompositions, each what its
+    member gets alone, from one branch search and at most one distance test
+    over the stack, whose draws are those of k single calls in turn.
+
+    Raises :class:`NotIsometry` (for a stack, when any member is not an
+    isometry), or :class:`NotInClassifiedForm` for isometries outside the
+    canonical family (the Euclidean / inner-product case admits a full
+    orthogonal group of them), with ``exc.members`` naming the members no
+    branch reproduces; the distance test runs before the latter is raised,
+    so a non-isometry is always :class:`NotIsometry`.
     """
-    M, n, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
+    stack, n, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
     basis = gell_mann_basis(n)
     involution = cartan_matrix(basis) if n >= 3 else None
-    eta, sigma_flag, U, residual = _certified_branch(M, spec, rng, involution, basis, _unitary_fit)
-    return IsometryDecomposition(
-        eta=eta,
-        sigma_flag=sigma_flag,
-        unitary=U,
-        translation=devectorize(offset, basis),
-        residual=residual,
+    eta, sigma_flag, U, residual = _certified_branches(
+        stack, spec, rng, involution, basis, _unitary_fit
     )
+    # one (1, d) product per member, the bits devectorize gives one vector
+    # (devectorize of a (k, d) stack is one k-row product, which rounds apart)
+    translation = offset[:, None, :] @ basis.mats.reshape(basis.d, n * n)
+    decompositions = tuple(
+        IsometryDecomposition(
+            eta=e, sigma_flag=f, unitary=u, translation=b.reshape(n, n), residual=r
+        )
+        for e, f, u, b, r in zip(eta.tolist(), sigma_flag.tolist(), U, translation, residual.tolist())
+    )
+    return decompositions[0] if np.ndim(M) == 2 else decompositions
 
 
-def decompose_skew_isometry(
-    M: np.ndarray, spec: NormSpec, seed=0
-) -> SkewIsometryDecomposition:
+def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     """Decompose a linear isometry of a skew-space norm into its canonical
     form ``A -> sign * Q psi^f(A) Q.T``.
 
@@ -396,20 +447,23 @@ def decompose_skew_isometry(
     branches only at n = 4, and the first branch whose congruence recovery
     succeeds wins and gives ``residual``.  As in :func:`decompose_isometry`,
     the distance test on random pairs drawn from ``seed`` runs only when
-    ``n d residual`` exceeds ``ISOMETRY_TOL`` or every branch fails.
-    Raises :class:`NotIsometry` or, when every branch fails (as for
-    multiples of the Euclidean norm), :class:`NotInClassifiedForm`; at
-    n = 2 an isometry raises :class:`InvalidDimension`, since congruence
-    recovery needs n >= 3.
+    ``n d residual`` exceeds ``ISOMETRY_TOL`` or every branch fails, and a
+    (k, d, d) stack of maps gives a tuple of k decompositions.  Raises
+    :class:`NotIsometry` or, when every branch fails for some member (as
+    for multiples of the Euclidean norm), :class:`NotInClassifiedForm` with
+    those members in ``exc.members``; at n = 2 an isometry raises
+    :class:`InvalidDimension`, since congruence recovery needs n >= 3.
     """
-    M, n, _, rng = _checked_input(M, spec, SKEW_REAL, seed)
+    stack, n, _, rng = _checked_input(M, spec, SKEW_REAL, seed)
     if n < 3:
-        _check_isometry(M, spec, n, rng)
+        _check_isometry(stack, spec, n, rng)
         raise InvalidDimension("orthogonal recovery needs n >= 3")
     involution = psi_matrix() if n == 4 else None
-    sign, flag, Q, residual = _certified_branch(
-        M, spec, rng, involution, skew_basis(n), _rotation_fit
+    sign, flag, Q, residual = _certified_branches(
+        stack, spec, rng, involution, skew_basis(n), _rotation_fit
     )
-    return SkewIsometryDecomposition(
-        sign=sign, psi_flag=flag, orthogonal=Q, residual=residual
+    decompositions = tuple(
+        SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q, residual=r)
+        for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())
     )
+    return decompositions[0] if np.ndim(M) == 2 else decompositions

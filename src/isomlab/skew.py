@@ -20,15 +20,6 @@ from .matspace import SKEW_REAL, is_element
 ZERO_MODE_TOL = 1e-10
 
 
-def _null_space(B: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of B, as columns: the right
-    singular vectors past the numerical rank, with singular values above
-    max(s) * max(B.shape) * eps counted in the rank."""
-    _, s, vh = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * max(B.shape) * np.finfo(float).eps))
-    return vh[rank:].T.conj()
-
-
 @dataclass(frozen=True, eq=False)
 class YoulaForm:
     """Orthogonal canonical decomposition of a skew-symmetric matrix.
@@ -69,84 +60,89 @@ class YoulaForm:
         return np.concatenate([np.repeat(self.a, 2), np.zeros(self.n - 2 * self.r)])
 
 
-def youla_decompose(A: np.ndarray) -> YoulaForm:
+def _skew_stack(A) -> np.ndarray:
+    """A as a (k, n, n) stack of real skew-symmetric matrices; raises
+    :class:`InvalidDimension` unless every member is one."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim not in (2, 3) or not np.all(is_element(A, SKEW_REAL)):
+        raise InvalidDimension("input is not a real skew-symmetric matrix or a stack of them")
+    return A.reshape(-1, *A.shape[-2:])
+
+
+def youla_decompose(A: np.ndarray):
     """Compute the orthogonal block canonical form of a skew matrix.
 
     Works through the Hermitian eigendecomposition of iA, whose eigenvalues
     come in pairs +-a_i plus zeros.  For each positive eigenvalue a with
-    unit eigenvector v, the real pair (sqrt(2) Im v, sqrt(2) Re v) spans an
-    invariant plane carrying the block [[0, a], [-a, 0]]; both columns are
-    re-orthonormalized against the earlier blocks (Gram-Schmidt, needed when
-    a_i are tied), the in-plane rotation freedom is fixed by aligning each
-    pair with its dominant row, and the second column is regenerated as
-    -A q / a so the (1, 2) entry of every block is exactly +a.  The kernel
-    block is an orthonormal basis of the complement.  When det Q = -1 a
-    kernel column is flipped; for full-rank even-n inputs no sign-preserving
-    correction exists (the stabilizer of S is a product of plane rotations)
-    and Q is returned with det -1.
+    unit eigenvector v = x + i y, ``iA v = a v`` reads ``A x = a y`` and
+    ``A y = -a x``, so the real pair (sqrt(2) y, sqrt(2) x) spans an
+    invariant plane carrying the block [[0, a], [-a, 0]].  These pairs are
+    orthonormal as they come, tied a_i included: since A is real, conj(v)
+    is an eigenvector for -a, so for unit eigenvectors v, w of positive
+    eigenvalues (the same one or not) ``v.T w = conj(v)* w = 0``, and with
+    ``v* w = delta`` the real and imaginary parts of these two identities
+    give ``x.x' = y.y' = delta / 2`` and ``x.y' = y.x' = 0``.  The in-plane
+    rotation freedom is fixed by rotating both columns of each pair by one
+    angle, which keeps its block, so that the pair's dominant row loads
+    positively on the first column and not at all on the second.
+    The kernel block is an orthonormal basis of the complement: the right
+    singular vectors of the 2r block columns past the first 2r.  When det
+    Q = -1 a kernel column is flipped; for full-rank even-n inputs no
+    sign-preserving correction exists (the stabilizer of S is a product of
+    plane rotations) and Q is returned with det -1.
 
     Tied a_i are not reordered: within a tied group, Q is whichever valid
-    choice the eigendecomposition gives.
+    choice the eigendecomposition gives.  ``A`` may also be a (k, n, n)
+    stack, giving a tuple of k forms from one stacked ``eigh``, each what
+    its member gets alone.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or not is_element(A, SKEW_REAL):
-        raise InvalidDimension("input is not a real skew-symmetric matrix")
-    n = A.shape[0]
-    w, V = np.linalg.eigh(1j * A)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    tol = ZERO_MODE_TOL * scale
-
-    order = np.argsort(-w)
-    pos = [i for i in order if w[i] > tol]
-    a = np.array([w[i] for i in pos])
-    r = len(a)
-
-    cols = []
-    for i in pos:
-        ai = w[i]
-        q1 = np.sqrt(2.0) * V[:, i].imag
-        # a unit vector, since v is orthogonal to conj(v) (the eigenvector of
-        # -ai); re-orthonormalize against previously selected columns (exact
-        # for simple eigenvalues, needed within tied groups)
-        for c in cols:
-            q1 = q1 - (c @ q1) * c
-        q1 = q1 / np.linalg.norm(q1)
-        q2 = -A @ q1 / ai
-        # fix the in-plane rotation freedom: align the pair so its dominant
-        # row loads positively on the first column (Q = I on canonical input)
-        j0 = int(np.argmax(q1**2 + q2**2))
-        theta = np.arctan2(q2[j0], q1[j0])
-        q1 = np.cos(theta) * q1 + np.sin(theta) * q2
-        q2 = -A @ q1 / ai
-        for c in cols:
-            q2 = q2 - (c @ q2) * c
-        q2 = q2 / np.linalg.norm(q2)
-        cols.extend([q1, q2])
-
-    if r:
-        block = np.column_stack(cols)
-        kernel = _null_space(block.T)
-    else:
-        block = np.zeros((n, 0))
-        kernel = np.eye(n)
-    Q = np.hstack([kernel, block]) if kernel.size else block
-    if np.linalg.det(Q) < 0 and kernel.shape[1] > 0:
-        Q = Q.copy()
-        Q[:, 0] = -Q[:, 0]
-
-    form = YoulaForm(n=n, orthogonal=Q, a=a, r=r, residual=0.0)
-    residual = float(np.max(np.abs(form.reconstruct() - A))) if n else 0.0
-    return YoulaForm(n=n, orthogonal=Q, a=a, r=r, residual=residual)
+    stack = _skew_stack(A)
+    n = stack.shape[-1]
+    w, V = np.linalg.eigh(1j * stack)
+    tol = ZERO_MODE_TOL * np.max(np.abs(w), axis=-1)
+    order = np.argsort(-w, axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
+    ranks = np.count_nonzero(w > tol[:, None], axis=-1)
+    Q = np.broadcast_to(np.eye(n), stack.shape).copy()
+    S = np.zeros_like(stack)
+    for r in np.unique(ranks[ranks > 0]):
+        # the members with r blocks share every array shape below
+        members = np.flatnonzero(ranks == r)
+        a = w[members, :r]
+        q1 = np.sqrt(2.0) * V[members, :, :r].imag
+        q2 = np.sqrt(2.0) * V[members, :, :r].real
+        # fix the in-plane rotation freedom: rotate each pair so its dominant
+        # row loads positively on the first column and not at all on the
+        # second (Q = I on canonical input)
+        j0 = np.argmax(q1**2 + q2**2, axis=1)[:, None, :]
+        theta = np.arctan2(np.take_along_axis(q2, j0, 1), np.take_along_axis(q1, j0, 1))
+        q1, q2 = np.cos(theta) * q1 + np.sin(theta) * q2, np.cos(theta) * q2 - np.sin(theta) * q1
+        block = np.stack([q1, q2], axis=-1).reshape(len(members), n, 2 * r)
+        kernel = np.linalg.svd(block.swapaxes(-1, -2))[2][:, 2 * r :].swapaxes(-1, -2)
+        Q[members] = np.concatenate([kernel, block], axis=-1)
+        rows = n - 2 * r + 2 * np.arange(r)
+        S[members[:, None], rows, rows + 1] = a
+        S[members[:, None], rows + 1, rows] = -a
+    flip = (np.linalg.det(Q) < 0) & (2 * ranks < n)
+    Q[flip, :, 0] *= -1.0
+    residual = np.max(np.abs(Q @ S @ Q.swapaxes(-1, -2) - stack), axis=(-2, -1))
+    forms = tuple(
+        YoulaForm(n=n, orthogonal=q, a=row[:r], r=int(r), residual=float(res))
+        for q, row, r, res in zip(Q, w, ranks, residual)
+    )
+    return forms[0] if np.ndim(A) == 2 else forms
 
 
 def psi_apply(A: np.ndarray) -> np.ndarray:
-    """The n = 4 entry swap a_14 <-> a_23 (skew-symmetry restored)."""
+    """The n = 4 entry swap a_14 <-> a_23 (skew-symmetry restored), on one
+    4 x 4 matrix or on each member of a (k, 4, 4) stack."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
+    if A.ndim not in (2, 3) or A.shape[-2:] != (4, 4):
         raise InvalidDimension(f"entry swap is defined on 4 x 4 only, got {A.shape}")
     B = A.copy()
-    B[0, 3], B[1, 2] = A[1, 2], A[0, 3]
-    B[3, 0], B[2, 1] = -A[1, 2], -A[0, 3]
+    B[..., 0, 3], B[..., 1, 2] = A[..., 1, 2], A[..., 0, 3]
+    B[..., 3, 0], B[..., 2, 1] = -A[..., 1, 2], -A[..., 0, 3]
     return B
 
 
@@ -154,31 +150,33 @@ def char_poly_skew(A: np.ndarray) -> np.ndarray:
     """Coefficients of det(x I - A), descending powers, leading 1.
 
     Uses the Faddeev-LeVerrier recursion (exact in exact arithmetic, stable
-    for the n <= 8 sizes supported here).
+    for the n <= 8 sizes supported here).  ``A`` is one matrix, giving an
+    (n + 1,) array, or a (k, n, n) stack, giving (k, n + 1), each row what
+    its member gets alone.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or not is_element(A, SKEW_REAL):
-        raise InvalidDimension("input is not a real skew-symmetric matrix")
-    n = A.shape[0]
+    stack = _skew_stack(A)
+    n = stack.shape[-1]
     if n > 8:
         raise InvalidDimension(f"characteristic polynomial supported for n <= 8, got {n}")
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    M = np.zeros_like(A)
+    coeffs = np.zeros((len(stack), n + 1))
+    coeffs[:, 0] = 1.0
+    M = np.zeros_like(stack)
     for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(A @ M) / k
-    return coeffs
+        M = stack @ M + coeffs[:, k - 1, None, None] * np.eye(n)
+        coeffs[:, k] = -np.trace(stack @ M, axis1=-2, axis2=-1) / k
+    return coeffs[0] if np.ndim(A) == 2 else coeffs
 
 
-def pfaffian4(A: np.ndarray) -> float:
-    """Pfaffian of a 4 x 4 skew matrix: a12 a34 - a13 a24 + a14 a23.
+def pfaffian4(A: np.ndarray) -> float | np.ndarray:
+    """Pfaffian of a 4 x 4 skew matrix: a12 a34 - a13 a24 + a14 a23; per
+    member (a (k,) array) for a (k, 4, 4) stack.
 
     Its square is the constant coefficient of the characteristic polynomial,
     which for n = 4 reads x**4 + p x**2 + pf**2 with p the sum of squared
     independent entries.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
+    if A.ndim not in (2, 3) or A.shape[-2:] != (4, 4):
         raise InvalidDimension(f"Pfaffian implemented for 4 x 4 only, got {A.shape}")
-    return float(A[0, 1] * A[2, 3] - A[0, 2] * A[1, 3] + A[0, 3] * A[1, 2])
+    pf = A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3] + A[..., 0, 3] * A[..., 1, 2]
+    return float(pf) if pf.ndim == 0 else pf

@@ -2,6 +2,7 @@
 deleted or renamed name would break it only when its multi-minute self-test
 runs.  This reads its target list and checks that every name resolves."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,14 +10,28 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def _targets():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
+    return tracing.TARGETS
+
+
+def test_every_traced_name_resolves():
+    targets = _targets()
+    assert targets
     missing = [
         f"{module}.{name}"
-        for _, module, name in tracing.TARGETS
+        for _, module, name in targets
         if not hasattr(importlib.import_module(f"isomlab.{module}"), name)
     ]
     assert missing == []
+
+
+def test_cli_uses_every_traced_name_it_imports():
+    """Every traced name that isomlab.cli binds is used in cli.py beyond its
+    import, so no import there exists only for the benchmark to wrap."""
+    cli = Path(importlib.import_module("isomlab.cli").__file__)
+    used = {node.id for node in ast.walk(ast.parse(cli.read_text())) if isinstance(node, ast.Name)}
+    traced = {name for _, module, name in _targets() if module == "cli"}
+    assert traced and sorted(traced - used) == []

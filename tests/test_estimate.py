@@ -333,6 +333,22 @@ def test_a_negative_trial_count_fails_closed(call):
         call(C)
 
 
+_TRIAL_CALLS = {
+    "check_invariance": lambda C, trials: il.check_invariance(il.schatten(3), 3, trials, 0),
+    "c_numerical_range_sample": lambda C, trials: il.c_numerical_range_sample(C, C, trials),
+    "verify_preserver_forms": lambda C, trials: il.verify_preserver_forms(C, 3, trials),
+}
+
+
+@pytest.mark.parametrize("trials", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("call", _TRIAL_CALLS.values(), ids=_TRIAL_CALLS.keys())
+def test_a_non_integer_trial_count_fails_closed(call, trials):
+    C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
+    with pytest.raises(InvalidDimension, match="need an integer trial count"):
+        call(C, trials)
+    call(C, np.int64(2))  # a numpy integer is a count
+
+
 def test_zero_trials_keep_their_meaning():
     C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
     assert il.check_invariance(il.schatten(3), 3, 0, 0) == 0.0

@@ -135,6 +135,35 @@ def test_so_adjoint_rejects_reflections_without_flag():
     assert np.max(np.abs(M.T @ M - np.eye(6))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_adjoint_maps_of_a_stack_are_its_members_maps(n):
+    """ad_matrix and so_adjoint_matrix give each member of a stack, bit for
+    bit, the map it gets alone."""
+    U = il.haar_unitary(n, [64, n], special=True, count=5)
+    Q = il.haar_orthogonal(n, [65, n], special=True, count=5)
+    hermitian, skew = il.gell_mann_basis(n), il.skew_basis(n)
+    ads, sos = il.ad_matrix(U, hermitian), il.so_adjoint_matrix(Q, skew)
+    assert ads.shape == (5, n * n - 1, n * n - 1) and sos.shape == (5, skew.d, skew.d)
+    for t in range(5):
+        assert ads[t].tobytes() == il.ad_matrix(U[t], hermitian).tobytes()
+        assert sos[t].tobytes() == il.so_adjoint_matrix(Q[t], skew).tobytes()
+
+
+def test_so_adjoint_of_a_stack_rejects_one_reflection():
+    Q = il.haar_orthogonal(4, 66, special=True, count=3)
+    Q[1, :, 0] *= -1.0
+    with pytest.raises(NotSpecialOrthogonal):
+        il.so_adjoint_matrix(Q)
+    M = il.so_adjoint_matrix(Q, allow_reflection=True)
+    assert M[1].tobytes() == il.so_adjoint_matrix(Q[1], allow_reflection=True).tobytes()
+
+
+def test_cartan_matrix_is_built_once_per_basis_and_read_only():
+    basis = il.gell_mann_basis(4)
+    S = il.cartan_matrix(basis)
+    assert il.cartan_matrix(basis) is S and not S.flags.writeable
+
+
 def test_psi_matrix_swaps_third_and_fourth_coordinate():
     P = il.psi_matrix()
     npt.assert_allclose(P @ np.arange(1.0, 7.0), [1, 2, 4, 3, 5, 6])
@@ -143,12 +172,15 @@ def test_psi_matrix_swaps_third_and_fourth_coordinate():
 
 
 def test_tau_matrix_is_negation():
+    """The transpose map of the skew space is -I in coordinates (A.T = -A):
+    an involution that keeps singular values and commutes with every
+    congruence."""
     for n in (3, 4, 5):
         basis = il.skew_basis(n)
-        T = il.tau_matrix(basis)
-        npt.assert_array_equal(T, -np.eye(basis.d))
-        npt.assert_allclose(T @ T, np.eye(basis.d))
         A = il.random_element(il.SKEW_REAL, n, n)
+        T = -np.eye(basis.d)
+        npt.assert_allclose(il.vectorize(A.T, basis), T @ il.vectorize(A, basis), atol=1e-15)
+        npt.assert_allclose(T @ T, np.eye(basis.d))
         back = il.apply_map(T, A, basis)
         npt.assert_allclose(
             np.linalg.svd(back, compute_uv=False),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -358,6 +359,144 @@ def test_a_rejected_map_keeps_no_eigen_array_alive(space):
         exc = exc.__context__
 
 
+def _same_bits(a, b):
+    """Whether two decompositions agree bit for bit, field by field."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, np.ndarray):
+            if x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_decomposed_stack_is_its_members_decomposed_alone(n):
+    """Every branch in one stack, and a member perturbed by 1e-9 (whose
+    residual cannot certify it, so the distance test runs for it): each
+    member gets, bit for bit, what it gets alone, and the stack draws the
+    same numbers from the Generator as the single calls in turn."""
+    basis = il.gell_mann_basis(n)
+    rng = np.random.default_rng([59, n])
+    maps = [
+        canonical_map(n, eta, flag, il.haar_unitary(n, rng, special=True))
+        for eta in (1, -1)
+        for flag in (False, True)
+    ]
+    maps.insert(2, maps[1] + 1e-9 * rng.uniform(-1, 1, maps[1].shape))
+    M = np.stack(maps)
+    B = rng.standard_normal((len(M), basis.d))
+    seed = np.random.default_rng(60)
+    alone_seed = copy.deepcopy(seed)
+    stacked = il.decompose_isometry(M, SPEC3, offset=B, seed=seed)
+    alone = [il.decompose_isometry(m, SPEC3, offset=b, seed=alone_seed) for m, b in zip(M, B)]
+    assert isinstance(stacked, tuple) and len(stacked) == len(M)
+    assert all(_same_bits(s, a) for s, a in zip(stacked, alone))
+    assert seed.bit_generator.state == alone_seed.bit_generator.state
+    if n >= 3:
+        assert seed.bit_generator.state != np.random.default_rng(60).bit_generator.state
+    with pytest.raises(InvalidDimension):
+        il.decompose_isometry(M, SPEC3, offset=B[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_decomposed_skew_stack_is_its_members_decomposed_alone(n):
+    """sign +-1 with and without psi (at n = 4), and a perturbed member."""
+    spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+    rng = np.random.default_rng([67, n])
+    maps = [
+        sign * il.so_adjoint_matrix(il.haar_orthogonal(n, rng, special=True)) @ (il.psi_matrix() if flag else np.eye(n * (n - 1) // 2))
+        for sign in (1, -1)
+        for flag in ((False, True) if n == 4 else (False,))
+    ]
+    maps.append(maps[-1] + 1e-9 * rng.uniform(-1, 1, maps[-1].shape))
+    M = np.stack(maps)
+    seed = np.random.default_rng(68)
+    alone_seed = copy.deepcopy(seed)
+    stacked = il.decompose_skew_isometry(M, spec, seed=seed)
+    alone = [il.decompose_skew_isometry(m, spec, seed=alone_seed) for m in M]
+    assert [(d.sign, d.psi_flag) for d in stacked][: len(maps) - 1] == [
+        (sign, flag) for sign in (1, -1) for flag in ((False, True) if n == 4 else (False,))
+    ]
+    assert all(_same_bits(s, a) for s, a in zip(stacked, alone))
+    assert seed.bit_generator.state == alone_seed.bit_generator.state
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_a_stack_names_the_members_no_branch_reproduces(space):
+    """Euclidean rotations mixed with adjoint maps, all isometries of the
+    Frobenius norm: NotInClassifiedForm.members lists exactly the
+    rotations."""
+    n = 4
+    if space == il.HERMITIAN_TRACELESS:
+        adjoint = il.ad_matrix(il.haar_unitary(n, 69, special=True, count=3))
+        decompose = il.decompose_isometry
+    else:
+        adjoint = il.so_adjoint_matrix(il.haar_orthogonal(n, 69, special=True, count=3))
+        decompose = il.decompose_skew_isometry
+    rotations = il.haar_orthogonal(adjoint.shape[-1], 70, special=True, count=2)
+    M = np.stack([adjoint[0], rotations[0], adjoint[1], adjoint[2], rotations[1]])
+    with pytest.raises(NotInClassifiedForm) as err:
+        decompose(M, il.frobenius(space), seed=0)
+    assert err.value.members == (1, 4)
+    with pytest.raises(NotInClassifiedForm) as err:
+        decompose(rotations[0], il.frobenius(space), seed=0)
+    assert err.value.members == (0,)
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_a_stack_holding_one_non_isometry_raises_not_isometry(space):
+    n = 4
+    if space == il.HERMITIAN_TRACELESS:
+        adjoint, spec = il.ad_matrix(il.haar_unitary(n, 71, special=True, count=3)), SPEC3
+        decompose = il.decompose_isometry
+    else:
+        adjoint, spec = il.so_adjoint_matrix(il.haar_orthogonal(n, 71, special=True, count=3)), CSPEC21
+        decompose = il.decompose_skew_isometry
+    M = np.concatenate([adjoint, 2.0 * np.eye(adjoint.shape[-1])[None]])[[0, 3, 1, 2]]
+    with pytest.raises(NotIsometry):
+        decompose(M, spec, seed=0)
+    # a Euclidean rotation is no isometry of a non-Euclidean norm either
+    M[1] = il.haar_orthogonal(adjoint.shape[-1], 72, special=True)
+    with pytest.raises(NotIsometry):
+        decompose(M, spec, seed=0)
+
+
+def test_inversions_of_a_stack_are_its_members_inverted_alone():
+    U = il.haar_unitary(3, 73, special=True, count=4)
+    Q = il.haar_orthogonal(4, 73, special=True, count=4)
+    P = il.psi_matrix()
+    for invert, maps, n in (
+        (il.recover_unitary_from_ad, il.ad_matrix(U), 3),
+        (il.recover_orthogonal_from_adso, P @ il.so_adjoint_matrix(Q) @ P, 4),
+    ):
+        C, residual = invert(maps, n)
+        assert C.shape == (4, n, n) and residual.shape == (4,)
+        for t, M in enumerate(maps):
+            c, r = invert(M, n)
+            assert C[t].tobytes() == c.tobytes() and residual[t] == r
+    # a stack raises for its first refused member, with that member's residual
+    maps = np.stack([il.so_adjoint_matrix(Q[0]), -P, P])
+    with pytest.raises(NotAdjointImage) as err:
+        il.recover_orthogonal_from_adso(maps, 4)
+    with pytest.raises(NotAdjointImage) as alone:
+        il.recover_orthogonal_from_adso(-P, 4)
+    assert err.value.residual == alone.value.residual
+
+
+def test_unitary_phase_distance_of_stacks_is_per_member():
+    U = il.haar_unitary(4, 74, special=True, count=3)
+    V = il.haar_unitary(4, 75, special=True, count=3)
+    dist = il.unitary_phase_distance(U, V)
+    assert dist.shape == (3,)
+    for t in range(3):
+        assert dist[t] == il.unitary_phase_distance(U[t], V[t])
+    assert il.unitary_phase_distance(U[0], 1j * U[0]) < 1e-15
+
+
 @pytest.mark.parametrize(
     "offset", [np.zeros(7), np.full(8, np.nan), np.r_[np.zeros(7), np.inf], np.zeros((8, 1))]
 )
@@ -497,7 +636,8 @@ def test_even_n_reflection_congruence_is_refused(n):
 
 
 def test_decompose_skew_tau():
-    dec = il.decompose_skew_isometry(il.tau_matrix(il.skew_basis(4)), CSPEC21)
+    # the transpose map of the skew space is -I in coordinates
+    dec = il.decompose_skew_isometry(-np.eye(6), CSPEC21)
     assert dec.sign == -1 and not dec.psi_flag
     assert il.orthogonal_sign_distance(dec.orthogonal, np.eye(4)) < 1e-12
 

@@ -111,16 +111,79 @@ def test_psi_apply_wrong_dimension():
     "A",
     [
         np.eye(4),
-        il.random_element(il.SKEW_REAL, 4, 19, count=1),
-        il.random_element(il.SKEW_REAL, 4, 19, count=2),
+        np.stack([il.random_element(il.SKEW_REAL, 4, 19), np.eye(4)]),
     ],
-    ids=["not_skew", "stack_of_1", "stack_of_2"],
+    ids=["not_skew", "stack_with_one_non_skew"],
 )
 def test_youla_and_char_poly_reject_non_skew_input(A):
     with pytest.raises(InvalidDimension):
         il.youla_decompose(A)
     with pytest.raises(InvalidDimension):
         il.char_poly_skew(A)
+
+
+def _same_form(a, b):
+    """Whether two block forms agree bit for bit, field by field."""
+    return (
+        (a.n, a.r) == (b.n, b.r)
+        and a.orthogonal.tobytes() == b.orthogonal.tobytes()
+        and a.a.tobytes() == b.a.tobytes()
+        and type(a.residual) is type(b.residual) is float
+        and a.residual == b.residual
+    )
+
+
+@pytest.mark.parametrize("count", [1, 2, 7], ids=["stack_of_1", "stack_of_2", "stack_of_7"])
+def test_skew_functions_take_a_stack_member_by_member(count):
+    """youla_decompose, char_poly_skew, psi_apply and pfaffian4 give each
+    member of a stack, bit for bit, what it gets alone."""
+    A = il.random_element(il.SKEW_REAL, 4, 19, count=count)
+    forms = il.youla_decompose(A)
+    polys, swapped, pf = il.char_poly_skew(A), il.psi_apply(A), il.pfaffian4(A)
+    assert isinstance(forms, tuple) and len(forms) == count
+    assert polys.shape == (count, 5) and swapped.shape == A.shape and pf.shape == (count,)
+    for t, a in enumerate(A):
+        assert _same_form(forms[t], il.youla_decompose(a))
+        assert polys[t].tobytes() == il.char_poly_skew(a).tobytes()
+        assert swapped[t].tobytes() == il.psi_apply(a).tobytes()
+        assert pf[t] == il.pfaffian4(a)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_youla_stack_of_mixed_ranks_is_its_members_alone(n):
+    """Members with different numbers of blocks (the zero matrix, one block,
+    full rank) share a stack and each gets its own form."""
+    rng = np.random.default_rng([62, n])
+    one_block = np.zeros((n, n))
+    one_block[0, 1], one_block[1, 0] = 1.5, -1.5
+    Q = il.haar_orthogonal(n, rng, special=True)
+    A = np.stack([
+        il.random_element(il.SKEW_REAL, n, rng),
+        np.zeros((n, n)),
+        Q @ one_block @ Q.T,
+        il.random_element(il.SKEW_REAL, n, rng),
+    ])
+    forms = il.youla_decompose(A)
+    assert [form.r for form in forms] == [n // 2, 0, 1, n // 2]
+    for a, form in zip(A, forms):
+        assert _same_form(form, il.youla_decompose(a))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_youla_stack_of_tied_blocks_is_orthonormal(n):
+    """Tied block parameters need no re-orthogonalization: conj(v) lies in
+    the -a eigenspace, so the Re/Im pairs come out orthonormal."""
+    count = 40
+    Q = il.haar_orthogonal(n, [63, n], special=True, count=count)
+    S = np.zeros((n, n))
+    for j in range(n % 2, n, 2):
+        S[j, j + 1], S[j + 1, j] = 2.0, -2.0
+    forms = il.youla_decompose(Q @ S @ Q.swapaxes(1, 2))
+    for form in forms:
+        npt.assert_allclose(form.a, np.full(n // 2, 2.0), atol=1e-12)
+        C = form.orthogonal
+        assert np.max(np.abs(C.T @ C - np.eye(n))) <= 1e-13
+        assert form.residual <= 1e-10
 
 
 def test_psi_preserves_char_poly_and_norm():
