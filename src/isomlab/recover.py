@@ -233,7 +233,8 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     ``residual`` the max coordinate deviation of ``ad_matrix(U)`` from M.
     Raises :class:`InvalidDimension` unless M is a finite real
     (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when the residual
-    exceeds ``RESIDUAL_TOL``.
+    exceeds ``RESIDUAL_TOL``.  A (k, d, d) stack is taken as
+    :func:`recover_orthogonal_from_adso` takes one.
     """
     return _inverted(M, gell_mann_basis(n), _unitary_fit)
 

@@ -112,9 +112,7 @@ def youla_decompose(A: np.ndarray):
         a = w[members, :r]
         q1 = np.sqrt(2.0) * V[members, :, :r].imag
         q2 = np.sqrt(2.0) * V[members, :, :r].real
-        # fix the in-plane rotation freedom: rotate each pair so its dominant
-        # row loads positively on the first column and not at all on the
-        # second (Q = I on canonical input)
+        # the in-plane rotation of each pair (Q = I on canonical input)
         j0 = np.argmax(q1**2 + q2**2, axis=1)[:, None, :]
         theta = np.arctan2(np.take_along_axis(q2, j0, 1), np.take_along_axis(q1, j0, 1))
         q1, q2 = np.cos(theta) * q1 + np.sin(theta) * q2, np.cos(theta) * q2 - np.sin(theta) * q1
