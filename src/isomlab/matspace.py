@@ -158,7 +158,10 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
         raise InvalidDimension(
             f"coordinate length {v.shape} does not match basis d={basis.d}"
         )
-    return np.tensordot(v, basis.mats, axes=1)
+    n = basis.n
+    # tensordot's product (a vector taken as one row), without its overhead
+    rows = v.reshape(-1, basis.d) @ basis.mats.reshape(basis.d, n * n)
+    return rows.reshape(v.shape[:-1] + (n, n))
 
 
 def apply_map(M: np.ndarray, A: np.ndarray, basis: Basis) -> np.ndarray:

@@ -430,10 +430,11 @@ def decompose_isometry(
     )
     # one (1, d) product per member, the bits devectorize gives one vector
     # (devectorize of a (k, d) stack is one k-row product, which rounds apart)
-    translation = offset[:, None, :] @ basis.mats.reshape(basis.d, n * n)
+    translation = (offset[:, None, :] @ basis.mats.reshape(basis.d, n * n)).reshape(-1, n, n)
+    # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
         IsometryDecomposition(
-            eta=e, sigma_flag=f, unitary=u, translation=b.reshape(n, n), residual=r
+            eta=e, sigma_flag=f, unitary=u.copy(), translation=b.copy(), residual=r
         )
         for e, f, u, b, r in zip(eta.tolist(), sigma_flag.tolist(), U, translation, residual.tolist())
     )
@@ -464,7 +465,7 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
         stack, spec, rng, involution, skew_basis(n), _rotation_fit
     )
     decompositions = tuple(
-        SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q, residual=r)
+        SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)
         for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())
     )
     return decompositions[0] if np.ndim(M) == 2 else decompositions

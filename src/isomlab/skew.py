@@ -126,7 +126,7 @@ def youla_decompose(A: np.ndarray):
     Q[flip, :, 0] *= -1.0
     residual = np.max(np.abs(Q @ S @ Q.swapaxes(-1, -2) - stack), axis=(-2, -1))
     forms = tuple(
-        YoulaForm(n=n, orthogonal=q, a=row[:r], r=int(r), residual=float(res))
+        YoulaForm(n=n, orthogonal=q.copy(), a=row[:r].copy(), r=int(r), residual=float(res))
         for q, row, r, res in zip(Q, w, ranks, residual)
     )
     return forms[0] if np.ndim(A) == 2 else forms
