@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -165,13 +165,7 @@ class ReportDocument:
         return bool(self.records) and all(r.passed for r in self.records)
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "records": [r.as_dict() for r in self.records],
-            "runtime_ms": self.runtime_ms,
-            "version": self.version,
-        }
+        return {**vars(self), "records": [r.as_dict() for r in self.records]}
 
 
 def _fmt_scalar(x) -> str:
@@ -230,12 +224,8 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
 def _record(check_id, tag, n, spec, value, expected, tol, mode="abs", error=None) -> CheckRecord:
     value = float(value)
     expected = float(expected)
-    if mode == "abs":
-        passed = abs(value - expected) <= tol
-    elif mode == "eq":
-        passed = value == expected
-    else:  # "ge": value must be at least expected - tol
-        passed = value >= expected - tol
+    # mode "ge": value must be at least expected - tol
+    passed = abs(value - expected) <= tol if mode == "abs" else value >= expected - tol
     # a NaN or infinite entry is serialized as null and never passes
     passed = passed and error is None and all(math.isfinite(x) for x in (value, expected, tol))
     return CheckRecord(check_id, tag, n, spec, value, expected, float(tol), bool(passed), error)
@@ -245,23 +235,25 @@ def _record(check_id, tag, n, spec, value, expected, tol, mode="abs", error=None
 CHECK_ERRORS = (IsomlabError, np.linalg.LinAlgError)
 
 
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _guarded(rows, compute):
-    """One record per row, from the values ``compute()`` returns in row
-    order; compute runs at once, inside this call.  A row is
-    ``(check_id, tag, n, spec, expected, tol[, mode])``.  If compute raises
-    one of CHECK_ERRORS, every row becomes a failing record with a null
-    value and the error attached."""
+def _group(cfg: SuiteConfig, tag: str, n: int, spec: str, rows, compute, rng=None):
+    """The records of one group of checks, all with theorem tag ``tag``,
+    size n and norm token ``spec`` ("" for none).  A row is
+    ``(check_id, expected, tol[, mode])``, tol a DEFAULT_TOL key or a
+    number.  ``compute(rng)`` runs at once and returns one value per row, in
+    row order; rng is the group's stream (_stream of its first check id)
+    unless the caller built it.  If compute raises one of CHECK_ERRORS,
+    every row becomes a failing record with a null value and the error
+    attached."""
     try:
-        values, error = compute(), None
+        values, error = compute(_stream(cfg, rows[0][0]) if rng is None else rng), None
     except CHECK_ERRORS as exc:
-        values, error = [math.nan] * len(rows), _describe(exc)
+        values, error = [math.nan] * len(rows), f"{type(exc).__name__}: {exc}"
     return [
-        _record(check_id, tag, n, spec, value, *rest, error=error)
-        for (check_id, tag, n, spec, *rest), value in zip(rows, values, strict=True)
+        _record(
+            check_id, tag, n, spec, value, expected,
+            cfg.tolerance(tol) if isinstance(tol, str) else tol, *mode, error=error,
+        )
+        for (check_id, expected, tol, *mode), value in zip(rows, values, strict=True)
     ]
 
 
@@ -316,15 +308,14 @@ def _invariance_records(cfg: SuiteConfig):
     records = []
     for n in cfg.n_values:
         for spec in _specs(cfg.norms, cfg.space, n):
-            check = f"invariance/{spec.token()}/n={n}"
-            records += _guarded(
-                [(check, _tag(spec, n), n, spec.token(), 0.0, cfg.tolerance("invariance"))],
-                lambda: [check_invariance(spec, n, trials, _stream(cfg, check))],
+            records += _group(
+                cfg, _tag(spec, n), n, spec.token(),
+                [(f"invariance/{spec.token()}/n={n}", 0.0, "invariance")],
+                lambda rng: [check_invariance(spec, n, trials, rng)],
             )
-        check = f"sigma_identity/n={n}"
-        records += _guarded(
-            [(check, "T1i", n, "", 0.0, cfg.tolerance("sigma_identity"))],
-            lambda: _sigma_identity_worst(n, max(10, min(trials, 50)), _stream(cfg, check)),
+        records += _group(
+            cfg, "T1i", n, "", [(f"sigma_identity/n={n}", 0.0, "sigma_identity")],
+            lambda rng: _sigma_identity_worst(n, max(10, min(trials, 50)), rng),
         )
     return records
 
@@ -348,18 +339,17 @@ def _dimension_records(cfg: SuiteConfig):
                 # so(2) is a line: every norm on it is a multiple of |x|, whose
                 # isometries are +-1, and its one singular value has no gap to read
                 continue
-            tag = _tag(spec, n)
-            token = spec.token()
             # the adjoint group has the dimension d of the space, its Lie algebra
             expected = d * (d - 1) // 2 if _is_euclidean(spec) else d
-            check = f"dimension/{token}/n={n}"
-            records += _guarded(
+            check = f"dimension/{spec.token()}/n={n}"
+            records += _group(
+                cfg, _tag(spec, n), n, spec.token(),
                 [
-                    (check, tag, n, token, expected, 0, "eq"),
-                    (check + "/gap", tag, n, token, cfg.tolerance("gap_ratio"), 0.0, "ge"),
-                    (check + "/containment", tag, n, token, 0.0, cfg.tolerance("containment")),
+                    (check, expected, 0),
+                    (check + "/gap", cfg.tolerance("gap_ratio"), 0.0, "ge"),
+                    (check + "/containment", 0.0, "containment"),
                 ],
-                lambda: _dimension_values(spec, n, _stream(cfg, check)),
+                lambda rng: _dimension_values(spec, n, rng),
             )
     return records
 
@@ -434,32 +424,30 @@ def _decompose_records(cfg: SuiteConfig):
     records = []
     # parsed on the configured space, so under --space skew this falls back
     spec = _first_non_euclidean(cfg, cfg.space, min(cfg.n_values), HERMITIAN_TRACELESS)
-    if spec is None:
-        spec = parse_norm("schatten:3")
+    spec = spec or parse_norm("schatten:3")
 
     for n in cfg.n_values:
-        token = spec.token()
-        check = f"decompose/branch_match/n={n}"
-        records += _guarded(
+        records += _group(
+            cfg, "C2", n, spec.token(),
             [
-                (check, "C2", n, token, count, 0, "eq"),
-                (f"decompose/residual/n={n}", "C2", n, token, 0.0, cfg.tolerance("roundtrip")),
-                (f"decompose/unitary_err/n={n}", "C2", n, token, 0.0, cfg.tolerance("unitary_err")),
+                (f"decompose/branch_match/n={n}", count, 0),
+                (f"decompose/residual/n={n}", 0.0, "roundtrip"),
+                (f"decompose/unitary_err/n={n}", 0.0, "unitary_err"),
             ],
-            lambda: _hermitian_round_trips(spec, n, count, _stream(cfg, check)),
+            lambda rng: _hermitian_round_trips(spec, n, count, rng),
         )
 
     # negative control: generic rotations preserve only the Euclidean norm
     n = 3 if 3 in cfg.n_values else max(cfg.n_values[0], 3)
-    check = f"negative_control/frobenius_isometry/n={n}"
-    records += _guarded(
-        [(check, "T1ii", n, "frobenius", 0.0, cfg.tolerance("invariance"))],
-        lambda: _frobenius_deviation(n, count, _stream(cfg, check)),
+    records += _group(
+        cfg, "T1ii", n, "frobenius",
+        [(f"negative_control/frobenius_isometry/n={n}", 0.0, "invariance")],
+        lambda rng: _frobenius_deviation(n, count, rng),
     )
-    check = f"negative_control/rejected/n={n}"
-    records += _guarded(
-        [(check, "T1ii", n, "frobenius", math.ceil(0.99 * count), 0.0, "ge")],
-        lambda: _euclidean_rejections(n, count, _stream(cfg, check)),
+    records += _group(
+        cfg, "T1ii", n, "frobenius",
+        [(f"negative_control/rejected/n={n}", math.ceil(0.99 * count), 0.0, "ge")],
+        lambda rng: _euclidean_rejections(n, count, rng),
     )
 
     # skew round trips
@@ -467,24 +455,18 @@ def _decompose_records(cfg: SuiteConfig):
         if n < 3:
             continue
         skew_spec = _first_non_euclidean(cfg, "skew", n, SKEW_REAL)
-        if skew_spec is None:
-            weights = tuple(float(n // 2 - i) for i in range(n // 2))
-            skew_spec = c_spectral(weights)
+        skew_spec = skew_spec or c_spectral(float(n // 2 - i) for i in range(n // 2))
         for tag, use_psi in (("CK_i", False), ("CK_ii", True)):
             if use_psi and n != 4:
                 continue
             suffix = "psi" if use_psi else "plain"
-            token = skew_spec.token()
-            check = f"decompose_skew/{suffix}/branch_match/n={n}"
-            records += _guarded(
+            records += _group(
+                cfg, tag, n, skew_spec.token(),
                 [
-                    (check, tag, n, token, count, 0, "eq"),
-                    (
-                        f"decompose_skew/{suffix}/residual/n={n}", tag, n,
-                        token, 0.0, cfg.tolerance("roundtrip"),
-                    ),
+                    (f"decompose_skew/{suffix}/branch_match/n={n}", count, 0),
+                    (f"decompose_skew/{suffix}/residual/n={n}", 0.0, "roundtrip"),
                 ],
-                lambda: _skew_round_trips(skew_spec, n, count, use_psi, _stream(cfg, check)),
+                lambda rng: _skew_round_trips(skew_spec, n, count, use_psi, rng),
             )
     return records
 
@@ -547,32 +529,26 @@ def _skew_records(cfg: SuiteConfig):
     count = cfg.samples or 50
     records = []
     for n in cfg.n_values:
-        check = f"youla/reconstruction/n={n}"
-        records += _guarded(
-            [
-                (check, "S4_youla", n, "", 0.0, cfg.tolerance("youla")),
-                (f"youla/singular_values/n={n}", "S4_youla", n, "", 0.0, cfg.tolerance("youla")),
-            ],
-            lambda: _youla_worst(n, count, _stream(cfg, check)),
+        records += _group(
+            cfg, "S4_youla", n, "",
+            [(f"youla/reconstruction/n={n}", 0.0, "youla"), (f"youla/singular_values/n={n}", 0.0, "youla")],
+            lambda rng: _youla_worst(n, count, rng),
         )
 
     if 4 in cfg.n_values:
-        check = "psi/charpoly_invariant/n=4"
-        records += _guarded(
-            [
-                (check, "S4_psi", 4, "", 0.0, cfg.tolerance("charpoly")),
-                ("psi/pfaffian_identity/n=4", "S4_psi", 4, "", 0.0, cfg.tolerance("charpoly")),
-            ],
-            lambda: _psi_charpoly_worst(cfg.samples or 200, _stream(cfg, check)),
+        records += _group(
+            cfg, "S4_psi", 4, "",
+            [("psi/charpoly_invariant/n=4", 0.0, "charpoly"), ("psi/pfaffian_identity/n=4", 0.0, "charpoly")],
+            lambda rng: _psi_charpoly_worst(cfg.samples or 200, rng),
         )
-        check = "psi/normalizer_closure/n=4"
-        records += _guarded(
-            [(check, "S4_psi", 4, "", 0.0, cfg.tolerance("roundtrip"))],
-            lambda: _psi_closure_worst(min(count, 100), _stream(cfg, check)),
+        records += _group(
+            cfg, "S4_psi", 4, "", [("psi/normalizer_closure/n=4", 0.0, "roundtrip")],
+            lambda rng: _psi_closure_worst(min(count, 100), rng),
         )
-        records += _guarded(
-            [("psi/not_adjoint_image/n=4", "S4_psi", 4, "", cfg.tolerance("reject_residual"), 0, "ge")],
-            _psi_reject_residual,
+        records += _group(
+            cfg, "S4_psi", 4, "",
+            [("psi/not_adjoint_image/n=4", cfg.tolerance("reject_residual"), 0, "ge")],
+            lambda rng: _psi_reject_residual(),
         )
     return records
 
@@ -598,29 +574,29 @@ def _preserver_deviations(n: int, trials: int, rng):
 def _cnr_records(cfg: SuiteConfig):
     records = []
     trials = cfg.samples or 10
-    check = "cnr/n2_analytic"
-    a, c = 0.5 + _stream(cfg, check).random(2)
+    # the expected radius is drawn, so this group builds its stream first
+    rng = _stream(cfg, "cnr/n2_analytic")
+    a, c = 0.5 + rng.random(2)
     A = np.diag([a, -a]).astype(complex)
     C = np.diag([c, -c]).astype(complex)
-    records += _guarded(
-        [(check, "T3", 2, "", 2 * a * c, cfg.tolerance("radius"))],
-        lambda: [c_numerical_radius(A, C)],
+    records += _group(
+        cfg, "T3", 2, "", [("cnr/n2_analytic", 2 * a * c, "radius")],
+        lambda rng: [c_numerical_radius(A, C)], rng=rng,
     )
     for n in cfg.n_values:
-        check = f"cnr/range_containment/n={n}"
-        records += _guarded(
-            [(check, "T3", n, "", 0.0, cfg.tolerance("perm_bound"))],
-            lambda: _range_containment_worst(n, min(trials, 10), _stream(cfg, check)),
+        records += _group(
+            cfg, "T3", n, "", [(f"cnr/range_containment/n={n}", 0.0, "perm_bound")],
+            lambda rng: _range_containment_worst(n, min(trials, 10), rng),
         )
     n = 3 if 3 in cfg.n_values else cfg.n_values[0]
-    check = f"cnr/preserver_radius/n={n}"
-    records += _guarded(
+    records += _group(
+        cfg, "T3", n, "",
         [
-            (check, "T3", n, "", 0.0, cfg.tolerance("radius")),
-            (f"cnr/preserver_wc_interval/n={n}", "T3", n, "", 0.0, cfg.tolerance("wc_interval")),
-            (f"cnr/preserver_wc_pointwise/n={n}", "T3", n, "", 0.0, 1e-12),
+            (f"cnr/preserver_radius/n={n}", 0.0, "radius"),
+            (f"cnr/preserver_wc_interval/n={n}", 0.0, "wc_interval"),
+            (f"cnr/preserver_wc_pointwise/n={n}", 0.0, 1e-12),
         ],
-        lambda: _preserver_deviations(n, min(trials, 20), _stream(cfg, check)),
+        lambda rng: _preserver_deviations(n, min(trials, 20), rng),
     )
     return records
 
@@ -647,15 +623,7 @@ def run_suite(config: SuiteConfig) -> ReportDocument:
         if config.suite in (suite, "all"):
             records += build(config)
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    echo = {
-        "suite": config.suite,
-        "n_values": list(config.n_values),
-        "norms": list(config.norms),
-        "space": config.space,
-        "samples": config.samples,
-        "seed": config.seed,
-        "tol": {k: float(v) for k, v in sorted(config.tol.items())},
-    }
+    echo = {**asdict(config), "tol": {k: float(v) for k, v in sorted(config.tol.items())}}
     return ReportDocument(
         suite=config.suite,
         config=echo,
