@@ -168,44 +168,18 @@ class ReportDocument:
         return {**vars(self), "records": [r.as_dict() for r in self.records]}
 
 
-def _fmt_scalar(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        # JSON has no NaN or infinity; a record holding one fails (_record)
-        return format(x, ".17g") if math.isfinite(x) else "null"
-    if isinstance(x, str):
-        return json.dumps(x)
-    if x is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(x)}")
-
-
-def _fmt_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(k)}: {_fmt_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_fmt_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    return _fmt_scalar(obj)
-
-
 def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
-    """Serialize a report; JSON has fixed key order and floats rendered
-    with 17 significant digits, text is a human-readable table."""
+    """Serialize a report; JSON has fixed key order, floats in shortest
+    round-trip form and null for a non-finite value, text is a
+    human-readable table."""
     if fmt == "json":
-        return _fmt_json(doc.as_dict()) + "\n"
+        out = doc.as_dict()
+        for rec in out["records"]:
+            # JSON has no NaN or infinity; a record holding one fails (_record)
+            for key in ("value", "expected", "tolerance"):
+                if not math.isfinite(rec[key]):
+                    rec[key] = None
+        return json.dumps(out, indent=2, allow_nan=False) + "\n"
     lines = [
         f"suite: {doc.suite}   version: {doc.version}   runtime: {doc.runtime_ms:.1f} ms",
         f"{'status':6s}  {'check':44s} {'tag':8s} {'n':>2s}  {'value':>12s}  {'expected':>12s}  {'tol':>9s}",

@@ -101,7 +101,7 @@ def test_empty_suite_emits_valid_json():
     assert isinstance(parsed["records"], list)
 
 
-def test_float_serialization_17_digits():
+def test_float_serialization_round_trips():
     doc = run_suite(small_config("invariance", n_values=(2,), samples=2))
     text = emit_report(doc, "json")
     val = json.loads(text)["records"][0]["value"]
