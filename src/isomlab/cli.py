@@ -100,8 +100,13 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if not self.n_values:
             raise ValueError("at least one n value is needed")
+        for val in (self.seed, self.samples, *self.n_values):
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ValueError(f"seed, samples and n values must be integers, got {val!r}")
         if any(n < 2 or n > 8 for n in self.n_values):
             raise ValueError("n values must lie in [2, 8]")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError(f"n values must be distinct, got {list(self.n_values)}")
         if self.samples < 0:
             raise ValueError("samples must be >= 0 (0 picks the per-suite default)")
         if not 0 <= self.seed < 2**64:
@@ -113,11 +118,15 @@ class SuiteConfig:
                 raise ValueError(f"unknown tolerance key {key!r}")
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
                 raise ValueError(f"tolerance {key} must be finite and >= 0, got {val!r}")
+        seen = {}  # token() of each norm -> the token that named it
         for token in self.norms:
             try:
-                _parse_token(token, self.space)
+                name = _parse_token(token, self.space).token()
             except IsomlabError as exc:
                 raise ValueError(str(exc)) from exc
+            if name in seen:
+                raise ValueError(f"norm tokens {seen[name]!r} and {token!r} both name {name}")
+            seen[name] = token
 
     def tolerance(self, key: str) -> float:
         return float(self.tol.get(key, DEFAULT_TOL[key]))
@@ -607,15 +616,6 @@ def run_suite(config: SuiteConfig) -> ReportDocument:
     )
 
 
-def _parse_tol(pairs):
-    """KEY=VALUE overrides as a dict; SuiteConfig.validate checks them."""
-    tol = {}
-    for p in pairs or ():
-        key, _, val = p.partition("=")
-        tol[key] = float(val)
-    return tol
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isomlab",
@@ -664,7 +664,7 @@ def main(argv=None) -> int:
             space=args.space,
             samples=args.samples,
             seed=args.seed,
-            tol=_parse_tol(args.tol),
+            tol={key: float(val) for key, _, val in (p.partition("=") for p in args.tol or ())},
         )
         config.validate()
     except ValueError as exc:

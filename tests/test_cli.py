@@ -180,6 +180,8 @@ def test_main_usage_error_exits_2():
         ["cnr", "--n", ","],
         ["invariance", "--n", "2,,3"],
         ["skew", "--seed", str(2**64)],
+        ["invariance", "--n", "3,3"],
+        ["invariance", "--norm", "schatten:3", "--norm", "schatten:3.0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -303,12 +305,17 @@ def test_config_validation_bounds():
         (dict(tol={"invariance": -1.0}), "tolerance invariance must be finite and >= 0"),
         (dict(tol={"radius": math.nan}), "tolerance radius must be finite and >= 0"),
         (dict(tol={"radius": "1e-3"}), "tolerance radius must be finite and >= 0"),
+        (dict(samples=2.5), "seed, samples and n values must be integers, got 2.5"),
+        (dict(seed=1.5), "seed, samples and n values must be integers, got 1.5"),
+        (dict(n_values=(3.0,)), "seed, samples and n values must be integers, got 3.0"),
+        (dict(samples=True), "seed, samples and n values must be integers, got True"),
     ],
-    ids=["space", "tol-key", "tol-negative", "tol-nan", "tol-string"],
+    ids=["space", "tol-key", "tol-negative", "tol-nan", "tol-string", "samples-float", "seed-float",
+         "n-float", "samples-bool"],
 )
 def test_run_suite_refuses_an_unknown_space_or_a_bad_tolerance(kw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_suite(SuiteConfig(suite="invariance", n_values=(2,), samples=2, **kw))
+        run_suite(SuiteConfig(**{"suite": "invariance", "n_values": (2,), "samples": 2, **kw}))
 
 
 def test_record_groups_draw_from_independent_streams(monkeypatch):
