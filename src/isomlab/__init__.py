@@ -14,6 +14,7 @@ from .errors import (
     InconclusiveDimension,
     InvalidDimension,
     InvalidNormSpec,
+    InvalidSeed,
     IsomlabError,
     NotAdjointImage,
     NotHermitian,

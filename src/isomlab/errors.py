@@ -21,6 +21,11 @@ class InvalidNormSpec(IsomlabError):
     """Norm parameters are outside their legal range."""
 
 
+class InvalidSeed(IsomlabError):
+    """A seed that ``np.random.default_rng`` refuses, such as a negative
+    integer."""
+
+
 class DegeneratePoint(IsomlabError):
     """Gradient requested at a point where the norm is not smooth;
     ``members`` indexes the offending members of a stack (0: one matrix)."""

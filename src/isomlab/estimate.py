@@ -39,11 +39,19 @@ dimension check then shows:
    block's size plus d samples (84 at Hermitian n = 7, where so(d) has 1128
    unknowns), takes the singular values of each block in one stacked SVD
    per block size, and reads the gap off all of them merged and sorted.
-5. Containment: the adjoint algebra's generators, X -> i[H_j, X] on the
-   Hermitian space and X -> [S_j, X] on the skew space, must lie in that
-   null space; the report carries their residual over the full rows.  A
-   matching dimension plus containment gives Lie(G) = ad(g), so G
-   normalizes the adjoint group.
+5. Containment: the adjoint algebra's generators T_j, X -> i[B_j, X] on
+   the Hermitian space and X -> [B_j, X] on the skew space, must lie in
+   that null space; the report carries their residual over the full rows.
+   Row i paired with T_j needs no coordinate matrix of T_j: by the trace
+   form's invariance, ``g_i . T_j x_i = <G_i, i[B_j, X_i]> = <B_j,
+   i[X_i, G_i]>`` (``<B_j, [X_i, G_i]>`` on the skew space), so all
+   pairings are the coordinates of one stack of commutators, one per
+   sample.  T_j's size comes from the Killing form, 2n tr(XY) on su(n)
+   and (n - 2) tr(XY) on so(n): T_j is skew, so for a trace-orthonormal
+   B_j, |T_j|_F^2 = -tr(T_j^2) is 2n, resp. n - 2, and the upper entries
+   of every T_j have norm sqrt(n), resp. sqrt((n - 2)/2).  A matching
+   dimension plus containment gives Lie(G) = ad(g), so G normalizes the
+   adjoint group.
 6. By Schur's lemma G then lies in +-Aut(su(n)), which is +-Ad(U) and
    +-Ad(U) sigma (on the skew side +-Q psi^f(.) Q^T, psi only at n = 4).
    Those are exactly the branches the decompose suite tries, so the
@@ -69,6 +77,7 @@ sample of the orbit stays available as an independent containment check.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +87,7 @@ from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     STRUCT_TOL,
+    _rng,
     basis_for,
     hermiticity_defect,
     random_element,
@@ -103,7 +113,10 @@ class DimensionReport:
     one per so(d) unknown.  ``containment_residual`` is the largest pairing
     ``<g, T x>`` of a known generator T of the adjoint algebra with a
     constraint row, relative to that row's ``|g| |x|`` and to T's size;
-    about 1e-16 when the null space contains the adjoint algebra."""
+    about 1e-16 when the null space contains the adjoint algebra.  It is
+    read off the commutators ``i[X, G]`` (``[X, G]`` on the skew space) of
+    the samples and their gradients, over T's Killing-form size sqrt(n)
+    (sqrt((n - 2)/2)); see the module docstring, step 5."""
 
     space: str
     n: int
@@ -175,12 +188,14 @@ def _so_rows(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
     """The so(d) constraint rows (:func:`_so_rows`) of one stack of
     samples drawn from ``default_rng(seed)`` (``seed`` may be a Generator,
-    which is drawn from in place), and each row's scale ``|g| |x|``; all
-    gradients come from one stacked call.  A sample at which the norm is
-    not smooth is redrawn from the same generator after the stack, so only
-    its row changes, up to MAX_RESAMPLE tries per row.  A zero or
-    non-finite row scale raises InconclusiveDimension."""
-    rng = np.random.default_rng(seed)
+    which is drawn from in place), each row's scale ``|g| |x|``, and the
+    (num_samples, n, n) stacks X of samples and G of their gradients that
+    the rows were built from; all gradients come from one stacked call.  A
+    sample at which the norm is not smooth is redrawn from the same
+    generator after the stack, so only its row changes, up to MAX_RESAMPLE
+    tries per row.  A zero or non-finite row scale raises
+    InconclusiveDimension."""
+    rng = _rng(seed)
     X = random_element(spec.space, n, rng, count=num_samples)
     attempt = np.zeros(num_samples, dtype=int)
     while True:
@@ -204,7 +219,7 @@ def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
     if bad.any():
         row = int(np.argmax(bad))
         raise InconclusiveDimension(f"row {row} has scale |g| |x| = {scales[row]!r}")
-    return _so_rows(g, x), scales
+    return _so_rows(g, x), scales, X, G
 
 
 def _null_space_dimension(svals: np.ndarray, scale: float):
@@ -231,19 +246,19 @@ def _null_space_dimension(svals: np.ndarray, scale: float):
     return len(svals) - k, float(ratios[k])
 
 
-def _generator_coordinates(basis) -> np.ndarray:
-    """Upper entries, in ``np.triu_indices`` order, of the coordinate
-    matrices of the adjoint algebra's generators, one row per basis element
-    B_j: X -> i[B_j, X] on the Hermitian space, X -> [B_j, X] on the skew
-    space."""
-    B, d = basis.mats, basis.d
-    comm = B[:, None] @ B[None] - B[None] @ B[:, None]  # [B_j, B_b] at [j, b]
+def _adjoint_pairings(X: np.ndarray, G: np.ndarray, scales: np.ndarray, basis) -> np.ndarray:
+    """Entry (i, j) is row i of the constraint matrix paired with the
+    upper entries of the adjoint generator T_j, relative to the row's
+    scale and to T_j's size (module docstring, step 5): the coordinates of
+    ``i[X_i, G_i]`` (``[X_i, G_i]`` on the skew space) over ``scales[i]``
+    times sqrt(n) (sqrt((n - 2)/2))."""
+    comm = X @ G - G @ X
     if basis.space == HERMITIAN_TRACELESS:
         comm = 1j * comm
-    # T[j, b, a] = <B_a, image of B_b>, entry (a, b) of generator j's matrix
-    T = vectorize(comm.reshape(d * d, basis.n, basis.n), basis).reshape(d, d, d)
-    upper_a, upper_b = np.triu_indices(d, 1)
-    return T[:, upper_b, upper_a]
+        size = math.sqrt(basis.n)
+    else:
+        size = math.sqrt((basis.n - 2) / 2)
+    return vectorize(comm, basis) / (scales[:, None] * size)
 
 
 def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
@@ -255,7 +270,7 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
         )
     blocks = _sign_blocks(basis)
     num_samples = blocks[0].shape[1] + basis.d
-    rows, scales = _constraint_rows(spec, n, basis, num_samples, seed)
+    rows, scales, X, G = _constraint_rows(spec, n, basis, num_samples, seed)
     # one stacked SVD per block size, each over a (k, rows, s) stack
     svals = np.concatenate([
         np.linalg.svd(rows[:, idx].swapaxes(0, 1), compute_uv=False).ravel()
@@ -263,8 +278,7 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
     ])
     svals = np.sort(svals)[::-1]
     null_dim, gap_ratio = _null_space_dimension(svals, float(scales.max()))
-    gens = _generator_coordinates(basis)
-    pairing = (rows @ gens.T) / np.outer(scales, np.linalg.norm(gens, axis=1))
+    pairing = _adjoint_pairings(X, G, scales, basis)
     return DimensionReport(
         space=spec.space,
         n=n,
@@ -376,7 +390,7 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
     wc_interval = 0.0
     wc_pointwise = 0.0
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     As = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)
     Us = haar_unitary(n, rng, count=trials)
     Vs = haar_unitary(n, rng, count=trials)

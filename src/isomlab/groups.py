@@ -18,6 +18,7 @@ from .errors import InvalidDimension, NotSpecialOrthogonal
 from .matspace import (
     HERMITIAN_TRACELESS,
     Basis,
+    _rng,
     gell_mann_basis,
     random_element,
     skew_basis,
@@ -34,7 +35,7 @@ def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) 
     ``count`` the result is a (count, n, n) stack of independent draws from
     one generator: all real parts first, then all imaginary parts.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shape = (n, n) if count is None else (count, n, n)
     Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
@@ -50,7 +51,7 @@ def haar_orthogonal(n: int, seed, special: bool = False, count: int | None = Non
     flipping the sign of the last column when needed.  With ``count`` the
     result is a (count, n, n) stack of independent draws from one
     generator."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shape = (n, n) if count is None else (count, n, n)
     Q, R = np.linalg.qr(rng.standard_normal(shape))
     Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, NotHermitian
+from .errors import InvalidDimension, InvalidSeed, NotHermitian
 
 HERMITIAN_TRACELESS = "hermitian_traceless"
 SKEW_REAL = "skew_real"
@@ -221,6 +221,16 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: a Generator comes back unchanged
+    (and is then drawn from in place).  A seed numpy refuses, such as a
+    negative integer, raises InvalidSeed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSeed(f"cannot seed a generator from {seed!r}: {exc}") from None
+
+
 def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:
     """Random space element with i.i.d. standard normal coordinates.
 
@@ -232,6 +242,6 @@ def random_element(space: str, n: int, seed, count: int | None = None) -> np.nda
     drawn from one generator.
     """
     basis = basis_for(space, n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shape = basis.d if count is None else (count, basis.d)
     return devectorize(rng.standard_normal(shape), basis)

@@ -26,6 +26,7 @@ from .errors import DegeneratePoint, InvalidDimension, InvalidNormSpec, SpecMism
 from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    _rng,
     devectorize,
     is_element,
     project_traceless,
@@ -80,15 +81,22 @@ class NormSpec:
             raise InvalidNormSpec(f"unknown norm family {self.family!r}")
 
     def token(self) -> str:
-        """Command-line token for this spec (inverse of :func:`parse_norm`)."""
+        """Command-line token for this spec (inverse of :func:`parse_norm`:
+        ``parse_norm(spec.token(), spec.space) == spec``)."""
         if self.family == FROBENIUS:
             return "frobenius"
         if self.family == SCHATTEN:
-            p = "inf" if math.isinf(self.p) else f"{self.p:g}"
-            return f"schatten:{p}"
+            return f"schatten:{_number_token(self.p)}"
         if self.family == KY_FAN:
             return f"kyfan:{self.k}"
-        return "cspec:" + ",".join(f"{x:g}" for x in self.c)
+        return "cspec:" + ",".join(_number_token(x) for x in self.c)
+
+
+def _number_token(x: float) -> str:
+    """``x`` printed with ``:g`` when that reads back as x (``3``, ``inf``,
+    ``0.5``), else with ``repr``, which always does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def frobenius(space: str = HERMITIAN_TRACELESS) -> NormSpec:
@@ -100,7 +108,11 @@ def schatten(p: float, space: str = HERMITIAN_TRACELESS) -> NormSpec:
 
 
 def ky_fan(k: int, space: str = HERMITIAN_TRACELESS) -> NormSpec:
-    return NormSpec(KY_FAN, space, k=int(k))
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidNormSpec(f"Ky Fan needs an integer k, got {k!r}") from None
+    return NormSpec(KY_FAN, space, k=k)
 
 
 def c_spectral(c) -> NormSpec:
@@ -356,7 +368,7 @@ def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:
     trials = _trial_count(trials)
     if trials == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     A = random_element(spec.space, n, rng, count=trials)
     haar = haar_unitary if spec.space == HERMITIAN_TRACELESS else haar_orthogonal
     U = haar(n, rng, count=trials)

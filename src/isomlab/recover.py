@@ -54,6 +54,7 @@ from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     Basis,
+    _rng,
     basis_for,
     devectorize,
     gell_mann_basis,
@@ -350,9 +351,10 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     Returns ``(M, n, offset, rng)`` with M a (k, d, d) stack, ``offset`` a
     (k, d) array and ``rng`` the generator made from ``seed`` (``seed``
     itself when it is one), nothing drawn from it yet.  Every failure
-    before the seed raises :class:`InvalidDimension`.  The distance test is
-    not among these checks: it runs after the branch search, and only when
-    the residual cannot certify the map (see the module docstring)."""
+    before the seed raises :class:`InvalidDimension`, a refused seed
+    :class:`InvalidSeed`.  The distance test is not among these checks: it
+    runs after the branch search, and only when the residual cannot
+    certify the map (see the module docstring)."""
     M = _coordinate_map(M)
     d = M.shape[-1]
     if spec.space != space:
@@ -367,7 +369,7 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
         raise InvalidDimension(
             f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     _check_parameters(spec, n)
     return M.reshape(-1, d, d), n, offset.reshape(-1, d), rng
 

@@ -318,6 +318,16 @@ def test_run_suite_refuses_an_unknown_space_or_a_bad_tolerance(kw, message):
         run_suite(SuiteConfig(**{"suite": "invariance", "n_values": (2,), "samples": 2, **kw}))
 
 
+def test_norms_that_differ_past_six_digits_are_two_norms():
+    cfg = SuiteConfig(
+        suite="invariance", n_values=(3,), norms=("schatten:3.0000001", "schatten:3"), samples=2
+    )
+    doc = run_suite(cfg)
+    ids = [r.check_id for r in doc.records]
+    assert "invariance/schatten:3.0000001/n=3" in ids
+    assert "invariance/schatten:3/n=3" in ids
+
+
 def test_record_groups_draw_from_independent_streams(monkeypatch):
     """Every seeded generator of one report is built once, by one record
     group, and no two of them start in the same state."""

@@ -176,7 +176,7 @@ def _full_width_dimension(spec, n, seed):
 
     basis = il.basis_for(spec.space, n)
     unknowns = basis.d * (basis.d - 1) // 2
-    rows, scales = est._constraint_rows(spec, n, basis, unknowns + basis.d, seed)
+    rows, scales, _, _ = est._constraint_rows(spec, n, basis, unknowns + basis.d, seed)
     svals = np.linalg.svd(rows, compute_uv=False)
     return est._null_space_dimension(svals, float(scales.max()))[0]
 
@@ -221,12 +221,28 @@ def test_constraint_rows_build_no_d_squared_wide_temporary():
     num = 84  # the largest sign block, 36, plus d = 48
     tracemalloc.start()
     try:
-        rows, _ = est._constraint_rows(spec, n, basis, num, [0, n])
+        rows = est._constraint_rows(spec, n, basis, num, [0, n])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rows.shape == (84, 1128)
     assert peak < 2 * rows.nbytes
+
+
+def test_a_dimension_call_stays_within_a_few_row_matrices():
+    spec, n = il.schatten(3), 7
+    il.isometry_algebra_dimension(spec, n, seed=[0, n])  # fill the per-basis caches
+    tracemalloc.start()
+    try:
+        rep = il.isometry_algebra_dimension(spec, n, seed=[0, n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_matrix = rep.samples_used * rep.singular_values.size * 8  # 84 x 1128 floats
+    # the rows, one block stack and the SVD work; the adjoint generators'
+    # (d, d, d) coordinate tensor and (d, d, n, n) commutator stacks would
+    # not fit
+    assert peak < 2.5 * row_matrix
 
 
 def test_exact_zeros_in_the_spectrum_are_noise_not_an_infinite_gap():
@@ -258,15 +274,28 @@ def test_a_zero_or_non_finite_row_scale_fails_closed(value, monkeypatch):
         il.isometry_algebra_dimension(il.schatten(3), 3, seed=1)
 
 
+def _generator_coordinates(basis):
+    """Oracle: upper entries, in ``np.triu_indices`` order, of the
+    coordinate matrices of the adjoint algebra's generators, one row per
+    basis element B_j: X -> i[B_j, X] on the Hermitian space, X -> [B_j, X]
+    on the skew space, read off the (d, d, n, n) stack of commutators."""
+    B, d = basis.mats, basis.d
+    comm = B[:, None] @ B[None] - B[None] @ B[:, None]  # [B_j, B_b] at [j, b]
+    if basis.space == il.HERMITIAN_TRACELESS:
+        comm = 1j * comm
+    # T[j, b, a] = <B_a, image of B_b>, entry (a, b) of generator j's matrix
+    T = il.vectorize(comm.reshape(d * d, basis.n, basis.n), basis).reshape(d, d, d)
+    upper_a, upper_b = np.triu_indices(d, 1)
+    return T[:, upper_b, upper_a]
+
+
 @pytest.mark.parametrize("space,n", [(il.HERMITIAN_TRACELESS, 3), (il.SKEW_REAL, 4)])
 def test_generator_coordinates_are_the_adjoint_algebra(space, n):
-    import isomlab.estimate as est
-
     basis = il.basis_for(space, n)
     d = basis.d
     upper = np.triu_indices(d, 1)
     X = il.random_element(space, n, 3)
-    for B, t in zip(basis.mats, est._generator_coordinates(basis)):
+    for B, t in zip(basis.mats, _generator_coordinates(basis)):
         T = np.zeros((d, d))
         T[upper] = t
         T -= T.T
@@ -276,18 +305,50 @@ def test_generator_coordinates_are_the_adjoint_algebra(space, n):
         np.testing.assert_allclose(T @ il.vectorize(X, basis), il.vectorize(image, basis), atol=1e-14)
 
 
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_commutator_pairings_match_the_generator_coordinates(space, n):
+    import isomlab.estimate as est
+
+    basis = il.basis_for(space, n)
+    gens = _generator_coordinates(basis)
+    sizes = np.linalg.norm(gens, axis=1)
+    # the Killing form gives every generator one size
+    killing = math.sqrt(n) if space == il.HERMITIAN_TRACELESS else math.sqrt((n - 2) / 2)
+    np.testing.assert_allclose(sizes, killing, rtol=1e-15, atol=0)
+
+    def oracle(rows, scales):
+        return (rows @ gens.T) / np.outer(scales, sizes)
+
+    # the identity holds for any G in the space, so an unrelated G tests
+    # it on pairings of order 1
+    rng = np.random.default_rng([5, n])
+    X = il.random_element(space, n, rng, count=20)
+    G = il.random_element(space, n, rng, count=20)
+    g, x = il.vectorize(G, basis), il.vectorize(X, basis)
+    scales = np.linalg.norm(g, axis=1) * np.linalg.norm(x, axis=1)
+    pairing = est._adjoint_pairings(X, G, scales, basis)
+    assert np.abs(pairing).max() > 0.05
+    np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x), scales), rtol=0, atol=1e-15)
+    # and on the estimator's own samples and gradients
+    num = est._sign_blocks(basis)[0].shape[1] + basis.d
+    rows, scales, X, G = est._constraint_rows(il.schatten(3, space), n, basis, num, [0, n])
+    pairing = est._adjoint_pairings(X, G, scales, basis)
+    np.testing.assert_allclose(pairing, oracle(rows, scales), rtol=0, atol=1e-15)
+
+
 def test_containment_tells_the_adjoint_algebra_from_other_directions():
     import isomlab.estimate as est
 
     spec, n = il.schatten(3), 4
     basis = il.gell_mann_basis(n)
     # the estimator's 43 rows: the largest sign block, 28, plus d = 15
-    rows, scales = est._constraint_rows(spec, n, basis, 43, 5)
+    rows, scales, _, _ = est._constraint_rows(spec, n, basis, 43, 5)
 
     def residual(t):
         return np.max(np.abs(rows @ t) / scales) / np.linalg.norm(t)
 
-    assert max(residual(t) for t in est._generator_coordinates(basis)) <= 1e-14
+    assert max(residual(t) for t in _generator_coordinates(basis)) <= 1e-14
     # a random direction of so(15) is no isometry generator of schatten:3
     assert residual(np.random.default_rng(6).standard_normal(rows.shape[1])) > 1e-3
 
@@ -487,16 +548,20 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     monkeypatch.setattr(est, "norm_gradient", grad)
-    rows, scales = est._constraint_rows(spec, n, basis, num, 7)
+    rows, scales, samples, gradients = est._constraint_rows(spec, n, basis, num, 7)
     assert draws == [num, 1]
     assert grads == [num, num]
     assert np.flatnonzero(np.any(rows != clean[0], axis=1)).tolist() == [5]
     assert np.flatnonzero(scales != clean[1]).tolist() == [5]
+    assert np.flatnonzero(np.any(samples != clean[2], axis=(1, 2))).tolist() == [5]
+    # the returned stacks are the ones the rows were built from
+    np.testing.assert_array_equal(gradients, real_grad(samples, spec))
     # the redrawn sample is the generator's next one, and its row pairs
     # <g, T x> with the upper entries of a skew T
     rng = np.random.default_rng(7)
     real_draw(spec.space, n, rng, count=num)
     X = real_draw(spec.space, n, rng, count=1)[0]
+    np.testing.assert_array_equal(samples[5], X)
     g, x = il.vectorize(real_grad(X, spec), basis), il.vectorize(X, basis)
     upper = np.triu_indices(basis.d, 1)
     np.testing.assert_array_equal(rows[5], (np.outer(g, x) - np.outer(x, g))[upper])

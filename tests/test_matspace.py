@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import isomlab as il
-from isomlab.errors import InvalidDimension, NotHermitian
+from isomlab.errors import InvalidDimension, InvalidSeed, NotHermitian
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -189,3 +189,40 @@ def test_trace_form_positive_definite():
         val = np.trace(A @ A).real
         assert val > 0
         assert abs(val - np.linalg.norm(A) ** 2) < 1e-12
+
+
+_C3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+# every public function that draws, each with a seed it forwards
+_DRAWS = {
+    "random_element": lambda seed: il.random_element(il.HERMITIAN_TRACELESS, 3, seed),
+    "haar_unitary": lambda seed: il.haar_unitary(3, seed),
+    "haar_orthogonal": lambda seed: il.haar_orthogonal(3, seed),
+    "verify_sigma_normalizes": lambda seed: il.verify_sigma_normalizes(np.eye(3), 2, seed),
+    "check_invariance": lambda seed: il.check_invariance(il.schatten(3), 3, 2, seed),
+    "isometry_algebra_dimension": lambda seed: il.isometry_algebra_dimension(il.schatten(3), 3, seed=seed),
+    "skew_isometry_algebra_dimension": lambda seed: il.skew_isometry_algebra_dimension(
+        il.schatten(3, il.SKEW_REAL), 4, seed=seed
+    ),
+    "c_numerical_range_sample": lambda seed: il.c_numerical_range_sample(_C3, _C3, 2, seed=seed),
+    "verify_preserver_forms": lambda seed: il.verify_preserver_forms(_C3, 3, 2, seed=seed),
+    "decompose_isometry": lambda seed: il.decompose_isometry(np.eye(8), il.schatten(3), seed=seed),
+    "decompose_skew_isometry": lambda seed: il.decompose_skew_isometry(
+        np.eye(6), il.c_spectral((1.0, 0.0)), seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("draw", _DRAWS.values(), ids=_DRAWS.keys())
+@pytest.mark.parametrize("seed", [-1, [0, -2], 2.5, "seed"])
+def test_a_refused_seed_raises_invalid_seed(draw, seed):
+    with pytest.raises(InvalidSeed, match="cannot seed a generator"):
+        draw(seed)
+
+
+def test_the_seed_helper_passes_a_generator_through():
+    from isomlab.matspace import _rng
+
+    rng = np.random.default_rng(4)
+    assert _rng(rng) is rng
+    npt.assert_array_equal(_rng([4, 5]).standard_normal(3), np.random.default_rng([4, 5]).standard_normal(3))

@@ -79,6 +79,45 @@ def test_parse_norm_grammar():
         assert spec.token() == token
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        il.schatten(3),
+        il.schatten(1.5),
+        il.schatten(math.inf),
+        il.schatten(3.0000001),
+        il.schatten(1 + 2**-52),
+        il.schatten(1234567.0, il.SKEW_REAL),
+        il.ky_fan(2),
+        il.c_spectral((2.0, 1.0)),
+        il.c_spectral((1.0000001, 0.1, 1e-300)),
+    ],
+    ids=lambda spec: spec.token(),
+)
+def test_token_is_the_inverse_of_parse_norm(spec):
+    assert il.parse_norm(spec.token(), spec.space) == spec
+
+
+def test_token_is_short_where_short_reads_back():
+    assert il.schatten(3.0000001).token() == "schatten:3.0000001"
+    assert il.schatten(3).token() == "schatten:3"
+    assert il.c_spectral((0.1, 0.0)).token() == "cspec:0.1,0"
+    assert il.schatten(1e300).token() == "schatten:1e+300"
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+def test_ky_fan_refuses_a_non_integer_k(k):
+    with pytest.raises(InvalidNormSpec, match="integer k"):
+        il.ky_fan(k)
+
+
+def test_ky_fan_takes_any_integer_type():
+    assert il.ky_fan(np.int64(2)) == il.ky_fan(2)
+    assert il.parse_norm("kyfan:2") == il.ky_fan(2)
+    with pytest.raises(InvalidNormSpec):
+        il.parse_norm("kyfan:2.5")
+
+
 def herm_specs(n):
     return [
         il.frobenius(),

@@ -8,6 +8,7 @@ import pytest
 import isomlab as il
 from isomlab.errors import (
     InvalidDimension,
+    InvalidSeed,
     NotAdjointImage,
     NotInClassifiedForm,
     NotIsometry,
@@ -335,7 +336,7 @@ def test_decompositions_raise_what_the_distance_test_first_order_raises():
             expected = _parent_order(M, spec, copy.deepcopy(seed))
             assert _decomposed(M, spec, copy.deepcopy(seed)) == expected, case
     M = canonical_map(3, 1, False, il.haar_unitary(3, 58, special=True))
-    assert _decomposed(M, SPEC3, -1) == _parent_order(M, SPEC3, -1) == ValueError
+    assert _decomposed(M, SPEC3, -1) == _parent_order(M, SPEC3, -1) == InvalidSeed
 
 
 @pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
