@@ -642,9 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=0,
-        help="sample/trial count (0 = suite default); unbounded work in the "
-        "invariance, decompose, skew and cnr suites; the dimension suite ignores "
-        "it and uses the largest sign block plus d constraint rows",
+        help="sample/trial count (0 = suite default); work grows with it in the "
+        "invariance, decompose and skew suites, but sigma_identity clamps it to "
+        "[10, 50], psi/normalizer_closure caps it at 100, and cnr at 10 range "
+        "pairs and 20 preserver trials; the dimension suite ignores it and uses "
+        "the largest sign block plus d constraint rows",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")

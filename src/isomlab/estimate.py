@@ -86,14 +86,14 @@ from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension, No
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
-    STRUCT_TOL,
+    _require_hermitian,
     _rng,
+    _trial_count,
     basis_for,
-    hermiticity_defect,
     random_element,
     vectorize,
 )
-from .norms import NormSpec, _trial_count, norm_gradient
+from .norms import NormSpec, _frobenius, norm_gradient
 from .groups import haar_unitary
 
 #: smallest acceptable ratio across the singular-value gap
@@ -306,28 +306,37 @@ def skew_isometry_algebra_dimension(spec: NormSpec, n: int, seed=0) -> Dimension
     return _algebra_dimension(spec, n, seed)
 
 
-def _range_endpoints(A: np.ndarray, C: np.ndarray) -> tuple[float, float]:
+def _range_endpoints(A: np.ndarray, C: np.ndarray):
     """Exact endpoints (lo, hi) of W_C(A) for Hermitian A and C.
 
     With eigenvalues sorted ascending, hi pairs them in the same order and
     lo in opposite orders (rearrangement inequality over the doubly
-    stochastic matrix |u_ij|^2).  Fails closed on non-square, mismatched or
-    non-Hermitian inputs, where the formula does not hold.
+    stochastic matrix |u_ij|^2).  ``A`` is one matrix, giving two floats,
+    or a (k, n, n) stack against the one C, giving two (k,) arrays from one
+    stacked eigvalsh; a member gets the bits it gets alone.  Fails closed on
+    non-square, mismatched, non-finite or non-Hermitian inputs, where the
+    formula does not hold.
     """
     A = np.asarray(A)
     C = np.asarray(C)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != C.shape:
+    if A.ndim not in (2, 3) or A.shape[-2:] != C.shape or C.shape[0] != C.shape[1]:
         raise InvalidDimension(
-            f"need two square matrices of one shape, got {A.shape} and {C.shape}"
+            f"need square matrices of one shape, got {A.shape} and {C.shape}"
         )
-    for name, M in (("A", A), ("C", C)):
-        tol = STRUCT_TOL * (1.0 + float(np.max(np.abs(M), initial=0.0)))
-        defect = hermiticity_defect(M)
-        if defect > tol:
-            raise NotHermitian(f"{name}: hermiticity defect {defect:.3e} exceeds {tol:.3e}")
-    lam_a = np.linalg.eigvalsh(A)
+    _require_hermitian(A, "A")
+    _require_hermitian(C, "C")
+    lam_a = np.linalg.eigvalsh(A)[..., None, :]
     lam_c = np.linalg.eigvalsh(C)
-    return float(lam_a @ lam_c[::-1]), float(lam_a @ lam_c)
+    lo = (lam_a @ lam_c[::-1, None])[..., 0, 0]
+    hi = (lam_a @ lam_c[:, None])[..., 0, 0]
+    return (float(lo), float(hi)) if A.ndim == 2 else (lo, hi)
+
+
+def _pair_endpoints(A: np.ndarray, C: np.ndarray) -> tuple[float, float]:
+    """:func:`_range_endpoints` of one pair; a stack A raises InvalidDimension."""
+    if np.ndim(A) != 2:
+        raise InvalidDimension(f"need one square matrix A, got shape {np.shape(A)}")
+    return _range_endpoints(A, C)
 
 
 def c_numerical_range_sample(
@@ -343,12 +352,10 @@ def c_numerical_range_sample(
     InvalidDimension.
     """
     trials = _trial_count(trials)
-    A = np.asarray(A)
-    C = np.asarray(C)
-    lo, hi = _range_endpoints(A, C)
+    lo, hi = _pair_endpoints(A, C)
     values = np.empty(0)
     if trials > 0:
-        U = haar_unitary(A.shape[0], seed, count=trials)
+        U = haar_unitary(np.shape(A)[0], seed, count=trials)
         orbit = U @ C @ np.conj(np.transpose(U, (0, 2, 1)))
         values = np.einsum("ij,kji->k", A, orbit).real
     return RangeSample(values=values, lo=lo, hi=hi, radius=max(abs(lo), abs(hi)))
@@ -360,7 +367,7 @@ def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
     W_C(A) is the interval ``[lo, hi]`` of :func:`_range_endpoints`, so the
     radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977).
     """
-    lo, hi = _range_endpoints(A, C)
+    lo, hi = _pair_endpoints(A, C)
     return max(abs(lo), abs(hi))
 
 
@@ -379,42 +386,35 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     """Check that both canonical forms preserve the C-numerical radius, and
     that conjugation preserves the C-numerical range as an interval.
 
-    For each trial a random element A and Haar unitaries U and V are
-    drawn, as three stacks from one generator; the radius is compared
-    across ``A -> eta U A U*`` and ``A -> eta U (-A.T) U*`` for both signs,
-    and for the plain conjugation the range endpoints and the
-    conjugation-invariance of individual orbit values (at V C V*) are
-    checked.  A negative or non-integer ``trials`` raises InvalidDimension.
+    Random elements A and Haar unitaries U and V are drawn as three stacks
+    from one generator; the radius is compared across ``A -> eta U A U*``
+    and ``A -> eta U (-A.T) U*`` for both signs, and for the plain
+    conjugation the range endpoints and the conjugation-invariance of
+    individual orbit values (at V C V*) are checked.  The endpoints of A
+    and its four images come from one :func:`_range_endpoints` call on
+    their (5 trials, n, n) stack.  A negative or non-integer ``trials``
+    raises InvalidDimension.
     """
     trials = _trial_count(trials)
-    radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
-    wc_interval = 0.0
-    wc_pointwise = 0.0
     rng = _rng(seed)
-    As = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)
-    Us = haar_unitary(n, rng, count=trials)
-    Vs = haar_unitary(n, rng, count=trials)
-    for A, U, V in zip(As, Us, Vs):
-        r0 = c_numerical_radius(A, C)
-        conj, cartan = U @ A @ U.conj().T, U @ (-A.T) @ U.conj().T
-        images = {"conj_plus": conj, "conj_minus": -conj, "cartan_plus": cartan, "cartan_minus": -cartan}
-        for key, LA in images.items():
-            r1 = c_numerical_radius(LA, C)
-            radius_dev[key] = max(radius_dev[key], abs(r1 - r0))
-        scale = float(np.linalg.norm(A)) * float(np.linalg.norm(C))
-        lo0, hi0 = _range_endpoints(A, C)
-        lo1, hi1 = _range_endpoints(conj, C)
-        wc_interval = max(
-            wc_interval, max(abs(lo0 - lo1), abs(hi0 - hi1)) / max(scale, 1e-30)
-        )
-        # conjugation moves each orbit point to another: values match exactly
-        X = V @ C @ V.conj().T
-        val_moved = float(np.trace(conj @ (U @ X @ U.conj().T)).real)
-        val_base = float(np.trace(A @ X).real)
-        wc_pointwise = max(wc_pointwise, abs(val_moved - val_base))
+    A = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)
+    U = haar_unitary(n, rng, count=trials)
+    V = haar_unitary(n, rng, count=trials)
+    Uh = U.conj().swapaxes(-1, -2)
+    conj, cartan = U @ A @ Uh, U @ -A.swapaxes(-1, -2) @ Uh
+    lo, hi = _range_endpoints(np.concatenate([A, conj, -conj, cartan, -cartan]), C)
+    lo, hi = lo.reshape(5, trials), hi.reshape(5, trials)
+    radius = np.maximum(np.abs(lo), np.abs(hi))
+    radius_dev = np.max(np.abs(radius[1:] - radius[0]), axis=1, initial=0.0)
+    scale = np.maximum(_frobenius(A) * float(np.linalg.norm(C)), 1e-30)
+    interval = np.maximum(np.abs(lo[0] - lo[1]), np.abs(hi[0] - hi[1])) / scale
+    # conjugation moves each orbit point to another: values match exactly
+    X = V @ C @ V.conj().swapaxes(-1, -2)
+    moved = np.trace(conj @ (U @ X @ Uh), axis1=-2, axis2=-1).real
+    base = np.trace(A @ X, axis1=-2, axis2=-1).real
     return PreserverReport(
-        radius_dev=radius_dev,
-        wc_interval_dev=wc_interval,
-        wc_pointwise_dev=wc_pointwise,
+        radius_dev=dict(zip(("conj_plus", "conj_minus", "cartan_plus", "cartan_minus"), radius_dev.tolist())),
+        wc_interval_dev=float(np.max(interval, initial=0.0)),
+        wc_pointwise_dev=float(np.max(np.abs(moved - base), initial=0.0)),
         trials=trials,
     )

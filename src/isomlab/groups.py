@@ -11,6 +11,7 @@ is -I there, since A.T = -A).
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -19,11 +20,25 @@ from .matspace import (
     HERMITIAN_TRACELESS,
     Basis,
     _rng,
+    _trial_count,
     gell_mann_basis,
     random_element,
     skew_basis,
     vectorize,
 )
+
+
+def _haar_shape(n, count) -> tuple:
+    """``(n, n)``, or ``(count, n, n)`` for a stack: the shape a Haar
+    sampler draws.  An n that is not an integer >= 1, or a count that is
+    not an integer >= 0, raises InvalidDimension."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidDimension(f"need an integer n, got {n!r}") from None
+    if n < 1:
+        raise InvalidDimension(f"need n >= 1, got n={n}")
+    return (n, n) if count is None else (_trial_count(count), n, n)
 
 
 def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
@@ -36,7 +51,7 @@ def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) 
     one generator: all real parts first, then all imaginary parts.
     """
     rng = _rng(seed)
-    shape = (n, n) if count is None else (count, n, n)
+    shape = _haar_shape(n, count)
     Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
@@ -52,7 +67,7 @@ def haar_orthogonal(n: int, seed, special: bool = False, count: int | None = Non
     result is a (count, n, n) stack of independent draws from one
     generator."""
     rng = _rng(seed)
-    shape = (n, n) if count is None else (count, n, n)
+    shape = _haar_shape(n, count)
     Q, R = np.linalg.qr(rng.standard_normal(shape))
     Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
     if special:
@@ -93,7 +108,9 @@ def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
     """Max deviation of -(U A U^{-1}).T from (U.T)^{-1} (-A.T) U.T over
     ``trials`` random traceless Hermitian A per unitary.  ``U`` is one
     (n, n) matrix or a (k, n, n) stack; all k * trials samples come from
-    one generator."""
+    one generator; a negative or non-integer ``trials`` raises
+    InvalidDimension."""
+    trials = _trial_count(trials)
     U = np.asarray(U)[..., None, :, :]
     n = U.shape[-1]
     lead = U.shape[:-3]

@@ -176,6 +176,19 @@ def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:
     return np.abs(A - A.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
+def _require_hermitian(A: np.ndarray, name: str) -> None:
+    """Raise NotHermitian unless every member of A (one matrix or a stack)
+    has finite entries and a Hermiticity defect within STRUCT_TOL times
+    (1 + its largest entry modulus).  Finiteness is checked first: a NaN
+    defect compares False against any tolerance."""
+    size = np.abs(A).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(size).all():
+        raise NotHermitian(f"{name}: non-finite entries")
+    defect = hermiticity_defect(A)
+    if np.any(defect > STRUCT_TOL * (1.0 + size)):
+        raise NotHermitian(f"{name}: hermiticity defect {np.max(defect):.3e} exceeds its tolerance")
+
+
 def _skewness_defect(A: np.ndarray) -> float | np.ndarray:
     """Max-entry deviation of A + A.T from zero; per member for a stack."""
     return np.abs(A + A.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -207,16 +220,14 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
     onto the traceless Hermitian space.
 
     Symmetrizes roundoff and subtracts tr(A)/n times the identity; idempotent,
-    and the identity on inputs that are already traceless.  Each member's
-    Hermiticity is held to STRUCT_TOL times (1 + its largest entry modulus).
+    and the identity on inputs that are already traceless.  Each member
+    must pass :func:`_require_hermitian`.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
         raise InvalidDimension(f"expected a square matrix or a stack, got shape {A.shape}")
     n = A.shape[-1]
-    defect = hermiticity_defect(A)
-    if np.any(defect > STRUCT_TOL * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))):
-        raise NotHermitian(f"hermiticity defect {np.max(defect):.3e} exceeds its tolerance")
+    _require_hermitian(A, "A")
     H = (A + A.swapaxes(-1, -2).conj()) / 2.0
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
 
@@ -231,6 +242,19 @@ def _rng(seed) -> np.random.Generator:
         raise InvalidSeed(f"cannot seed a generator from {seed!r}: {exc}") from None
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as a count: an integer >= 0, else InvalidDimension (a
+    float such as 2.5 or a negative count would otherwise reach numpy).
+    Every function that draws checks its count here."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise InvalidDimension(f"need an integer trial count, got {trials!r}") from None
+    if trials < 0:
+        raise InvalidDimension(f"need trials >= 0, got {trials}")
+    return trials
+
+
 def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:
     """Random space element with i.i.d. standard normal coordinates.
 
@@ -239,9 +263,10 @@ def random_element(space: str, n: int, seed, count: int | None = None) -> np.nda
     Hermitian space this coincides with symmetrizing a complex Ginibre matrix
     with unit-variance real and imaginary parts and projecting traceless.)
     With ``count`` the result is a (count, n, n) stack of such elements,
-    drawn from one generator.
+    drawn from one generator; a count that is not an integer >= 0 raises
+    InvalidDimension.
     """
     basis = basis_for(space, n)
     rng = _rng(seed)
-    shape = basis.d if count is None else (count, basis.d)
+    shape = basis.d if count is None else (_trial_count(count), basis.d)
     return devectorize(rng.standard_normal(shape), basis)

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, InvalidDimension, InvalidNormSpec, SpecMismatch
+from .errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
 from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     _rng,
+    _trial_count,
     devectorize,
     is_element,
     project_traceless,
@@ -104,7 +105,11 @@ def frobenius(space: str = HERMITIAN_TRACELESS) -> NormSpec:
 
 
 def schatten(p: float, space: str = HERMITIAN_TRACELESS) -> NormSpec:
-    return NormSpec(SCHATTEN, space, p=float(p))
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise InvalidNormSpec(f"Schatten needs a number p, got {p!r}") from None
+    return NormSpec(SCHATTEN, space, p=p)
 
 
 def ky_fan(k: int, space: str = HERMITIAN_TRACELESS) -> NormSpec:
@@ -116,7 +121,11 @@ def ky_fan(k: int, space: str = HERMITIAN_TRACELESS) -> NormSpec:
 
 
 def c_spectral(c) -> NormSpec:
-    return NormSpec(C_SPECTRAL, SKEW_REAL, c=tuple(float(x) for x in c))
+    try:
+        c = tuple(float(x) for x in c)
+    except (TypeError, ValueError):
+        raise InvalidNormSpec(f"c-spectral needs a sequence of numbers, got {c!r}") from None
+    return NormSpec(C_SPECTRAL, SKEW_REAL, c=c)
 
 
 def parse_norm(token: str, space: str | None = None) -> NormSpec:
@@ -133,14 +142,13 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
         if name == "frobenius":
             return frobenius(space or HERMITIAN_TRACELESS)
         if name == "schatten":
-            p = math.inf if arg.strip().lower() == "inf" else float(arg)
-            return schatten(p, space or HERMITIAN_TRACELESS)
+            return schatten(arg, space or HERMITIAN_TRACELESS)
         if name == "kyfan":
             return ky_fan(int(arg), space or HERMITIAN_TRACELESS)
         if name == "cspec":
             if space not in (None, SKEW_REAL):
                 raise InvalidNormSpec("cspec norms live on the skew space")
-            return c_spectral(float(x) for x in arg.split(","))
+            return c_spectral(arg.split(","))
     except (ValueError, TypeError) as exc:
         raise InvalidNormSpec(f"cannot parse norm token {token!r}") from exc
     raise InvalidNormSpec(f"unknown norm family in token {token!r}")
@@ -204,7 +212,7 @@ def _scaled(s: np.ndarray, s_max: np.ndarray):
 def _frobenius(A: np.ndarray) -> np.ndarray:
     # x @ x.T per member is the BLAS dot that np.linalg.norm(A) takes, so a
     # single matrix gets the value it has always had
-    x = A.reshape(A.shape[:-2] + (1, -1))
+    x = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
     square = x.real @ x.real.swapaxes(-1, -2)
     if np.iscomplexobj(A):
         square = square + x.imag @ x.imag.swapaxes(-1, -2)
@@ -340,18 +348,6 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     else:
         G = _spectral_gradient(A, spec, fro)
     return G.reshape(shape)
-
-
-def _trial_count(trials) -> int:
-    """``trials`` as a count: an integer >= 0, else InvalidDimension (a
-    float such as 2.5 or a negative count would otherwise reach numpy)."""
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise InvalidDimension(f"need an integer trial count, got {trials!r}") from None
-    if trials < 0:
-        raise InvalidDimension(f"need trials >= 0, got {trials}")
-    return trials
 
 
 def check_invariance(spec: NormSpec, n: int, trials: int, seed) -> float:

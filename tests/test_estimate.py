@@ -378,12 +378,19 @@ def test_dimension_refuses_a_non_integer_n(n):
         il.isometry_algebra_dimension(il.schatten(3), n)
     with pytest.raises(InvalidDimension, match="need an integer n"):
         il.skew_isometry_algebra_dimension(il.c_spectral((1, 0)), n)
+    for haar in (il.haar_unitary, il.haar_orthogonal):
+        with pytest.raises(InvalidDimension, match="need an integer n"):
+            haar(n, 0)
 
 
 _NEGATIVE_TRIALS = {
     "check_invariance": lambda C: il.check_invariance(il.schatten(3), 3, -1, 0),
     "c_numerical_range_sample": lambda C: il.c_numerical_range_sample(C, C, -1),
     "verify_preserver_forms": lambda C: il.verify_preserver_forms(C, 3, -1),
+    "verify_sigma_normalizes": lambda C: il.verify_sigma_normalizes(np.eye(3), -1, 0),
+    "random_element": lambda C: il.random_element(il.HERMITIAN_TRACELESS, 3, 0, count=-1),
+    "haar_unitary": lambda C: il.haar_unitary(3, 0, count=-1),
+    "haar_orthogonal": lambda C: il.haar_orthogonal(3, 0, count=-1),
 }
 
 
@@ -398,11 +405,23 @@ _TRIAL_CALLS = {
     "check_invariance": lambda C, trials: il.check_invariance(il.schatten(3), 3, trials, 0),
     "c_numerical_range_sample": lambda C, trials: il.c_numerical_range_sample(C, C, trials),
     "verify_preserver_forms": lambda C, trials: il.verify_preserver_forms(C, 3, trials),
+    "verify_sigma_normalizes": lambda C, trials: il.verify_sigma_normalizes(np.eye(3), trials, 0),
+    "random_element": lambda C, trials: il.random_element(il.HERMITIAN_TRACELESS, 3, 0, count=trials),
+    "haar_unitary": lambda C, trials: il.haar_unitary(3, 0, count=trials),
+    "haar_orthogonal": lambda C, trials: il.haar_orthogonal(3, 0, count=trials),
 }
 
+# a sampler's count=None draws one matrix, not a stack, so None is tried
+# only on the trial counts
+_SAMPLERS = ("random_element", "haar_unitary", "haar_orthogonal")
 
-@pytest.mark.parametrize("trials", [2.5, 2.0, "2", None])
-@pytest.mark.parametrize("call", _TRIAL_CALLS.values(), ids=_TRIAL_CALLS.keys())
+
+@pytest.mark.parametrize("call,trials", [
+    pytest.param(call, trials, id=f"{name}-{trials}")
+    for name, call in _TRIAL_CALLS.items()
+    for trials in (2.5, 2.0, "2", None)
+    if trials is not None or name not in _SAMPLERS
+])
 def test_a_non_integer_trial_count_fails_closed(call, trials):
     C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
     with pytest.raises(InvalidDimension, match="need an integer trial count"):
@@ -464,6 +483,26 @@ def test_range_rejects_non_hermitian_or_non_square():
         il.c_numerical_radius(A + 1e-6j * np.triu(np.ones((3, 3)), 1), C)
     with pytest.raises(InvalidDimension):
         il.c_numerical_range_sample(A, np.zeros((3, 2)), 10)
+    with pytest.raises(InvalidDimension, match="one square matrix A"):
+        il.c_numerical_radius(np.stack([A, A]), C)
+    # a NaN defect compares False against any tolerance; these once gave
+    # a radius of 0.0, endpoints lo = hi = 0.0, and a NaN radius
+    nan_entry = A.copy()
+    nan_entry[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        inf_scaled = np.inf * A
+    with pytest.raises(NotHermitian, match="A: non-finite"):
+        il.c_numerical_radius(nan_entry, C)
+    with pytest.raises(NotHermitian, match="A: non-finite"):
+        il.c_numerical_range_sample(nan_entry, C, 10)
+    with pytest.raises(NotHermitian, match="A: non-finite"):
+        il.c_numerical_radius(inf_scaled, C)
+    with pytest.raises(NotHermitian, match="C: non-finite"):
+        il.c_numerical_radius(A, nan_entry)
+    # a NaN C once gave all-zero deviations, a passing report
+    for trials in (0, 3):
+        with pytest.raises(NotHermitian, match="C: non-finite"):
+            il.verify_preserver_forms(nan_entry, 3, trials)
 
 
 def test_radius_n2_analytic():
@@ -515,6 +554,79 @@ def test_radius_invariant_under_conjugation():
     r2 = il.c_numerical_radius(-A, C)
     assert r1 == pytest.approx(r0, abs=1e-8)
     assert r2 == pytest.approx(r0, abs=1e-8)
+
+
+def _parent_endpoints(A, C):
+    """The closed form as one dot per pair, without the input checks."""
+    lam_a = np.linalg.eigvalsh(A)
+    lam_c = np.linalg.eigvalsh(C)
+    return float(lam_a @ lam_c[::-1]), float(lam_a @ lam_c)
+
+
+def preserver_forms_loop(C, n, trials, seed):
+    """Oracle: the per-trial loop verify_preserver_forms once ran, with
+    seven endpoint computations per trial."""
+    radius = lambda A: max(abs(end) for end in _parent_endpoints(A, C))
+    radius_dev = {"conj_plus": 0.0, "conj_minus": 0.0, "cartan_plus": 0.0, "cartan_minus": 0.0}
+    wc_interval = 0.0
+    wc_pointwise = 0.0
+    rng = np.random.default_rng(seed)
+    As = il.random_element(il.HERMITIAN_TRACELESS, n, rng, count=trials)
+    Us = il.haar_unitary(n, rng, count=trials)
+    Vs = il.haar_unitary(n, rng, count=trials)
+    for A, U, V in zip(As, Us, Vs):
+        r0 = radius(A)
+        conj, cartan = U @ A @ U.conj().T, U @ (-A.T) @ U.conj().T
+        images = {"conj_plus": conj, "conj_minus": -conj, "cartan_plus": cartan, "cartan_minus": -cartan}
+        for key, LA in images.items():
+            radius_dev[key] = max(radius_dev[key], abs(radius(LA) - r0))
+        scale = float(np.linalg.norm(A)) * float(np.linalg.norm(C))
+        lo0, hi0 = _parent_endpoints(A, C)
+        lo1, hi1 = _parent_endpoints(conj, C)
+        wc_interval = max(wc_interval, max(abs(lo0 - lo1), abs(hi0 - hi1)) / max(scale, 1e-30))
+        X = V @ C @ V.conj().T
+        val_moved = float(np.trace(conj @ (U @ X @ U.conj().T)).real)
+        val_base = float(np.trace(A @ X).real)
+        wc_pointwise = max(wc_pointwise, abs(val_moved - val_base))
+    return radius_dev, wc_interval, wc_pointwise
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_preserver_forms_match_the_per_trial_loop_bit_for_bit(monkeypatch, n, trials):
+    import isomlab.estimate as est
+
+    calls = []
+    real = est._range_endpoints
+
+    def counted(A, C):
+        calls.append(np.shape(A))
+        return real(A, C)
+
+    monkeypatch.setattr(est, "_range_endpoints", counted)
+    C = il.random_element(il.HERMITIAN_TRACELESS, n, [50, n])
+    rep = il.verify_preserver_forms(C, n, trials, seed=[51, n, trials])
+    # one endpoint call, on the five images of every trial, so C's
+    # eigvalsh runs once
+    assert calls == [(5 * trials, n, n)]
+    radius_dev, wc_interval, wc_pointwise = preserver_forms_loop(C, n, trials, [51, n, trials])
+    assert rep.radius_dev == radius_dev
+    assert all(type(v) is float for v in rep.radius_dev.values())
+    assert (rep.wc_interval_dev, rep.wc_pointwise_dev, rep.trials) == (wc_interval, wc_pointwise, trials)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_range_endpoints_give_each_member_its_lone_bits(n):
+    from isomlab.estimate import _range_endpoints
+
+    A = il.random_element(il.HERMITIAN_TRACELESS, n, [52, n], count=40)
+    C = il.random_element(il.HERMITIAN_TRACELESS, n, [53, n])
+    lo, hi = _range_endpoints(A, C)
+    assert lo.shape == hi.shape == (40,)
+    for k, member in enumerate(A):
+        lone = _range_endpoints(member, C)
+        assert all(type(end) is float for end in lone)
+        assert lone == (lo[k], hi[k]) == _parent_endpoints(member, C)
 
 
 def test_preserver_forms_report():

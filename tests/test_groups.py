@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import isomlab as il
-from isomlab.errors import NotSpecialOrthogonal
+from isomlab.errors import InvalidDimension, NotSpecialOrthogonal
 
 
 def test_haar_unitary_is_unitary():
@@ -36,6 +36,13 @@ def test_haar_orthogonal_count_draws_a_stack():
     special = il.haar_orthogonal(5, 9, special=True, count=6)
     npt.assert_allclose(np.linalg.det(special), np.ones(6), atol=1e-12)
     assert il.haar_orthogonal(5, 9).shape == (5, 5)
+
+
+@pytest.mark.parametrize("haar", [il.haar_unitary, il.haar_orthogonal])
+def test_haar_samplers_refuse_n_below_one(haar):
+    with pytest.raises(InvalidDimension, match="need n >= 1, got n=0"):
+        haar(0, 0)  # once an empty matrix
+    assert haar(1, 0).shape == (1, 1)
 
 
 def test_haar_reproducible():

@@ -147,6 +147,13 @@ def test_project_traceless_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):
         il.project_traceless(bad)
+    # a NaN defect compares False against any tolerance; these once came
+    # back as NaN matrices
+    for value in (np.nan, np.inf):
+        with pytest.raises(NotHermitian, match="non-finite"):
+            il.project_traceless(np.diag([value, 0.0]))
+        with pytest.raises(NotHermitian, match="non-finite"):
+            il.project_traceless(np.stack([np.eye(2), np.diag([0.0, value])]))
 
 
 def test_random_element_deterministic():

@@ -52,6 +52,15 @@ def test_invalid_specs_rejected():
         il.norm_value(np.diag([1.0, -1.0]).astype(complex), il.ky_fan(3))
     with pytest.raises(InvalidNormSpec):
         il.norm_value(two_block_skew(2.0, 1.0), il.c_spectral((1.0,)))
+    # arguments that are not numbers, once bare ValueError / TypeError
+    for make in (
+        lambda: il.schatten("x"),
+        lambda: il.schatten(None),
+        lambda: il.c_spectral([1, "x"]),
+        lambda: il.c_spectral(None),
+    ):
+        with pytest.raises(InvalidNormSpec, match="needs a"):
+            make()
 
 
 def test_space_mismatch_rejected():
@@ -74,6 +83,8 @@ def test_parse_norm_grammar():
         il.parse_norm("nuclear")
     with pytest.raises(InvalidNormSpec):
         il.parse_norm("schatten:zero")
+    with pytest.raises(InvalidNormSpec, match=r"got \['1', 'x'\]"):
+        il.parse_norm("cspec:1,x")
     for token in ("frobenius", "schatten:3", "kyfan:1", "cspec:2,1"):
         spec = il.parse_norm(token)
         assert spec.token() == token
