@@ -27,7 +27,6 @@ from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     Basis,
-    apply_map,
     basis_for,
     devectorize,
     gell_mann_basis,

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import IsomlabError, InvalidNormSpec, NotAdjointImage, NotInClassifiedForm
 from .estimate import (
+    GAP_RATIO_MIN,
     c_numerical_radius,
     c_numerical_range_sample,
     isometry_algebra_dimension,
@@ -70,7 +71,7 @@ DEFAULT_NORMS = ("schatten:1", "schatten:3", "frobenius", "cspec:1,0")
 DEFAULT_TOL = {
     "invariance": 1e-10,
     "sigma_identity": 1e-11,
-    "gap_ratio": 1e3,
+    "gap_ratio": GAP_RATIO_MIN,
     "containment": 1e-12,
     "roundtrip": 1e-8,
     "unitary_err": 1e-9,

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension, NotHermitian
+from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,

@@ -48,11 +48,13 @@ def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) 
     which makes the law exactly Haar on U(n).  With ``special`` the result
     is divided by an n-th root of its determinant and lands in SU(n).  With
     ``count`` the result is a (count, n, n) stack of independent draws from
-    one generator: all real parts first, then all imaginary parts.
+    one generator.
     """
     rng = _rng(seed)
     shape = _haar_shape(n, count)
-    Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    # each member's real block, then its imaginary block: k single draws in turn
+    G = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    Z = (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     Q = Q * (diag / np.abs(diag))[..., None, :]

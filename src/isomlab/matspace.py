@@ -159,15 +159,9 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
             f"coordinate length {v.shape} does not match basis d={basis.d}"
         )
     n = basis.n
-    # tensordot's product (a vector taken as one row), without its overhead
-    rows = v.reshape(-1, basis.d) @ basis.mats.reshape(basis.d, n * n)
+    # one (1, d) product per member, so a stack member gets a single call's bits
+    rows = v.reshape(-1, 1, basis.d) @ basis.mats.reshape(basis.d, n * n)
     return rows.reshape(v.shape[:-1] + (n, n))
-
-
-def apply_map(M: np.ndarray, A: np.ndarray, basis: Basis) -> np.ndarray:
-    """Apply a (d, d) coordinate map to a matrix-space element, or to each
-    member of a (k, n, n) stack."""
-    return devectorize(vectorize(A, basis) @ np.transpose(M), basis)
 
 
 def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:

@@ -430,9 +430,7 @@ def decompose_isometry(
     eta, sigma_flag, U, residual = _certified_branches(
         stack, spec, rng, involution, basis, _unitary_fit
     )
-    # one (1, d) product per member, the bits devectorize gives one vector
-    # (devectorize of a (k, d) stack is one k-row product, which rounds apart)
-    translation = (offset[:, None, :] @ basis.mats.reshape(basis.d, n * n)).reshape(-1, n, n)
+    translation = devectorize(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
         IsometryDecomposition(

@@ -63,10 +63,10 @@ class YoulaForm:
 def _skew_stack(A) -> np.ndarray:
     """A as a (k, n, n) stack of real skew-symmetric matrices; raises
     :class:`InvalidDimension` unless every member is one."""
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
     if A.ndim not in (2, 3) or not np.all(is_element(A, SKEW_REAL)):
         raise InvalidDimension("input is not a real skew-symmetric matrix or a stack of them")
-    return A.reshape(-1, *A.shape[-2:])
+    return A.reshape(-1, *A.shape[-2:]).astype(float, copy=False)
 
 
 def youla_decompose(A: np.ndarray):
@@ -134,14 +134,16 @@ def youla_decompose(A: np.ndarray):
 
 def psi_apply(A: np.ndarray) -> np.ndarray:
     """The n = 4 entry swap a_14 <-> a_23 (skew-symmetry restored), on one
-    4 x 4 matrix or on each member of a (k, 4, 4) stack."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-2:] != (4, 4):
-        raise InvalidDimension(f"entry swap is defined on 4 x 4 only, got {A.shape}")
+    4 x 4 matrix or on each member of a (k, 4, 4) stack; raises
+    :class:`InvalidDimension` unless every member is real skew-symmetric."""
+    single = np.ndim(A) == 2
+    A = _skew_stack(A)
+    if A.shape[-2:] != (4, 4):
+        raise InvalidDimension(f"entry swap is defined on 4 x 4 only, got {A.shape[-2:]}")
     B = A.copy()
     B[..., 0, 3], B[..., 1, 2] = A[..., 1, 2], A[..., 0, 3]
     B[..., 3, 0], B[..., 2, 1] = -A[..., 1, 2], -A[..., 0, 3]
-    return B
+    return B[0] if single else B
 
 
 def char_poly_skew(A: np.ndarray) -> np.ndarray:
@@ -171,10 +173,12 @@ def pfaffian4(A: np.ndarray) -> float | np.ndarray:
 
     Its square is the constant coefficient of the characteristic polynomial,
     which for n = 4 reads x**4 + p x**2 + pf**2 with p the sum of squared
-    independent entries.
+    independent entries.  Raises :class:`InvalidDimension` unless every
+    member is real skew-symmetric.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-2:] != (4, 4):
-        raise InvalidDimension(f"Pfaffian implemented for 4 x 4 only, got {A.shape}")
+    single = np.ndim(A) == 2
+    A = _skew_stack(A)
+    if A.shape[-2:] != (4, 4):
+        raise InvalidDimension(f"Pfaffian implemented for 4 x 4 only, got {A.shape[-2:]}")
     pf = A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3] + A[..., 0, 3] * A[..., 1, 2]
-    return float(pf) if pf.ndim == 0 else pf
+    return float(pf[0]) if single else pf

@@ -35,3 +35,31 @@ def test_cli_uses_every_traced_name_it_imports():
     used = {node.id for node in ast.walk(ast.parse(cli.read_text())) if isinstance(node, ast.Name)}
     traced = {name for _, module, name in _targets() if module == "cli"}
     assert traced and sorted(traced - used) == []
+
+
+def test_every_module_uses_the_names_it_imports():
+    """Every name a module of isomlab imports is used in that module, except
+    a name the benchmark wraps in that module (a TARGETS entry).  The
+    package's __init__ is its public namespace: its imports are its exports,
+    so it is not checked."""
+    traced = {(module, name) for _, module, name in _targets()}
+    package = Path(importlib.import_module("isomlab").__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name}"
+            for name in sorted(imported - used)
+            if (path.stem, name) not in traced
+        ]
+    assert unused == []

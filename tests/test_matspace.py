@@ -99,21 +99,42 @@ def test_vectorize_dimension_mismatch():
         il.devectorize(np.zeros(9), basis)
 
 
+def _draws(sample, k):
+    """A count=k draw and k single draws, each from a generator seeded
+    alike, with the state each generator is left in."""
+    stacked, lone = np.random.default_rng(k), np.random.default_rng(k)
+    stack = sample(stacked, k)
+    members = [sample(lone, None) for _ in range(k)]
+    return stack, members, stacked.bit_generator.state, lone.bit_generator.state
+
+
 @pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_coordinate_maps_take_a_batch_axis(space, n):
+    """For k = 2, 5, 57, a stack or a count=k draw gives each member, bit
+    for bit, what a single call gives it, and a count=k draw leaves the
+    generator where k single draws leave it."""
     basis = il.basis_for(space, n)
-    stack = il.random_element(space, n, [6, n], count=4)
-    assert stack.shape == (4, n, n)
-    coords = il.vectorize(stack, basis)
-    assert coords.shape == (4, basis.d)
-    npt.assert_array_equal(coords, [il.vectorize(A, basis) for A in stack])
-    npt.assert_array_equal(il.devectorize(coords, basis), [il.devectorize(v, basis) for v in coords])
-    M = np.random.default_rng(n).standard_normal((basis.d, basis.d))
-    moved = il.apply_map(M, stack, basis)
-    npt.assert_allclose(moved, [il.apply_map(M, A, basis) for A in stack], rtol=0, atol=1e-13)
-    single = il.apply_map(M, stack[:1], basis)
-    assert single.shape == (1, n, n)
+    samplers = [
+        lambda rng, count: il.random_element(space, n, rng, count=count),
+        lambda rng, count: il.haar_unitary(n, rng, count=count),
+        lambda rng, count: il.haar_unitary(n, rng, special=True, count=count),
+        lambda rng, count: il.haar_orthogonal(n, rng, count=count),
+        lambda rng, count: il.haar_orthogonal(n, rng, special=True, count=count),
+    ]
+    for k in (2, 5, 57):
+        for sample in samplers:
+            stack, members, stacked_state, lone_state = _draws(sample, k)
+            assert stack.shape == (k, n, n)
+            assert stack.tobytes() == np.stack(members).tobytes()
+            assert stacked_state == lone_state
+        stack = il.random_element(space, n, [6, n], count=k)
+        coords = il.vectorize(stack, basis)
+        assert coords.shape == (k, basis.d)
+        npt.assert_array_equal(coords, [il.vectorize(A, basis) for A in stack])
+        matrices = il.devectorize(coords, basis)
+        assert matrices.tobytes() == np.stack([il.devectorize(v, basis) for v in coords]).tobytes()
+    assert il.devectorize(coords[:1], basis).shape == (1, n, n)
     with pytest.raises(InvalidDimension):
         il.vectorize(stack[None], basis)
     with pytest.raises(InvalidDimension):

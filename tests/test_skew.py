@@ -103,8 +103,18 @@ def test_psi_apply_coordinates():
 
 
 def test_psi_apply_wrong_dimension():
-    with pytest.raises(InvalidDimension):
-        il.psi_apply(np.zeros((3, 3)))
+    """psi_apply and pfaffian4 refuse a matrix that is not 4 x 4, and one
+    that is not real skew-symmetric (not skew, NaN, complex)."""
+    for A in (
+        np.zeros((3, 3)),
+        np.arange(16.0).reshape(4, 4),
+        np.full((4, 4), np.nan),
+        1j * entries_to_skew([1, 2, 3, 4, 5, 6]),
+    ):
+        with pytest.raises(InvalidDimension):
+            il.psi_apply(A)
+        with pytest.raises(InvalidDimension):
+            il.pfaffian4(A)
 
 
 @pytest.mark.parametrize(
@@ -116,10 +126,10 @@ def test_psi_apply_wrong_dimension():
     ids=["not_skew", "stack_with_one_non_skew"],
 )
 def test_youla_and_char_poly_reject_non_skew_input(A):
-    with pytest.raises(InvalidDimension):
-        il.youla_decompose(A)
-    with pytest.raises(InvalidDimension):
-        il.char_poly_skew(A)
+    """All four skew functions share one input check and refuse the input."""
+    for f in (il.youla_decompose, il.char_poly_skew, il.psi_apply, il.pfaffian4):
+        with pytest.raises(InvalidDimension):
+            f(A)
 
 
 def _same_form(a, b):
