@@ -40,7 +40,12 @@ class NotSpecialOrthogonal(IsomlabError):
 
 
 class NotIsometry(IsomlabError):
-    """Map fails the norm-isometry check beyond tolerance."""
+    """Map fails the norm-isometry check beyond tolerance; ``members``
+    indexes the members of a stack that fail it (0: one map)."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(int(i) for i in members)
 
 
 class NotInClassifiedForm(IsomlabError):

@@ -10,12 +10,16 @@ whose rebuilt map reproduces M within ``RESIDUAL_TOL`` wins and gives the
 reported residual.  A map that no branch reproduces (an isometry of the
 Euclidean norm, say) is outside the classified family.
 
-The conjugating matrix of a branch is one closed form: an extreme
-eigenvector of the rearranged superoperator T of the branch's linear part
-(see :func:`_rearranged`), polished to the nearest unitary or orthogonal
-matrix.  T is linear in the map, so ``T(-L) = -T(L)``, and one ``eigh`` per
-involution flag serves both signs: the top eigenvector for sign +1, the
-bottom one for sign -1.
+The conjugating matrix of a branch is one closed form, read off the
+rearranged superoperator T of the branch's linear part (see
+:func:`_rearranged`).  Its square is rank one after a shift:
+``(T^2 - I/n^2) / (n - 2/n) = vec(U) vec(U)*`` on the Hermitian space and
+``(4 T^2 - I) / (n - 2) = vec(Q) vec(Q).T`` on the skew space (n >= 3).  So
+the conjugator is one column of that square over the square root of its
+diagonal entry, polished to the nearest unitary or orthogonal matrix (see
+:func:`_conjugator`); no eigendecomposition is needed.  T is linear in the
+map, so ``T(-L)^2 = T(L)^2``, and one candidate, one polar fit and one
+rebuild per involution flag serve both signs.
 
 Residual certificate.  Let R be the map rebuilt from the winning branch
 and ``r = max |R - M|`` its residual.  R is ``+-Ad(U)``, ``+-Ad(U) sigma``
@@ -35,9 +39,9 @@ is the only consumer of random numbers, so a ``Generator`` passed as
 ``seed`` is drawn from only when it runs.
 
 Stacks.  Both decompositions and the inversions take a (k, d, d) stack of
-maps through the same code as one map (k = 1): one stacked ``eigh`` per
-flag over the members still open, one stacked fit per sign, and one
-distance test over the uncertified members, which draws their samples in
+maps through the same code as one map (k = 1): one stacked candidate, polar
+fit and rebuild per flag over the members still open, and one distance test
+over the uncertified members, which draws their samples in
 member order from one ``random_element`` call, as k single calls would in
 turn.  Every stacked numpy call used gives a member the bits it gets alone.
 """
@@ -140,20 +144,21 @@ def _coordinate_map(M: np.ndarray) -> np.ndarray:
 
 def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     """The rearranged superoperators of a (k, d, d) stack of coordinate
-    maps, negated on the skew space.
+    maps.
 
     With ``images[i]`` the matrix that column i of a map M represents, the
     rearrangement ``T[(a, c), (b, d)] = sum_i images[i][a, b] B_i[d, c]``
     is Hermitian for every real M (C. F. Van Loan and N. Pitsianis,
     "Approximation with Kronecker products", 1993).  For ``M =
     ad_matrix(U)`` it is ``vec(U) vec(U)* - I/n`` (the identity is what the
-    traceless basis misses, and only shifts the spectrum), so vec(U) is its
-    top eigenvector.  For ``M = so_adjoint_matrix(Q)`` it is ``-(vec(Q)
-    vec(Q).T - P)/2`` with the involution ``P: Y -> Q Y.T Q``, so vec(Q) is
-    the top eigenvector of -T (what the skew space gets back), (n - 2)/2
-    above the rest of its spectrum.  Whether M was an adjoint image at all
-    is left to the caller's reconstruction residual.  Raises
-    :class:`InvalidDimension` unless the maps are (d, d) for the basis.
+    traceless basis misses).  For ``M = so_adjoint_matrix(Q)`` it is
+    ``-(vec(Q) vec(Q).T - P)/2`` with the involution ``P: Y -> Q Y.T Q``,
+    which fixes vec(Q).  Squared, with ``|vec|^2 = n``, these give the
+    rank-one forms ``(T^2 - I/n^2) / (n - 2/n) = vec(U) vec(U)*`` and ``(4
+    T^2 - I) / (n - 2) = vec(Q) vec(Q).T``, the same for M and -M.  Whether
+    M was an adjoint image at all is left to the caller's reconstruction
+    residual.  Raises :class:`InvalidDimension` unless the maps are (d, d)
+    for the basis.
     """
     n, d = basis.n, basis.d
     if M.ndim != 3 or M.shape[1:] != (d, d):
@@ -163,55 +168,79 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     k = len(M)
     images = devectorize(M.swapaxes(-1, -2).reshape(k * d, d), basis)
     T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ basis.mats.reshape(d, n * n)
-    T = T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
-    return -T if basis.space == SKEW_REAL else T
+    return T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
 
 
-def _conjugator(M: np.ndarray, basis: Basis) -> np.ndarray:
-    """The top eigenvector of each map's rearranged superoperator, reshaped
-    to (n, n) and polished to the nearest unitary (orthogonal) matrix."""
-    _, V = np.linalg.eigh(_rearranged(M, basis))
-    return _polar_orthogonal(V[..., -1].reshape(-1, basis.n, basis.n))
+def _conjugator(M: np.ndarray, basis: Basis):
+    """``(C, ok)``: each map's conjugator candidate, a (k, n, n) stack of
+    unitary (orthogonal) matrices, and where it has one.
+
+    With T the map's rearranged superoperator, the rank-one form ``S = (a
+    T^2 - b I) / c`` of :func:`_rearranged` is ``vec vec*`` for an adjoint
+    image.  Only its diagonal is formed, the squared row norms of T shifted
+    and scaled; at its largest entry j the candidate is column j of S,
+    ``(a T T[:, j] - b e_j) / c``, over ``sqrt(S_jj)``: vec up to a phase
+    (sign), polished to the nearest unitary (orthogonal) matrix.  Where
+    ``S_jj`` is not positive and finite the column is zero and ``ok`` False,
+    so no NaN reaches the SVD."""
+    n, k = basis.n, len(M)
+    a, b, c = (4.0, 1.0, n - 2.0) if basis.space == SKEW_REAL else (1.0, 1.0 / n**2, n - 2.0 / n)
+    T = _rearranged(M, basis)
+    members = np.arange(k)
+    # a huge map overflows here; its pivot is then not finite and refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = (a * (T * T.conj()).real.sum(axis=-1) - b) / c
+        j = np.argmax(diagonal, axis=-1)
+        pivot = diagonal[members, j]
+        ok = np.isfinite(pivot) & (pivot > 0)
+        column = a * (T @ T[members, :, j, None])[..., 0]
+        column[members, j] -= b
+        column /= (c * np.sqrt(pivot))[:, None]
+    column[~ok] = 0.0
+    return _polar_orthogonal(column.reshape(k, n, n)), ok
 
 
-def _unitary_fit(U: np.ndarray, M: np.ndarray, basis: Basis):
-    """``(U, residual, accepted)`` for a (k, n, n) stack of unitaries and
-    the (k, d, d) maps they should reproduce: each U normalized to
-    determinant one, ``residual`` the max coordinate deviation of its
-    ``ad_matrix`` from its map, and ``accepted`` where that is within
-    ``RESIDUAL_TOL``."""
+def _unitary_build(U: np.ndarray, basis: Basis):
+    """``(U, rebuilt, refused)`` for a (k, n, n) stack of unitaries: each U
+    normalized to determinant one, its ``ad_matrix``, and no member
+    refused."""
     U = U * (np.linalg.det(U) ** (-1.0 / basis.n))[:, None, None]
-    residual = np.max(np.abs(ad_matrix(U, basis) - M), axis=(-2, -1))
-    return U, residual, residual <= RESIDUAL_TOL
+    return U, ad_matrix(U, basis), np.zeros(len(U), dtype=bool)
 
 
-def _rotation_fit(Q: np.ndarray, M: np.ndarray, basis: Basis):
-    """``(Q, residual, accepted)`` for a (k, n, n) stack of orthogonal
-    matrices and the (k, d, d) maps they should reproduce: ``residual`` the
-    max coordinate deviation of the congruence by Q from its map, each Q
-    made a rotation, and ``accepted`` where the residual is within
-    ``RESIDUAL_TOL`` and Q is not a reflection at even n, which no rotation
-    reproduces (at odd n the rotation -Q gives the same congruence)."""
-    residual = np.max(
-        np.abs(so_adjoint_matrix(Q, basis, allow_reflection=True) - M), axis=(-2, -1)
-    )
+def _rotation_build(Q: np.ndarray, basis: Basis):
+    """``(Q, rebuilt, refused)`` for a (k, n, n) stack of orthogonal
+    matrices: the congruence map by each Q, and each Q made a rotation.  A
+    reflection is refused at even n, where no rotation reproduces it, and
+    flipped at odd n, where the rotation -Q gives the same congruence."""
+    rebuilt = so_adjoint_matrix(Q, basis, allow_reflection=True)
     reflection = np.linalg.det(Q) < 0
     if basis.n % 2 == 0:
-        return Q, residual, (residual <= RESIDUAL_TOL) & ~reflection
-    if reflection.any():
-        Q = np.where(reflection[:, None, None], -Q, Q)
-    return Q, residual, residual <= RESIDUAL_TOL
+        return Q, rebuilt, reflection
+    return np.where(reflection[:, None, None], -Q, Q), rebuilt, np.zeros(len(Q), dtype=bool)
 
 
-def _inverted(M: np.ndarray, basis: Basis, fit):
-    """The public inversions' path: ``fit`` applied to each map's
-    conjugator.  Returns ``(conjugator, residual)``, one of each for one
-    map and stacked for a stack, or raises :class:`NotAdjointImage` for the
-    first member refused."""
+def _candidates(M: np.ndarray, basis: Basis, build):
+    """``(conjugator, rebuilt, refused)`` for each map of the (k, d, d)
+    stack M: :func:`_conjugator`'s candidate through ``build``
+    (:func:`_unitary_build` or :func:`_rotation_build`), refused also where
+    it has none.  The residual test against M or -M is the caller's."""
+    C, ok = _conjugator(M, basis)
+    C, rebuilt, refused = build(C, basis)
+    return C, rebuilt, refused | ~ok
+
+
+def _inverted(M: np.ndarray, basis: Basis, build):
+    """The public inversions' path: each map's candidate through ``build``.
+    Returns ``(conjugator, residual)``, one of each for one map and stacked
+    for a stack, or raises :class:`NotAdjointImage` for the first member
+    refused."""
     M = _coordinate_map(M)
     single = M.ndim == 2
     M = M.reshape(-1, *M.shape[-2:])
-    C, residual, accepted = fit(_conjugator(M, basis), M, basis)
+    C, rebuilt, refused = _candidates(M, basis, build)
+    residual = np.max(np.abs(rebuilt - M), axis=(-2, -1))
+    accepted = ~refused & (residual <= RESIDUAL_TOL)
     if not accepted.all():
         r = float(residual[np.argmin(accepted)])
         if r > RESIDUAL_TOL:
@@ -228,55 +257,59 @@ def _inverted(M: np.ndarray, basis: Basis, fit):
 def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Invert the conjugation action: find U with ``ad_matrix(U) = M``.
 
-    U is the top eigenvector of M's rearranged superoperator (see
-    :func:`_rearranged`), normalized to determinant one.  Returns ``(U,
-    residual)`` with U in SU(n) up to an n-th root of unity and
-    ``residual`` the max coordinate deviation of ``ad_matrix(U)`` from M.
-    Raises :class:`InvalidDimension` unless M is a finite real
-    (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when the residual
-    exceeds ``RESIDUAL_TOL``.  A (k, d, d) stack is taken as
+    vec(U) is, up to phase, a column of the rank-one form ``(T^2 - I/n^2) /
+    (n - 2/n)`` of M's rearranged superoperator T (see :func:`_rearranged`
+    and :func:`_conjugator`), polished to a unitary and normalized to
+    determinant one.  Returns ``(U, residual)`` with U in SU(n) up to an
+    n-th root of unity and ``residual`` the max coordinate deviation of
+    ``ad_matrix(U)`` from M.  Raises :class:`InvalidDimension` unless M is a
+    finite real (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when
+    the residual exceeds ``RESIDUAL_TOL`` or the form has no positive
+    diagonal entry (the zero map, say).  A (k, d, d) stack is taken as
     :func:`recover_orthogonal_from_adso` takes one.
     """
-    return _inverted(M, gell_mann_basis(n), _unitary_fit)
+    return _inverted(M, gell_mann_basis(n), _unitary_build)
 
 
 def recover_orthogonal_from_adso(M: np.ndarray, n: int):
     """Invert the congruence action on the skew space: find Q with
     ``so_adjoint_matrix(Q) = M``, up to global sign.
 
-    Q is the top eigenvector of M's negated rearranged superoperator (see
-    :func:`_rearranged`), which is separated from the rest of the spectrum
-    only for n >= 3; :class:`InvalidDimension` is raised below that, and
-    unless M is a finite real (n(n-1)/2)-square matrix or a (k, d, d) stack
-    of them.  Returns ``(Q, residual)`` with Q in SO(n) and ``residual`` the
-    max coordinate deviation of the congruence by Q from M; for a stack, a
-    (k, n, n) stack of rotations and a (k,) array of residuals, each member
-    what it gets alone.  Raises :class:`NotAdjointImage` when a residual
-    exceeds ``RESIDUAL_TOL``, or when M is the congruence by a reflection at
-    even n, which no rotation reproduces (at odd n the rotation -Q is
-    returned instead); in a stack, for the first member refused.
+    vec(Q) is, up to sign, a column of the rank-one form ``(4 T^2 - I) / (n
+    - 2)`` of M's rearranged superoperator T (see :func:`_rearranged` and
+    :func:`_conjugator`), polished to an orthogonal matrix.  The form needs
+    n >= 3; :class:`InvalidDimension` is raised below that, and unless M is
+    a finite real (n(n-1)/2)-square matrix or a (k, d, d) stack of them.
+    Returns ``(Q, residual)`` with Q in SO(n) and ``residual`` the max
+    coordinate deviation of the congruence by Q from M; for a stack, a (k,
+    n, n) stack of rotations and a (k,) array of residuals, each member what
+    it gets alone.  Raises :class:`NotAdjointImage` when a residual exceeds
+    ``RESIDUAL_TOL``, when the form has no positive diagonal entry, or when
+    M is the congruence by a reflection at even n, which no rotation
+    reproduces (at odd n the rotation -Q is returned instead); in a stack,
+    for the first member refused.
     """
     if n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    return _inverted(M, skew_basis(n), _rotation_fit)
+    return _inverted(M, skew_basis(n), _rotation_build)
 
 
-def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, fit):
+def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, build):
     """``(sign, flag, conjugator, residual)``, one entry per member of the
     (k, d, d) stack M, for the first branch ``(M @ involution if flag else
-    M) / sign`` in the order (1, F), (-1, F), (1, T), (-1, T) that ``fit``
-    (:func:`_unitary_fit` or :func:`_rotation_fit`) accepts, the flag
-    branches only when ``involution`` is given.  Where every branch fails,
-    ``sign`` is 0 and ``residual`` infinite.
+    M) / sign`` in the order (1, F), (-1, F), (1, T), (-1, T) whose rebuilt
+    map reproduces it within ``RESIDUAL_TOL``, the flag branches only when
+    ``involution`` is given.  Where every branch fails, ``sign`` is 0 and
+    ``residual`` infinite.
 
-    Per flag there is one stacked ``eigh`` of the rearranged superoperators
-    of the members still open.  Per sign there is then one stacked polar
-    fit and rebuild over the members still open: the top eigenvectors for
-    +1, the bottom ones (the top ones of ``-linear``'s) for -1.  So a
-    member gets the bits it gets alone, and a single map does the work it
-    did before stacking.  The eigenvectors live only in this frame, which
-    has ended before any caller raises, so a rejected map's traceback keeps
-    no eigen array alive."""
+    The candidate of :func:`_conjugator` is the same for a map and its
+    negative, so per flag there is one stacked candidate, polar fit and
+    rebuild (``build``, :func:`_unitary_build` or :func:`_rotation_build`)
+    over the members still open, tested against ``linear`` for sign +1 and
+    ``-linear`` for sign -1.  So a member gets the bits it gets alone, and a
+    single map takes the same code with k = 1.  The candidates live
+    only in this frame, which has ended before any caller raises, so a
+    rejected map's traceback keeps none of them alive."""
     k, n = len(M), basis.n
     sign = np.zeros(k, dtype=int)
     flag = np.zeros(k, dtype=bool)
@@ -285,10 +318,10 @@ def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, f
     todo = np.arange(k)  # the members no branch has reproduced yet
     for f in (False, True) if involution is not None else (False,):
         linear = M[todo] @ involution if f else M
-        _, V = np.linalg.eigh(_rearranged(linear, basis))
-        for s, column in ((1, -1), (-1, 0)):
-            ends = V[..., column].reshape(-1, n, n)
-            C, res, accepted = fit(_polar_orthogonal(ends), linear / s, basis)
+        C, rebuilt, refused = _candidates(linear, basis, build)
+        for s in (1, -1):
+            res = np.max(np.abs(rebuilt - s * linear), axis=(-2, -1))
+            accepted = ~refused & (res <= RESIDUAL_TOL)
             if not accepted.any():
                 continue
             won = todo[accepted]
@@ -296,7 +329,10 @@ def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, f
             conjugator[won], residual[won] = C[accepted], res[accepted]
             if accepted.all():
                 return sign, flag, conjugator, residual
-            todo, linear, V = todo[~accepted], linear[~accepted], V[~accepted]
+            keep = ~accepted
+            todo, linear, C, rebuilt, refused = (
+                todo[keep], linear[keep], C[keep], rebuilt[keep], refused[keep]
+            )
     return sign, flag, conjugator, residual
 
 
@@ -314,13 +350,13 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
     basis = gell_mann_basis(n)
     M = _coordinate_map(M)[None]
     involution = cartan_matrix(basis) if n >= 3 else None
-    eta, sigma_flag, U, _ = _branch_search(M, involution, basis, _unitary_fit)
+    eta, sigma_flag, U, _ = _branch_search(M, involution, basis, _unitary_build)
     if not eta[0]:
         raise NotInClassifiedForm("no branch of the canonical family reproduces the map", members=(0,))
     return int(eta[0]), bool(sigma_flag[0]), U[0]
 
 
-def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
+def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, members=None) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
     D over 50 random differences D per member of the (k, d, d) stack M,
@@ -328,7 +364,9 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
     ``random_element`` call, member after member: the stream k one-member
     tests draw in turn.  Two stacked norm evaluations in all.  Raises
     :class:`NotIsometry` when a relative deviation exceeds
-    ``ISOMETRY_TOL``."""
+    ``ISOMETRY_TOL``, naming the failing members by their entries in
+    ``members`` (M's indices in the caller's stack; ``range(k)`` when
+    None)."""
     basis = basis_for(spec.space, n)
     k, d = len(M), basis.d
     D = random_element(spec.space, n, seed, count=50 * k)
@@ -336,9 +374,11 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed) -> None:
     lhs = norm_value(devectorize(moved.reshape(50 * k, d), basis), spec)
     rhs = norm_value(D, spec)
     dev = np.abs(lhs - rhs)
-    if not np.all(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30)):
+    failed = ~(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30)).reshape(k, 50).all(axis=1)
+    if failed.any():
+        members = np.arange(k) if members is None else np.asarray(members)
         raise NotIsometry(
-            f"distance deviation {np.max(dev):.3e} on random pair"
+            f"distance deviation {np.max(dev):.3e} on random pair", members=members[failed]
         )
 
 
@@ -374,16 +414,16 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     return M.reshape(-1, d, d), n, offset.reshape(-1, d), rng
 
 
-def _certified_branches(M, spec: NormSpec, rng, involution, basis: Basis, fit):
+def _certified_branches(M, spec: NormSpec, rng, involution, basis: Basis, build):
     """:func:`_branch_search`'s winners ``(sign, flag, conjugator,
     residual)``, after one distance test over the members whose ``n d
     residual`` exceeds ``ISOMETRY_TOL``, those that no branch reproduces
     (infinite residual) among them.  Then :class:`NotInClassifiedForm`
     names the latter in ``members``."""
-    sign, flag, conjugator, residual = _branch_search(M, involution, basis, fit)
+    sign, flag, conjugator, residual = _branch_search(M, involution, basis, build)
     uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
     if uncertified.any():
-        _check_isometry(M[uncertified], spec, basis.n, rng)
+        _check_isometry(M[uncertified], spec, basis.n, rng, np.flatnonzero(uncertified))
         missing = np.flatnonzero(sign == 0)
         if missing.size:
             raise NotInClassifiedForm(
@@ -418,7 +458,8 @@ def decompose_isometry(
     over the stack, whose draws are those of k single calls in turn.
 
     Raises :class:`NotIsometry` (for a stack, when any member is not an
-    isometry), or :class:`NotInClassifiedForm` for isometries outside the
+    isometry, with ``exc.members`` naming those members), or
+    :class:`NotInClassifiedForm` for isometries outside the
     canonical family (the Euclidean / inner-product case admits a full
     orthogonal group of them), with ``exc.members`` naming the members no
     branch reproduces; the distance test runs before the latter is raised,
@@ -428,7 +469,7 @@ def decompose_isometry(
     basis = gell_mann_basis(n)
     involution = cartan_matrix(basis) if n >= 3 else None
     eta, sigma_flag, U, residual = _certified_branches(
-        stack, spec, rng, involution, basis, _unitary_fit
+        stack, spec, rng, involution, basis, _unitary_build
     )
     translation = devectorize(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
@@ -451,7 +492,8 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     the distance test on random pairs drawn from ``seed`` runs only when
     ``n d residual`` exceeds ``ISOMETRY_TOL`` or every branch fails, and a
     (k, d, d) stack of maps gives a tuple of k decompositions.  Raises
-    :class:`NotIsometry` or, when every branch fails for some member (as
+    :class:`NotIsometry`, naming the non-isometries in ``exc.members``, or,
+    when every branch fails for some member (as
     for multiples of the Euclidean norm), :class:`NotInClassifiedForm` with
     those members in ``exc.members``; at n = 2 an isometry raises
     :class:`InvalidDimension`, since congruence recovery needs n >= 3.
@@ -462,7 +504,7 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
         raise InvalidDimension("orthogonal recovery needs n >= 3")
     involution = psi_matrix() if n == 4 else None
     sign, flag, Q, residual = _certified_branches(
-        stack, spec, rng, involution, skew_basis(n), _rotation_fit
+        stack, spec, rng, involution, skew_basis(n), _rotation_build
     )
     decompositions = tuple(
         SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)

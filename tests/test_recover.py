@@ -343,7 +343,7 @@ def test_decompositions_raise_what_the_distance_test_first_order_raises():
 def test_a_rejected_map_keeps_no_eigen_array_alive(space):
     """NotInClassifiedForm's traceback (and any exception chained to it)
     holds no array larger than the (d, d) map in any frame, so a caller
-    that keeps the exception keeps no eigenvectors of the branch search."""
+    that keeps the exception keeps no candidates of the branch search."""
     d = 15 if space == il.HERMITIAN_TRACELESS else 6
     decompose = il.decompose_isometry if space == il.HERMITIAN_TRACELESS else il.decompose_skew_isometry
     M = il.haar_orthogonal(d, [57, d], special=True)
@@ -458,12 +458,14 @@ def test_a_stack_holding_one_non_isometry_raises_not_isometry(space):
         adjoint, spec = il.so_adjoint_matrix(il.haar_orthogonal(n, 71, special=True, count=3)), CSPEC21
         decompose = il.decompose_skew_isometry
     M = np.concatenate([adjoint, 2.0 * np.eye(adjoint.shape[-1])[None]])[[0, 3, 1, 2]]
-    with pytest.raises(NotIsometry):
+    with pytest.raises(NotIsometry) as err:
         decompose(M, spec, seed=0)
+    assert err.value.members == (1,)
     # a Euclidean rotation is no isometry of a non-Euclidean norm either
     M[1] = il.haar_orthogonal(adjoint.shape[-1], 72, special=True)
-    with pytest.raises(NotIsometry):
+    with pytest.raises(NotIsometry) as err:
         decompose(M, spec, seed=0)
+    assert err.value.members == (1,)
 
 
 def test_inversions_of_a_stack_are_its_members_inverted_alone():
@@ -486,6 +488,99 @@ def test_inversions_of_a_stack_are_its_members_inverted_alone():
     with pytest.raises(NotAdjointImage) as alone:
         il.recover_orthogonal_from_adso(-P, 4)
     assert err.value.residual == alone.value.residual
+
+
+def _squared_forms(n, space, count, seed):
+    """The basis, the adjoint images of ``count`` Haar conjugators and the
+    rank-one forms ``(T^2 - I/n^2) / (n - 2/n)`` (Hermitian) or ``(4 T^2 -
+    I) / (n - 2)`` (skew) of their rearranged superoperators T, formed in
+    full as the oracle."""
+    import isomlab.recover as recover
+
+    if space == il.HERMITIAN_TRACELESS:
+        basis = il.gell_mann_basis(n)
+        maps = il.ad_matrix(il.haar_unitary(n, seed, special=True, count=count), basis)
+        a, b, c = 1.0, 1.0 / n**2, n - 2.0 / n
+    else:
+        basis = il.skew_basis(n)
+        maps = il.so_adjoint_matrix(il.haar_orthogonal(n, seed, special=True, count=count), basis)
+        a, b, c = 4.0, 1.0, n - 2.0
+    T = recover._rearranged(maps, basis)
+    return basis, maps, (a * T @ T - b * np.eye(n * n)) / c
+
+
+_SQUARED_CASES = [(il.HERMITIAN_TRACELESS, n) for n in (2, 3, 4, 5, 6)] + [
+    (il.SKEW_REAL, n) for n in (3, 4, 5, 6)
+]
+
+
+@pytest.mark.parametrize("space, n", _SQUARED_CASES)
+def test_squared_rearrangement_is_rank_one(space, n):
+    """The squared forms are vec vec*: eigenvalues 0 and |vec|^2 = n."""
+    _, _, S = _squared_forms(n, space, 20, [76, n])
+    expected = np.zeros(n * n)
+    expected[-1] = n
+    assert np.max(np.abs(np.linalg.eigvalsh(S) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("space, n", _SQUARED_CASES)
+def test_conjugator_is_the_top_eigenvector_of_the_squared_form(space, n):
+    """The column read-off gives the oracle's top eigenvector of the squared
+    form, times sqrt(n), up to phase (sign on the skew space)."""
+    import isomlab.recover as recover
+
+    basis, maps, S = _squared_forms(n, space, 20, [77, n])
+    top = np.linalg.eigh(S)[1][..., -1] * np.sqrt(n)
+    C, ok = recover._conjugator(maps, basis)
+    assert ok.all()
+    vec = C.reshape(len(C), n * n)
+    overlap = np.sum(top.conj() * vec, axis=-1)
+    phase = overlap / np.abs(overlap)
+    if space == il.SKEW_REAL:
+        assert not np.iscomplexobj(C)
+    assert np.max(np.abs(vec - phase[:, None] * top)) <= 1e-12
+
+
+def test_recover_calls_no_eigh():
+    """The conjugator is a closed form: recover makes no eigendecomposition
+    (the eigh oracle lives in the tests)."""
+    import ast
+    import isomlab.recover as recover
+
+    tree = ast.parse(open(recover.__file__).read())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not {"eigh", "eig", "eigvalsh", "eigvals"} & names
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space, n", [(il.HERMITIAN_TRACELESS, n) for n in (2, 3, 4)] + [
+    (il.SKEW_REAL, n) for n in (3, 4, 5)
+])
+def test_degenerate_maps_fail_closed(space, n):
+    """The zero map has no positive pivot and a coordinate projector is rank
+    deficient: the inversions refuse both with NotAdjointImage and the
+    decompositions with NotIsometry, alone and in a stack, with no
+    LinAlgError and no RuntimeWarning (warnings are errors here)."""
+    if space == il.HERMITIAN_TRACELESS:
+        d, spec = n * n - 1, SPEC3
+        invert, decompose = il.recover_unitary_from_ad, il.decompose_isometry
+    else:
+        d = n * (n - 1) // 2
+        spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+        invert, decompose = il.recover_orthogonal_from_adso, il.decompose_skew_isometry
+    import isomlab.recover as recover
+
+    basis = il.gell_mann_basis(n) if space == il.HERMITIAN_TRACELESS else il.skew_basis(n)
+    C, ok = recover._conjugator(np.zeros((1, d, d)), basis)
+    assert not ok[0] and np.all(np.isfinite(C))
+    projector = np.diag(np.r_[np.ones(d - 1), 0.0])
+    for M in (np.zeros((d, d)), projector, np.stack([np.eye(d), np.zeros((d, d)), projector])):
+        with pytest.raises(NotAdjointImage):
+            invert(M, n)
+        with pytest.raises(NotIsometry) as err:
+            decompose(M, spec, seed=0)
+        assert err.value.members == ((0,) if M.ndim == 2 else (1, 2))
 
 
 def test_unitary_phase_distance_of_stacks_is_per_member():
