@@ -8,10 +8,14 @@ Frobenius, Schatten/Ky Fan of the singular values, and the c-spectral norm
 ``sum_i c_i a_i`` applied to the descending canonical block parameters a_i
 (each counted once), invariant under orthogonal congruence.
 
+Both spaces take one spectral route, through the Hermitian matrix H = A
+(Hermitian space) or H = iA (skew space).  The eigenvalues of iA are the
+pairs +-a_i (and 0 at odd n), so their moduli are A's singular values.
 Values and gradients take one matrix or a (k, n, n) stack through one code
-path.  Every gradient is closed-form: ``V diag(f'(lam)) V*`` over the
-eigenvalues or singular values (A. S. Lewis, "Derivatives of spectral
-functions", Math. Oper. Res. 21 (1996)), projected back onto the space.
+path.  Every gradient is closed-form: ``G = V diag(f'(lam)) V*`` over the
+eigenvalues of H (A. S. Lewis, "Derivatives of spectral functions", Math.
+Oper. Res. 21 (1996)), projected back onto the space.  On the skew space
+that projection is Im G, since <G, iX> = <Im G, X> for real skew X.
 """
 
 from __future__ import annotations
@@ -132,14 +136,17 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     """Parse a command-line norm token.
 
     Grammar: ``frobenius``, ``schatten:<p>`` (``schatten:inf`` allowed),
-    ``kyfan:<k>``, ``cspec:<c1,c2,...>``.  ``cspec`` always lives on the
-    skew space; the others default to the Hermitian space unless ``space``
-    says otherwise.
+    ``kyfan:<k>``, ``cspec:<c1,c2,...>``.  ``frobenius`` takes no
+    argument, not even an empty one.  ``cspec`` always lives on the skew
+    space; the others default to the Hermitian space unless ``space`` says
+    otherwise.
     """
-    name, _, arg = token.partition(":")
+    name, colon, arg = token.partition(":")
     name = name.strip().lower()
     try:
         if name == "frobenius":
+            if colon:
+                raise InvalidNormSpec(f"frobenius takes no argument, got {token!r}")
             return frobenius(space or HERMITIAN_TRACELESS)
         if name == "schatten":
             return schatten(arg, space or HERMITIAN_TRACELESS)
@@ -181,23 +188,12 @@ def _check_parameters(spec: NormSpec, n: int) -> None:
         raise InvalidNormSpec(f"Ky Fan k={spec.k} exceeds ambient n={n}")
 
 
-def _hermitian_singvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of a Hermitian matrix: |eigenvalues|, descending
-    (along the last axis, for a stack)."""
-    return np.sort(np.abs(np.linalg.eigvalsh(A)), axis=-1)[..., ::-1]
-
-
-def _youla_values(A: np.ndarray) -> np.ndarray:
-    """Descending canonical block parameters a_i of a skew matrix, each
-    counted once and zero-padded to length floor(n/2).
-
-    Computed from the SVD, where each a_i appears as a doubled singular
-    value; this keeps the route independent of the eigen-based canonical
-    decomposition used elsewhere.
-    """
-    n = A.shape[-1]
-    svals = np.linalg.svd(A, compute_uv=False)
-    return svals[..., ::2][..., : n // 2]
+def _moduli(A: np.ndarray, space: str) -> np.ndarray:
+    """Descending eigenvalue moduli of H = A (Hermitian space) or H = iA
+    (skew space), along the last axis: A's singular values, which on the
+    skew space come as the pairs a_1, a_1, a_2, a_2, ... (then 0 at odd n)."""
+    H = A if space == HERMITIAN_TRACELESS else 1j * A
+    return np.sort(np.abs(np.linalg.eigvalsh(H)), axis=-1)[..., ::-1]
 
 
 def _scaled(s: np.ndarray, s_max: np.ndarray):
@@ -210,13 +206,20 @@ def _scaled(s: np.ndarray, s_max: np.ndarray):
 
 
 def _frobenius(A: np.ndarray) -> np.ndarray:
-    # x @ x.T per member is the BLAS dot that np.linalg.norm(A) takes, so a
-    # single matrix gets the value it has always had
+    # x @ x.T per member, on the strided real and imaginary views, is the
+    # BLAS dot that np.linalg.norm(A) takes.  Each member is first scaled by
+    # 2^-e, 2^e the power of two at or above its largest modulus, so no
+    # square over- or underflows; the scaling is exact, so a sum that stays
+    # in range keeps the bits it has unscaled
     x = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
-    square = x.real @ x.real.swapaxes(-1, -2)
-    if np.iscomplexobj(A):
-        square = square + x.imag @ x.imag.swapaxes(-1, -2)
-    return np.sqrt(square[..., 0, 0])
+    _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    if np.iscomplexobj(x):
+        x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
+        square = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    else:
+        x = np.ldexp(x, -e)
+        square = x @ x.swapaxes(-1, -2)
+    return np.ldexp(np.sqrt(square[..., 0, 0]), e[..., 0, 0])
 
 
 def norm_value(A: np.ndarray, spec: NormSpec):
@@ -224,9 +227,9 @@ def norm_value(A: np.ndarray, spec: NormSpec):
 
     ``A`` is one (n, n) space element, giving a float, or a (k, n, n)
     stack of them, giving a (k,) array of their norms from one stacked
-    eigvalsh/svd call.  Both shapes take the same code, so a member of a
-    stack gets the value it would get alone.  Schatten-p values are
-    ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
+    eigvalsh call on H = A or iA.  Both shapes take the same code, so a
+    member of a stack gets the value it would get alone.  Schatten-p values
+    are ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
     range.
     """
     single = np.ndim(A) == 2
@@ -234,14 +237,11 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     _check_parameters(spec, A.shape[-1])
     if spec.family == FROBENIUS:
         value = _frobenius(A)
-    elif spec.family == C_SPECTRAL:
-        value = (np.asarray(spec.c) @ _youla_values(A)[..., None])[..., 0]
     else:
-        if spec.space == HERMITIAN_TRACELESS:
-            s = _hermitian_singvals(A)
-        else:
-            s = np.linalg.svd(A, compute_uv=False)
-        if spec.family == SCHATTEN:
+        s = _moduli(A, spec.space)
+        if spec.family == C_SPECTRAL:  # the first member of each +-a_i pair
+            value = (np.asarray(spec.c) @ s[..., : 2 * len(spec.c) : 2, None])[..., 0]
+        elif spec.family == SCHATTEN:
             if math.isinf(spec.p):
                 value = s[..., 0]
             else:
@@ -270,10 +270,9 @@ def _require_generic(vals: np.ndarray, scale: np.ndarray) -> None:
 
 
 def _spectral_weights(lam: np.ndarray, rank: np.ndarray, spec: NormSpec):
-    """Derivative of the norm with respect to each eigenvalue (Hermitian
-    space) or singular value (skew space) in ``lam``, whose descending
-    modulus order is ``rank``; returns the weights and a per-member factor
-    that multiplies the projected gradient."""
+    """Derivative of the norm with respect to each eigenvalue in ``lam`` (of
+    H = A or iA), whose descending modulus order is ``rank``; returns the
+    weights and a per-member factor that multiplies the projected gradient."""
     sign = np.sign(lam)
     if spec.family == SCHATTEN and not math.isinf(spec.p):
         # degree-0 homogeneous, so built from the scaled values; the factor
@@ -281,44 +280,43 @@ def _spectral_weights(lam: np.ndarray, rank: np.ndarray, spec: NormSpec):
         t, _ = _scaled(lam, np.abs(lam).max(axis=-1, keepdims=True))
         total = (np.abs(t) ** spec.p).sum(axis=-1)
         return sign * np.abs(t) ** (spec.p - 1.0), total ** ((1.0 - spec.p) / spec.p)
+    n = lam.shape[-1]
     if spec.family == SCHATTEN:
-        weights = sign * (rank == 0)
+        table = np.arange(n) == 0
     elif spec.family == KY_FAN:
-        weights = sign * (rank < spec.k)
-    else:  # c-spectral: c_i on the first value of the i-th singular pair
-        weights = np.zeros(lam.shape)
-        weights[..., : 2 * len(spec.c) : 2] = spec.c
-    return weights, np.ones(lam.shape[:-1])
+        table = np.arange(n) < spec.k
+    else:  # c-spectral: c_i at the first rank of the i-th +-a_i pair
+        table = np.zeros(n)
+        table[: 2 * len(spec.c) : 2] = spec.c
+    return sign * table[rank], np.ones(lam.shape[:-1])
 
 
 def _spectral_gradient(A: np.ndarray, spec: NormSpec, fro: np.ndarray) -> np.ndarray:
-    """V diag(f'(lam)) V* from one stacked eigh (Hermitian space) or svd
-    (skew space) call, projected back onto the space (Lewis 1996)."""
+    """G = V diag(f'(lam)) V* from one stacked eigh of H = A (Hermitian
+    space) or iA (skew space), projected back onto the space (Lewis 1996).
+
+    The members of a +-lambda pair of H (each pair of iA, and the one pair
+    at Hermitian n = 2) have tied moduli, so either may rank first; the
+    projection makes that immaterial.  On the skew space the eigenvectors
+    of +-a are v and conj(v), which add (w+ - w-) Im(v v*) to Im G; on the
+    Hermitian space at n = 2 the traceless part of the pair's term is
+    (w+ - w-) (v+ v+* - v- v-*) / 2."""
     n = A.shape[-1]
-    if spec.space == HERMITIAN_TRACELESS:
-        lam, U = np.linalg.eigh(A)
-        Vh = U.conj().swapaxes(-1, -2)
-        order = np.argsort(-np.abs(lam), axis=-1)
-        vals = np.take_along_axis(np.abs(lam), order, axis=-1)
-        rank = np.argsort(order, axis=-1)
-    else:
-        U, lam, Vh = np.linalg.svd(A)
-        vals = lam[..., ::2][..., : n // 2]
-        rank = np.arange(n)
+    skew = spec.space == SKEW_REAL
+    lam, V = np.linalg.eigh(1j * A if skew else A)
+    order = np.argsort(-np.abs(lam), axis=-1)
+    rank = np.argsort(order, axis=-1)
     if not (spec.family == SCHATTEN and 1.0 < spec.p < math.inf):
-        _require_generic(vals, fro)
+        vals = np.take_along_axis(np.abs(lam), order, axis=-1)
+        # a +-lambda pair is one relevant value
+        _require_generic(vals[..., : 2 * (n // 2) : 2] if skew or n == 2 else vals, fro)
     weights, factor = _spectral_weights(lam, rank, spec)
-    if spec.space == HERMITIAN_TRACELESS:
-        G = project_traceless((U * weights[..., None, :]) @ Vh)
+    G = (V * weights[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    if skew:  # <G, iX> = <Im G, X> for real skew X
+        J = G.imag
+        G = (J - J.swapaxes(-1, -2)) / 2.0
     else:
-        # each a_i is a doubled singular value whose vectors are fixed only
-        # up to a rotation within the pair, so both members of a pair get
-        # the pair's mean weight (an odd Ky Fan k splits a pair)
-        m = n // 2
-        pairs = weights[..., : 2 * m].reshape(weights.shape[:-1] + (m, 2))
-        weights[..., : 2 * m] = pairs.mean(axis=-1).repeat(2, axis=-1)
-        W = (U * weights[..., None, :]) @ Vh
-        G = (W - W.swapaxes(-1, -2)) / 2.0
+        G = project_traceless(G)
     return G * factor[..., None, None]
 
 
@@ -335,16 +333,11 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     """
     shape = np.shape(A)
     A = _check_space(A, spec)
-    n = A.shape[-1]
-    _check_parameters(spec, n)
+    _check_parameters(spec, A.shape[-1])
     fro = _frobenius(A)
     _refuse(fro == 0.0, "gradient undefined at the zero matrix")
     if spec.family == FROBENIUS:
         G = A / fro[:, None, None]
-    elif spec.space == HERMITIAN_TRACELESS and n == 2:
-        # 2 x 2 traceless eigenvalues form a +-lambda pair, so every
-        # invariant norm is a Frobenius multiple; the gradient is exact
-        G = A * (norm_value(A, spec) / fro**2)[:, None, None]
     else:
         G = _spectral_gradient(A, spec, fro)
     return G.reshape(shape)

@@ -182,6 +182,7 @@ def test_main_usage_error_exits_2():
         ["skew", "--seed", str(2**64)],
         ["invariance", "--n", "3,3"],
         ["invariance", "--norm", "schatten:3", "--norm", "schatten:3.0"],
+        ["all", "--norm", "frobenius:3"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -88,6 +88,9 @@ def test_parse_norm_grammar():
     for token in ("frobenius", "schatten:3", "kyfan:1", "cspec:2,1"):
         spec = il.parse_norm(token)
         assert spec.token() == token
+    for token in ("frobenius:3", "frobenius:"):
+        with pytest.raises(InvalidNormSpec, match="takes no argument"):
+            il.parse_norm(token)
 
 
 @pytest.mark.parametrize(
@@ -235,11 +238,14 @@ def test_euler_identity_at_smooth_points(n):
 
 
 def test_n2_gradient_is_frobenius_scaled():
-    A = il.random_element(il.HERMITIAN_TRACELESS, 2, 12)
-    for spec in (il.schatten(1.0), il.schatten(math.inf), il.ky_fan(1)):
-        g = il.norm_gradient(A, spec)
-        lhs = np.vdot(g, A).real
-        assert abs(lhs - il.norm_value(A, spec)) < 1e-10
+    # 2 x 2 traceless eigenvalues form a +-lambda pair, so every invariant
+    # norm N is a Frobenius multiple and its gradient is A N(A) / |A|_F^2
+    for seed in range(5):
+        A = il.random_element(il.HERMITIAN_TRACELESS, 2, [12, seed])
+        for spec in herm_specs(2):
+            expected = A * il.norm_value(A, spec) / np.linalg.norm(A) ** 2
+            g = il.norm_gradient(A, spec)
+            assert np.max(np.abs(g - expected)) <= 1e-14 * np.max(np.abs(expected)), spec.token()
 
 
 def test_gradient_degenerate_points():
@@ -320,9 +326,12 @@ def nonsmooth_specs(space, n):
     return specs
 
 
-@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_closed_form_gradients_match_finite_differences(space, n):
+@pytest.mark.parametrize(
+    "n, space",
+    [(n, space) for n in (3, 4, 5, 6) for space in (il.HERMITIAN_TRACELESS, il.SKEW_REAL)]
+    + [(2, il.HERMITIAN_TRACELESS)],
+)
+def test_closed_form_gradients_match_finite_differences(n, space):
     # on the skew space an odd Ky Fan k splits a singular pair
     basis = il.basis_for(space, n)
     for spec in nonsmooth_specs(space, n):
@@ -331,6 +340,63 @@ def test_closed_form_gradients_match_finite_differences(space, n):
             g = il.norm_gradient(A, spec)
             ref = fd_oracle(A, spec, basis)
             assert np.max(np.abs(g - ref)) / np.max(np.abs(ref)) < 1e-6, spec.token()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_skew_norm_values_match_an_svd_oracle(n):
+    """norms has no SVD: A's singular values, computed here, are an
+    independent oracle for every skew family, alone and in a stack."""
+    stack = il.random_element(il.SKEW_REAL, n, [24, n], count=6)
+    s = np.linalg.svd(stack, compute_uv=False)
+    c = np.arange(n // 2, 0, -1.0)
+    cases = [
+        (il.frobenius(il.SKEW_REAL), np.sqrt((s**2).sum(axis=-1))),
+        (il.schatten(1.0, il.SKEW_REAL), s.sum(axis=-1)),
+        (il.schatten(3.0, il.SKEW_REAL), ((s**3).sum(axis=-1)) ** (1 / 3)),
+        (il.schatten(math.inf, il.SKEW_REAL), s[:, 0]),
+        (il.c_spectral(c), s[:, ::2][:, : n // 2] @ c),  # a_i is a doubled singular value
+    ]
+    cases += [(il.ky_fan(k, il.SKEW_REAL), s[:, :k].sum(axis=-1)) for k in range(1, n + 1)]
+    for spec, expected in cases:
+        npt.assert_allclose(il.norm_value(stack, spec), expected, rtol=1e-13, err_msg=spec.token())
+        for A, value in zip(stack, expected):
+            assert il.norm_value(A, spec) == pytest.approx(value, rel=1e-13), spec.token()
+
+
+def test_norms_calls_no_svd():
+    """Both spaces take one eigh route, through A or iA (the SVD oracle
+    lives in the tests)."""
+    import ast
+    import isomlab.norms as norms
+
+    tree = ast.parse(open(norms.__file__).read())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "svd" not in names
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e5, 1e150])
+def test_frobenius_value_is_numpys_bit_for_bit(space, scale):
+    stack = scale * il.random_element(space, 5, 25, count=20)
+    expected = [np.linalg.norm(A) for A in stack]
+    assert il.norm_value(stack, il.frobenius(space)).tolist() == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_family_at_extreme_scales(space, scale, n):
+    """No square over- or underflows: the value scales with A and the
+    gradient does not move (warnings are errors here)."""
+    A = il.random_element(space, n, [26, n])
+    specs = [il.frobenius(space), il.schatten(1.5, space), il.schatten(3.0, space)]
+    for spec in specs + nonsmooth_specs(space, n):
+        value = il.norm_value(scale * A, spec)
+        assert value == pytest.approx(scale * il.norm_value(A, spec), rel=1e-12), spec.token()
+        g, g_scaled = il.norm_gradient(A, spec), il.norm_gradient(scale * A, spec)
+        assert np.max(np.abs(g_scaled - g)) <= 1e-12 * np.max(np.abs(g)), spec.token()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
