@@ -5,6 +5,15 @@ class IsomlabError(Exception):
     """Base class for all library errors."""
 
 
+class _MemberError(IsomlabError):
+    """An error that names the failing members of a stack in ``members``
+    (0: one matrix or map)."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(int(i) for i in members)
+
+
 class InvalidDimension(IsomlabError):
     """Matrix or coordinate dimensions are unsupported or inconsistent."""
 
@@ -26,36 +35,24 @@ class InvalidSeed(IsomlabError):
     integer."""
 
 
-class DegeneratePoint(IsomlabError):
+class DegeneratePoint(_MemberError):
     """Gradient requested at a point where the norm is not smooth;
     ``members`` indexes the offending members of a stack (0: one matrix)."""
-
-    def __init__(self, message, members=()):
-        super().__init__(message)
-        self.members = tuple(int(i) for i in members)
 
 
 class NotSpecialOrthogonal(IsomlabError):
     """Orthogonal matrix has determinant -1 where +1 is required."""
 
 
-class NotIsometry(IsomlabError):
+class NotIsometry(_MemberError):
     """Map fails the norm-isometry check beyond tolerance; ``members``
     indexes the members of a stack that fail it (0: one map)."""
 
-    def __init__(self, message, members=()):
-        super().__init__(message)
-        self.members = tuple(int(i) for i in members)
 
-
-class NotInClassifiedForm(IsomlabError):
+class NotInClassifiedForm(_MemberError):
     """Isometry does not match any of the classified canonical forms;
     ``members`` indexes the members of a stack that no branch reproduces
     (0: one map)."""
-
-    def __init__(self, message, members=()):
-        super().__init__(message)
-        self.members = tuple(int(i) for i in members)
 
 
 class NotAdjointImage(IsomlabError):

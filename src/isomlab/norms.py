@@ -161,21 +161,20 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     raise InvalidNormSpec(f"unknown norm family in token {token!r}")
 
 
-def _check_space(A: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """A as a (k, n, n) stack (k = 1 for one matrix), if it is one element
-    of the spec's space or a stack of them.  Each member is held to 1e-10
-    times (1 + its own largest entry modulus); one non-member fails the
+def _check_space(A: np.ndarray, spec: NormSpec):
+    """``(A, largest)``: A as a (k, n, n) stack (k = 1 for one matrix), if
+    it is one element of the spec's space or a stack of them, and each
+    member's largest entry modulus, a (k,) array.  Each member is held to
+    1e-10 times (1 + its largest entry modulus); one non-member fails the
     whole argument.  One matrix becomes a stack of one, so it gets the
     bits it gets inside any stack."""
     A = np.asarray(A)
-    member = A.ndim in (2, 3) and is_element(
-        A, spec.space, tol=1e-10 * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
-    ).all()
-    if not member:
+    largest = np.abs(A).max(axis=(-2, -1), initial=0.0) if A.ndim in (2, 3) else None
+    if largest is None or not is_element(A, spec.space, tol=1e-10 * (1.0 + largest)).all():
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"
         )
-    return A.reshape((-1,) + A.shape[-2:])
+    return A.reshape((-1,) + A.shape[-2:]), largest.reshape(-1)
 
 
 def _check_parameters(spec: NormSpec, n: int) -> None:
@@ -205,6 +204,14 @@ def _scaled(s: np.ndarray, s_max: np.ndarray):
     return s / scale, scale[..., 0]
 
 
+def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 2^e entrywise, for complex x too; exact unless a result leaves
+    the normal range."""
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
+
+
 def _frobenius(A: np.ndarray) -> np.ndarray:
     # x @ x.T per member, on the strided real and imaginary views, is the
     # BLAS dot that np.linalg.norm(A) takes.  Each member is first scaled by
@@ -213,11 +220,10 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
     # in range keeps the bits it has unscaled
     x = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
     _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    x = _ldexp(x, -e)
     if np.iscomplexobj(x):
-        x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
         square = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
     else:
-        x = np.ldexp(x, -e)
         square = x @ x.swapaxes(-1, -2)
     return np.ldexp(np.sqrt(square[..., 0, 0]), e[..., 0, 0])
 
@@ -233,7 +239,7 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     range.
     """
     single = np.ndim(A) == 2
-    A = _check_space(A, spec)
+    A, _ = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
     if spec.family == FROBENIUS:
         value = _frobenius(A)
@@ -330,10 +336,17 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     variants (Schatten 1 and inf, Ky Fan, c-spectral) need a spectrally
     generic point: a zero or degenerate member raises
     :class:`DegeneratePoint` naming it in ``members``.  <g, A> = ||A||.
+    The gradient is homogeneous of degree 0, so it is taken at each member
+    scaled by 2^-e, 2^e the power of two at or above its largest entry
+    modulus: an exact scaling after which no spectral step over- or
+    underflows, so every nonzero finite member has a gradient, and 2^j A
+    gets the bits of A.
     """
     shape = np.shape(A)
-    A = _check_space(A, spec)
+    A, largest = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
+    _, e = np.frexp(largest)
+    A = _ldexp(A, -e[:, None, None])
     fro = _frobenius(A)
     _refuse(fro == 0.0, "gradient undefined at the zero matrix")
     if spec.family == FROBENIUS:

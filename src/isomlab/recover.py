@@ -123,13 +123,6 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
     )
 
 
-def _polar_orthogonal(B: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix (unitary, for complex B) to each member of
-    a stack: W Vh of its SVD."""
-    W, _, Vh = np.linalg.svd(B)
-    return W @ Vh
-
-
 def _coordinate_map(M: np.ndarray) -> np.ndarray:
     """M as a finite real (d, d) map or (k, d, d) stack of maps."""
     if np.iscomplexobj(M):
@@ -172,19 +165,28 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
 
 
 def _conjugator(M: np.ndarray, basis: Basis):
-    """``(C, ok)``: each map's conjugator candidate, a (k, n, n) stack of
-    unitary (orthogonal) matrices, and where it has one.
+    """``(C, rebuilt, refused)`` for each map of the (k, d, d) stack M: its
+    conjugator, a (k, n, n) stack of unitary (orthogonal) matrices, the map
+    that conjugator rebuilds, and where the candidate is refused.  The
+    residual test against M or -M is the caller's.
 
     With T the map's rearranged superoperator, the rank-one form ``S = (a
     T^2 - b I) / c`` of :func:`_rearranged` is ``vec vec*`` for an adjoint
     image.  Only its diagonal is formed, the squared row norms of T shifted
     and scaled; at its largest entry j the candidate is column j of S,
     ``(a T T[:, j] - b e_j) / c``, over ``sqrt(S_jj)``: vec up to a phase
-    (sign), polished to the nearest unitary (orthogonal) matrix.  Where
-    ``S_jj`` is not positive and finite the column is zero and ``ok`` False,
-    so no NaN reaches the SVD."""
+    (sign), polished to the nearest unitary (orthogonal) matrix ``W Vh`` of
+    its SVD.  Where ``S_jj`` is not positive and finite the column is zero
+    and the member refused, so no NaN reaches the SVD.
+
+    The basis's space picks both the constants and the rebuild.  On the
+    Hermitian space U is normalized to determinant one and rebuilt with
+    ``ad_matrix``.  On the skew space Q is rebuilt by congruence; a
+    reflection is refused at even n, where no rotation reproduces it, and
+    flipped at odd n, where the rotation -Q gives the same congruence."""
     n, k = basis.n, len(M)
-    a, b, c = (4.0, 1.0, n - 2.0) if basis.space == SKEW_REAL else (1.0, 1.0 / n**2, n - 2.0 / n)
+    skew = basis.space == SKEW_REAL
+    a, b, c = (4.0, 1.0, n - 2.0) if skew else (1.0, 1.0 / n**2, n - 2.0 / n)
     T = _rearranged(M, basis)
     members = np.arange(k)
     # a huge map overflows here; its pivot is then not finite and refused
@@ -192,53 +194,33 @@ def _conjugator(M: np.ndarray, basis: Basis):
         diagonal = (a * (T * T.conj()).real.sum(axis=-1) - b) / c
         j = np.argmax(diagonal, axis=-1)
         pivot = diagonal[members, j]
-        ok = np.isfinite(pivot) & (pivot > 0)
+        refused = ~(np.isfinite(pivot) & (pivot > 0))
         column = a * (T @ T[members, :, j, None])[..., 0]
         column[members, j] -= b
         column /= (c * np.sqrt(pivot))[:, None]
-    column[~ok] = 0.0
-    return _polar_orthogonal(column.reshape(k, n, n)), ok
+    column[refused] = 0.0
+    W, _, Vh = np.linalg.svd(column.reshape(k, n, n))
+    C = W @ Vh
+    if not skew:
+        C = C * (np.linalg.det(C) ** (-1.0 / n))[:, None, None]
+        return C, ad_matrix(C, basis), refused
+    rebuilt = so_adjoint_matrix(C, basis, allow_reflection=True)
+    reflection = np.linalg.det(C) < 0
+    if n % 2 == 0:
+        return C, rebuilt, refused | reflection
+    return np.where(reflection[:, None, None], -C, C), rebuilt, refused
 
 
-def _unitary_build(U: np.ndarray, basis: Basis):
-    """``(U, rebuilt, refused)`` for a (k, n, n) stack of unitaries: each U
-    normalized to determinant one, its ``ad_matrix``, and no member
-    refused."""
-    U = U * (np.linalg.det(U) ** (-1.0 / basis.n))[:, None, None]
-    return U, ad_matrix(U, basis), np.zeros(len(U), dtype=bool)
-
-
-def _rotation_build(Q: np.ndarray, basis: Basis):
-    """``(Q, rebuilt, refused)`` for a (k, n, n) stack of orthogonal
-    matrices: the congruence map by each Q, and each Q made a rotation.  A
-    reflection is refused at even n, where no rotation reproduces it, and
-    flipped at odd n, where the rotation -Q gives the same congruence."""
-    rebuilt = so_adjoint_matrix(Q, basis, allow_reflection=True)
-    reflection = np.linalg.det(Q) < 0
-    if basis.n % 2 == 0:
-        return Q, rebuilt, reflection
-    return np.where(reflection[:, None, None], -Q, Q), rebuilt, np.zeros(len(Q), dtype=bool)
-
-
-def _candidates(M: np.ndarray, basis: Basis, build):
-    """``(conjugator, rebuilt, refused)`` for each map of the (k, d, d)
-    stack M: :func:`_conjugator`'s candidate through ``build``
-    (:func:`_unitary_build` or :func:`_rotation_build`), refused also where
-    it has none.  The residual test against M or -M is the caller's."""
-    C, ok = _conjugator(M, basis)
-    C, rebuilt, refused = build(C, basis)
-    return C, rebuilt, refused | ~ok
-
-
-def _inverted(M: np.ndarray, basis: Basis, build):
-    """The public inversions' path: each map's candidate through ``build``.
-    Returns ``(conjugator, residual)``, one of each for one map and stacked
-    for a stack, or raises :class:`NotAdjointImage` for the first member
-    refused."""
+def _inverted(M: np.ndarray, basis: Basis):
+    """The public inversions' path: each map's candidate and rebuild from
+    :func:`_conjugator`, which chooses the rebuild by the basis's space;
+    no involution is tried here.  Returns ``(conjugator, residual)``, one
+    of each for one map and stacked for a stack, or raises
+    :class:`NotAdjointImage` for the first member refused."""
     M = _coordinate_map(M)
     single = M.ndim == 2
     M = M.reshape(-1, *M.shape[-2:])
-    C, rebuilt, refused = _candidates(M, basis, build)
+    C, rebuilt, refused = _conjugator(M, basis)
     residual = np.max(np.abs(rebuilt - M), axis=(-2, -1))
     accepted = ~refused & (residual <= RESIDUAL_TOL)
     if not accepted.all():
@@ -268,7 +250,7 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     diagonal entry (the zero map, say).  A (k, d, d) stack is taken as
     :func:`recover_orthogonal_from_adso` takes one.
     """
-    return _inverted(M, gell_mann_basis(n), _unitary_build)
+    return _inverted(M, gell_mann_basis(n))
 
 
 def recover_orthogonal_from_adso(M: np.ndarray, n: int):
@@ -291,26 +273,31 @@ def recover_orthogonal_from_adso(M: np.ndarray, n: int):
     """
     if n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    return _inverted(M, skew_basis(n), _rotation_build)
+    return _inverted(M, skew_basis(n))
 
 
-def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, build):
+def _branch_search(M: np.ndarray, basis: Basis):
     """``(sign, flag, conjugator, residual)``, one entry per member of the
     (k, d, d) stack M, for the first branch ``(M @ involution if flag else
     M) / sign`` in the order (1, F), (-1, F), (1, T), (-1, T) whose rebuilt
-    map reproduces it within ``RESIDUAL_TOL``, the flag branches only when
-    ``involution`` is given.  Where every branch fails, ``sign`` is 0 and
-    ``residual`` infinite.
+    map reproduces it within ``RESIDUAL_TOL``.  Where every branch fails,
+    ``sign`` is 0 and ``residual`` infinite.
 
-    The candidate of :func:`_conjugator` is the same for a map and its
-    negative, so per flag there is one stacked candidate, polar fit and
-    rebuild (``build``, :func:`_unitary_build` or :func:`_rotation_build`)
-    over the members still open, tested against ``linear`` for sign +1 and
-    ``-linear`` for sign -1.  So a member gets the bits it gets alone, and a
-    single map takes the same code with k = 1.  The candidates live
-    only in this frame, which has ended before any caller raises, so a
-    rejected map's traceback keeps none of them alive."""
+    The basis picks the involution: A -> -A.T (``cartan_matrix``) on the
+    Hermitian space at n >= 3, where at n = 2 it is itself a conjugation,
+    and psi on the skew space at n = 4; elsewhere there are no flag
+    branches.  The candidate of :func:`_conjugator` is the same for a map
+    and its negative, so per flag there is one stacked candidate, polar fit
+    and rebuild over the members still open, tested against ``linear`` for
+    sign +1 and ``-linear`` for sign -1.  So a member gets the bits it gets
+    alone, and a single map takes the same code with k = 1.  The candidates
+    live only in this frame, which has ended before any caller raises, so
+    a rejected map's traceback keeps none of them alive."""
     k, n = len(M), basis.n
+    if basis.space == SKEW_REAL:
+        involution = psi_matrix() if n == 4 else None
+    else:
+        involution = cartan_matrix(basis) if n >= 3 else None
     sign = np.zeros(k, dtype=int)
     flag = np.zeros(k, dtype=bool)
     conjugator = np.zeros((k, n, n), dtype=basis.mats.dtype)
@@ -318,7 +305,7 @@ def _branch_search(M: np.ndarray, involution: np.ndarray | None, basis: Basis, b
     todo = np.arange(k)  # the members no branch has reproduced yet
     for f in (False, True) if involution is not None else (False,):
         linear = M[todo] @ involution if f else M
-        C, rebuilt, refused = _candidates(linear, basis, build)
+        C, rebuilt, refused = _conjugator(linear, basis)
         for s in (1, -1):
             res = np.max(np.abs(rebuilt - s * linear), axis=(-2, -1))
             accepted = ~refused & (res <= RESIDUAL_TOL)
@@ -348,9 +335,7 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
     matrix, and :class:`NotInClassifiedForm` when no branch does.
     """
     basis = gell_mann_basis(n)
-    M = _coordinate_map(M)[None]
-    involution = cartan_matrix(basis) if n >= 3 else None
-    eta, sigma_flag, U, _ = _branch_search(M, involution, basis, _unitary_build)
+    eta, sigma_flag, U, _ = _branch_search(_coordinate_map(M)[None], basis)
     if not eta[0]:
         raise NotInClassifiedForm("no branch of the canonical family reproduces the map", members=(0,))
     return int(eta[0]), bool(sigma_flag[0]), U[0]
@@ -414,13 +399,13 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     return M.reshape(-1, d, d), n, offset.reshape(-1, d), rng
 
 
-def _certified_branches(M, spec: NormSpec, rng, involution, basis: Basis, build):
+def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
     """:func:`_branch_search`'s winners ``(sign, flag, conjugator,
     residual)``, after one distance test over the members whose ``n d
     residual`` exceeds ``ISOMETRY_TOL``, those that no branch reproduces
     (infinite residual) among them.  Then :class:`NotInClassifiedForm`
     names the latter in ``members``."""
-    sign, flag, conjugator, residual = _branch_search(M, involution, basis, build)
+    sign, flag, conjugator, residual = _branch_search(M, basis)
     uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
     if uncertified.any():
         _check_isometry(M[uncertified], spec, basis.n, rng, np.flatnonzero(uncertified))
@@ -467,10 +452,7 @@ def decompose_isometry(
     """
     stack, n, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
     basis = gell_mann_basis(n)
-    involution = cartan_matrix(basis) if n >= 3 else None
-    eta, sigma_flag, U, residual = _certified_branches(
-        stack, spec, rng, involution, basis, _unitary_build
-    )
+    eta, sigma_flag, U, residual = _certified_branches(stack, spec, rng, basis)
     translation = devectorize(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
@@ -502,10 +484,7 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     if n < 3:
         _check_isometry(stack, spec, n, rng)
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    involution = psi_matrix() if n == 4 else None
-    sign, flag, Q, residual = _certified_branches(
-        stack, spec, rng, involution, skew_basis(n), _rotation_build
-    )
+    sign, flag, Q, residual = _certified_branches(stack, spec, rng, skew_basis(n))
     decompositions = tuple(
         SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)
         for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())

@@ -63,3 +63,32 @@ def test_every_module_uses_the_names_it_imports():
             if (path.stem, name) not in traced
         ]
     assert unused == []
+
+
+def test_every_private_definition_is_used():
+    """Every module-level private function or class of isomlab is referenced
+    in the package outside its own definition, so a change that folds a
+    helper into its last caller leaves no orphan behind."""
+    package = Path(importlib.import_module("isomlab").__file__).parent
+    definitions, statements = [], []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            statements.append((stmt, names))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                definitions.append((f"{path.stem}.{stmt.name}", stmt))
+    assert definitions
+    orphans = [
+        qualified
+        for qualified, definition in definitions
+        if not any(stmt is not definition and definition.name in names for stmt, names in statements)
+    ]
+    assert orphans == []

@@ -399,6 +399,35 @@ def test_every_family_at_extreme_scales(space, scale, n):
         assert np.max(np.abs(g_scaled - g)) <= 1e-12 * np.max(np.abs(g)), spec.token()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", [3, 4])
+def test_gradient_is_exactly_invariant_under_powers_of_two(space, n):
+    """The gradient is homogeneous of degree 0 and taken at an exactly
+    rescaled point, so 2^k A gets the bits of A (warnings are errors
+    here)."""
+    A = il.random_element(space, n, [27, n])
+    specs = [il.frobenius(space), il.schatten(1.5, space), il.schatten(3.0, space)]
+    for spec in specs + nonsmooth_specs(space, n):
+        g = il.norm_gradient(A, spec)
+        for k in (-1000, -1, 1, 1000):
+            scaled = A * 2.0**k
+            assert np.array_equal(scaled * 2.0**-k, A)  # no entry lost bits
+            npt.assert_array_equal(il.norm_gradient(scaled, spec), g, err_msg=f"{spec.token()} k={k}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradient_of_a_member_whose_frobenius_norm_overflows():
+    """A finite member has a gradient even where its Frobenius norm leaves
+    the double range (warnings are errors here)."""
+    A = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    assert il.norm_value(A, il.schatten(math.inf, il.SKEW_REAL)) == 1.5e308
+    g = il.norm_gradient(A, il.schatten(math.inf, il.SKEW_REAL))
+    npt.assert_allclose(g, [[0.0, 0.5], [-0.5, 0.0]], rtol=1e-15, atol=0.0)
+    g = il.norm_gradient(A, il.frobenius(il.SKEW_REAL))
+    npt.assert_allclose(g, [[0.0, 0.5**0.5], [-(0.5**0.5), 0.0]], rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_stacked_norm_gradient_matches_member_loop(n):
     specs = herm_specs(n) + skew_specs(n) + nonsmooth_specs(il.SKEW_REAL, n)[:3]

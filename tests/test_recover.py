@@ -531,8 +531,8 @@ def test_conjugator_is_the_top_eigenvector_of_the_squared_form(space, n):
 
     basis, maps, S = _squared_forms(n, space, 20, [77, n])
     top = np.linalg.eigh(S)[1][..., -1] * np.sqrt(n)
-    C, ok = recover._conjugator(maps, basis)
-    assert ok.all()
+    C, _, refused = recover._conjugator(maps, basis)
+    assert not refused.any()
     vec = C.reshape(len(C), n * n)
     overlap = np.sum(top.conj() * vec, axis=-1)
     phase = overlap / np.abs(overlap)
@@ -572,8 +572,8 @@ def test_degenerate_maps_fail_closed(space, n):
     import isomlab.recover as recover
 
     basis = il.gell_mann_basis(n) if space == il.HERMITIAN_TRACELESS else il.skew_basis(n)
-    C, ok = recover._conjugator(np.zeros((1, d, d)), basis)
-    assert not ok[0] and np.all(np.isfinite(C))
+    C, _, refused = recover._conjugator(np.zeros((1, d, d)), basis)
+    assert refused[0] and np.all(np.isfinite(C))
     projector = np.diag(np.r_[np.ones(d - 1), 0.0])
     for M in (np.zeros((d, d)), projector, np.stack([np.eye(d), np.zeros((d, d)), projector])):
         with pytest.raises(NotAdjointImage):
