@@ -94,7 +94,7 @@ from .matspace import (
     vectorize,
 )
 from .norms import NormSpec, _frobenius, norm_gradient
-from .groups import haar_unitary
+from .groups import _kron, haar_unitary
 
 #: smallest acceptable ratio across the singular-value gap
 GAP_RATIO_MIN = 1e3
@@ -348,16 +348,19 @@ def c_numerical_range_sample(
     ``lo`` and ``hi`` are the closed-form endpoints (see the module
     docstring); ``values`` holds only the Monte Carlo orbit values, an
     independent sample that must lie in ``[lo, hi]``, and is empty for
-    ``trials = 0``.  A negative or non-integer ``trials`` raises
+    ``trials = 0``.  Each value is the quadratic form
+    ``Re(conj(u) . kron(A, C.T) u)`` at u = vec(U), since
+    ``kron(A, C.T) vec(U) = vec(A U C)``: one product of the (trials, n^2)
+    rows u with ``kron(A, C.T).T = kron(A.T, C)``.  It is built from A, C and U
+    alone, not from eigenvalues, so the sample stays independent of the
+    endpoints.  A negative or non-integer ``trials`` raises
     InvalidDimension.
     """
     trials = _trial_count(trials)
     lo, hi = _pair_endpoints(A, C)
-    values = np.empty(0)
-    if trials > 0:
-        U = haar_unitary(np.shape(A)[0], seed, count=trials)
-        orbit = U @ C @ np.conj(np.transpose(U, (0, 2, 1)))
-        values = np.einsum("ij,kji->k", A, orbit).real
+    n = np.shape(A)[0]
+    u = haar_unitary(n, seed, count=trials).reshape(trials, n * n)
+    values = np.einsum("ti,ti->t", u.conj(), u @ _kron(np.transpose(A), np.asarray(C))).real
     return RangeSample(values=values, lo=lo, hi=hi, radius=max(abs(lo), abs(hi)))
 
 
@@ -406,7 +409,8 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     lo, hi = lo.reshape(5, trials), hi.reshape(5, trials)
     radius = np.maximum(np.abs(lo), np.abs(hi))
     radius_dev = np.max(np.abs(radius[1:] - radius[0]), axis=1, initial=0.0)
-    scale = np.maximum(_frobenius(A) * float(np.linalg.norm(C)), 1e-30)
+    fro = _frobenius(A, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    scale = np.maximum(fro * float(np.linalg.norm(C)), 1e-30)
     interval = np.maximum(np.abs(lo[0] - lo[1]), np.abs(hi[0] - hi[1])) / scale
     # conjugation moves each orbit point to another: values match exactly
     X = V @ C @ V.conj().swapaxes(-1, -2)

@@ -6,6 +6,13 @@ negative-transpose involution on the Hermitian space and the n = 4 entry
 swap on the skew space, plus Haar sampling.  All maps are (d, d) real
 arrays relative to the package bases (the transpose map of the skew space
 is -I there, since A.T = -A).
+
+Both kernels work on whole stacks.  A Haar draw is the Q factor, with R's
+diagonal positive, of a Ginibre matrix, found by Gram-Schmidt with each
+column projected twice; that Q has exactly the Haar law (Mezzadri 2007).
+A conjugation map is the Kronecker product kron(U, conj(U)) (kron(Q, Q)
+on the skew space) between the basis rows vec(E_a), two matrix products
+per call.
 """
 
 from __future__ import annotations
@@ -41,49 +48,81 @@ def _haar_shape(n, count) -> tuple:
     return (n, n) if count is None else (_trial_count(count), n, n)
 
 
-def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix.
+def _orthonormal_columns(Z: np.ndarray) -> np.ndarray:
+    """Q of the factorisation Z = QR with R's diagonal positive, for each
+    member of a stack of square matrices of full rank: classical
+    Gram-Schmidt over the columns, each column projected out of the ones
+    before it twice, which leaves Q orthonormal to rounding (Giraud, Langou
+    and Rozloznik 2005: "twice is enough").  Every step is an elementwise
+    or einsum product over the stack, so a member gets the bits it gets
+    alone."""
+    Q = np.empty_like(Z)
+    for j in range(Z.shape[-1]):
+        v = Z[..., :, j]
+        done = Q[..., :, :j]
+        adjoint = done.conj()
+        for _ in range(2):
+            v = v - np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", adjoint, v))
+        Q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return Q
 
-    The diagonal phases of R are absorbed into Q (Mezzadri's correction),
-    which makes the law exactly Haar on U(n).  With ``special`` the result
-    is divided by an n-th root of its determinant and lands in SU(n).  With
-    ``count`` the result is a (count, n, n) stack of independent draws from
-    one generator.
+
+def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
+    """Haar-random unitary: the Q factor of a complex Ginibre matrix with
+    R's diagonal positive.
+
+    Gram-Schmidt (:func:`_orthonormal_columns`) gives R a positive diagonal
+    by construction.  That Q is unique, and Mezzadri ("How to generate
+    random matrices from the classical compact groups", 2007) shows that its
+    law is exactly Haar on U(n).  With ``special`` the result is divided by
+    an n-th root of its determinant and lands in SU(n).  With ``count`` the
+    result is a (count, n, n) stack of independent draws from one
+    generator, each member the bits of a single call.
     """
     rng = _rng(seed)
     shape = _haar_shape(n, count)
     # each member's real block, then its imaginary block: k single draws in turn
     G = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
-    Z = (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
-    Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    Q = Q * (diag / np.abs(diag))[..., None, :]
+    Q = _orthonormal_columns((G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2))
     if special:
         Q = Q * (np.linalg.det(Q) ** (-1.0 / n))[..., None, None]
     return Q
 
 
 def haar_orthogonal(n: int, seed, special: bool = False, count: int | None = None) -> np.ndarray:
-    """Haar-random orthogonal matrix; ``special`` forces det = +1 by
-    flipping the sign of the last column when needed.  With ``count`` the
-    result is a (count, n, n) stack of independent draws from one
-    generator."""
+    """Haar-random orthogonal matrix: the Q factor of a real Ginibre matrix
+    with R's diagonal positive (:func:`_orthonormal_columns`), which is
+    exactly Haar on O(n) by Mezzadri's argument.  ``special`` forces det =
+    +1 by flipping the sign of the last column when needed.  With ``count``
+    the result is a (count, n, n) stack of independent draws from one
+    generator, each member the bits of a single call."""
     rng = _rng(seed)
-    shape = _haar_shape(n, count)
-    Q, R = np.linalg.qr(rng.standard_normal(shape))
-    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    Q = _orthonormal_columns(rng.standard_normal(_haar_shape(n, count)))
     if special:
         Q[..., -1] *= np.sign(np.linalg.det(Q))[..., None]
     return Q
+
+
+def _kron(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """kron(U, V) per member of two (..., n, n) stacks: the (..., n^2, n^2)
+    matrix that sends vec(X) to vec(U X V.T), with vec the row-major
+    flattening."""
+    n = U.shape[-1]
+    K = U[..., :, None, :, None] * V[..., None, :, None, :]
+    return K.reshape(U.shape[:-2] + (n * n, n * n))
 
 
 def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     """Coordinate matrix of A -> U A U^{-1} on the traceless Hermitian space.
 
     The result is real orthogonal with determinant +1, and depends on U only
-    through its class modulo n-th roots of unity.  ``U`` is one (n, n)
-    unitary, giving a (d, d) map, or a (k, n, n) stack, giving the (k, d, d)
-    stack of their maps; a member gets the bits it gets alone.
+    through its class modulo n-th roots of unity.  It is
+    ``Re(conj(B) kron(U, conj(U)) B.T)``, B the (d, n^2) rows vec(E_a) of
+    the basis: ``kron(U, conj(U)) vec(E)`` is vec(U E U*), and row a of
+    conj(B) pairs it with E_a by the trace form, since E_a.T = conj(E_a).
+    ``U`` is one (n, n) unitary, giving a (d, d) map, or a (k, n, n) stack,
+    giving the (k, d, d) stack of their maps; a member gets the bits it
+    gets alone.
     """
     U = np.asarray(U)
     n = U.shape[-1]
@@ -91,8 +130,8 @@ def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
         basis = gell_mann_basis(n)
     if basis.n != n:
         raise InvalidDimension(f"basis n={basis.n} does not match U n={n}")
-    conjugated = U[..., None, :, :] @ basis.mats @ U.conj().swapaxes(-1, -2)[..., None, :, :]
-    return np.einsum("ajk,...ikj->...ai", basis.mats, conjugated).real
+    B = basis.mats.reshape(basis.d, n * n)
+    return (B.conj() @ _kron(U, U.conj()) @ B.T).real
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,9 +170,12 @@ def so_adjoint_matrix(
 
     Q must lie in SO(n); congruence by a reflection (det -1) is only built
     when ``allow_reflection`` is set, for orthogonal-orbit experiments.
-    ``Q`` is one (n, n) matrix, giving a (d, d) map, or a (k, n, n) stack,
-    giving the (k, d, d) stack of their maps; a member gets the bits it
-    gets alone, and one reflection in a stack raises.
+    The map is ``B kron(Q, Q) B.T``, B the (d, n^2) rows vec(E_a) of the
+    basis: ``kron(Q, Q) vec(E)`` is vec(Q E Q.T), and B pairs it with each
+    E_a by the trace form.  ``Q`` is one (n, n) matrix, giving a (d, d)
+    map, or a (k, n, n) stack, giving the (k, d, d) stack of their maps; a
+    member gets the bits it gets alone, and one reflection in a stack
+    raises.
     """
     Q = np.asarray(Q)
     n = Q.shape[-1]
@@ -145,8 +187,8 @@ def so_adjoint_matrix(
         det = np.linalg.det(Q)
         if (det < 0).any():
             raise NotSpecialOrthogonal(f"det Q = {np.min(det):.6f}; expected +1")
-    conjugated = Q[..., None, :, :] @ basis.mats @ Q.swapaxes(-1, -2)[..., None, :, :]
-    return np.einsum("ajk,...ijk->...ai", basis.mats, conjugated)
+    B = basis.mats.reshape(basis.d, n * n)
+    return B @ _kron(Q, Q) @ B.T
 
 
 def psi_matrix() -> np.ndarray:

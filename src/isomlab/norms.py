@@ -212,14 +212,15 @@ def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(x, e)
 
 
-def _frobenius(A: np.ndarray) -> np.ndarray:
+def _frobenius(A: np.ndarray, largest: np.ndarray) -> np.ndarray:
     # x @ x.T per member, on the strided real and imaginary views, is the
     # BLAS dot that np.linalg.norm(A) takes.  Each member is first scaled by
-    # 2^-e, 2^e the power of two at or above its largest modulus, so no
-    # square over- or underflows; the scaling is exact, so a sum that stays
-    # in range keeps the bits it has unscaled
+    # 2^-e, 2^e the power of two at or above its largest modulus (``largest``,
+    # one per member, as _check_space returns it), so no square over- or
+    # underflows; the scaling is exact, so a sum that stays in range keeps
+    # the bits it has unscaled
     x = A.reshape(A.shape[:-2] + (1, A.shape[-2] * A.shape[-1]))
-    _, e = np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))
+    _, e = np.frexp(largest[..., None, None])
     x = _ldexp(x, -e)
     if np.iscomplexobj(x):
         square = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
@@ -239,10 +240,10 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     range.
     """
     single = np.ndim(A) == 2
-    A, _ = _check_space(A, spec)
+    A, largest = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
     if spec.family == FROBENIUS:
-        value = _frobenius(A)
+        value = _frobenius(A, largest)
     else:
         s = _moduli(A, spec.space)
         if spec.family == C_SPECTRAL:  # the first member of each +-a_i pair
@@ -345,9 +346,9 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     shape = np.shape(A)
     A, largest = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
-    _, e = np.frexp(largest)
+    scaled, e = np.frexp(largest)  # scaled: each member's largest modulus after the scaling
     A = _ldexp(A, -e[:, None, None])
-    fro = _frobenius(A)
+    fro = _frobenius(A, scaled)
     _refuse(fro == 0.0, "gradient undefined at the zero matrix")
     if spec.family == FROBENIUS:
         G = A / fro[:, None, None]

@@ -116,11 +116,12 @@ def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float | np.ndarray:
     return float(dist) if dist.ndim == 0 else dist
 
 
-def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float:
-    """min over s in {+1, -1} of max-entry |Q - s P|."""
-    return min(
-        float(np.max(np.abs(Q - P))), float(np.max(np.abs(Q + P)))
-    )
+def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray:
+    """min over s in {+1, -1} of max-entry |Q - s P|; per member (a (k,)
+    array, each with its own sign) for two (k, n, n) stacks."""
+    Q, P = np.asarray(Q), np.asarray(P)
+    dist = np.minimum(np.abs(Q - P).max(axis=(-2, -1)), np.abs(Q + P).max(axis=(-2, -1)))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _coordinate_map(M: np.ndarray) -> np.ndarray:

@@ -464,6 +464,18 @@ def test_range_sample_contains_permutation_values():
             assert np.all(s.values <= s.hi + 1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_range_sample_values_match_the_trace_oracle(n):
+    """The quadratic form Re(conj(u) . kron(A, C.T) u) at u = vec(U) is
+    tr(A U C U*) at the same Haar draws, within 1e-12 |A| |C|."""
+    A = il.random_element(il.HERMITIAN_TRACELESS, n, [32, n])
+    C = il.random_element(il.HERMITIAN_TRACELESS, n, [33, n])
+    s = il.c_numerical_range_sample(A, C, 50, seed=[34, n])
+    U = il.haar_unitary(n, [34, n], count=50)
+    oracle = np.einsum("ij,kji->k", A, U @ C @ U.conj().transpose(0, 2, 1)).real
+    np.testing.assert_allclose(s.values, oracle, rtol=0, atol=1e-12 * np.linalg.norm(A) * np.linalg.norm(C))
+
+
 def test_range_endpoints_attained_by_eigenbasis_alignment():
     for n in range(2, 7):
         A = il.random_element(il.HERMITIAN_TRACELESS, n, [30, n])

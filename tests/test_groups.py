@@ -196,3 +196,77 @@ def test_tau_matrix_is_negation():
         )
         M = il.so_adjoint_matrix(il.haar_orthogonal(n, n, special=True), basis)
         npt.assert_allclose(T @ M, M @ T, atol=1e-14)
+
+
+def _qr_haar(n, seed, complex_, special, count):
+    """The Householder oracle: np.linalg.qr of the same Ginibre draw, with
+    R's diagonal phases absorbed into Q (Mezzadri's correction)."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if count is None else (count, n, n)
+    if complex_:
+        G = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+        Z = (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
+    else:
+        Z = rng.standard_normal(shape)
+    Q, R = np.linalg.qr(Z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (diag / np.abs(diag))[..., None, :]
+    if special and complex_:
+        Q = Q * (np.linalg.det(Q) ** (-1.0 / n))[..., None, None]
+    elif special:
+        Q[..., -1] *= np.sign(np.linalg.det(Q))[..., None]
+    return Q
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("haar", [il.haar_unitary, il.haar_orthogonal])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_haar_draw_is_the_positive_diagonal_qr_factor(n, haar, special):
+    """Gram-Schmidt gives the Q of the Householder QR with Mezzadri's phase
+    correction, from the same generator stream, within 1e-12; it is
+    orthonormal within 1e-14 n and has det = 1 under ``special``."""
+    complex_ = haar is il.haar_unitary
+    for seed, count in ((n, None), ([n, 1], 7)):
+        Q = haar(n, np.random.default_rng(seed), special=special, count=count)
+        npt.assert_allclose(Q, _qr_haar(n, seed, complex_, special, count), rtol=0, atol=1e-12)
+        gram = Q.conj().swapaxes(-1, -2) @ Q
+        assert np.max(np.abs(gram - np.eye(n))) < 1e-14 * n
+        if special:
+            assert np.max(np.abs(np.linalg.det(Q) - 1.0)) < 1e-14 * n
+    assert haar(n, 0, special=special, count=0).shape == (0, n, n)
+
+
+def _einsum_ad(U, basis):
+    conjugated = U[..., None, :, :] @ basis.mats @ U.conj().swapaxes(-1, -2)[..., None, :, :]
+    return np.einsum("ajk,...ikj->...ai", basis.mats, conjugated).real
+
+
+def _einsum_so(Q, basis):
+    conjugated = Q[..., None, :, :] @ basis.mats @ Q.swapaxes(-1, -2)[..., None, :, :]
+    return np.einsum("ajk,...ijk->...ai", basis.mats, conjugated)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adjoint_maps_match_the_conjugated_basis_oracle(n):
+    """The kron(U, conj(U)) and kron(Q, Q) products agree with conjugating
+    every basis element and pairing by the trace form, within 1e-14, for
+    one matrix and for a stack."""
+    hermitian, skew = il.gell_mann_basis(n), il.skew_basis(n)
+    for count in (None, 4):
+        U = il.haar_unitary(n, [67, n], special=True, count=count)
+        Q = il.haar_orthogonal(n, [68, n], special=True, count=count)
+        npt.assert_allclose(il.ad_matrix(U, hermitian), _einsum_ad(U, hermitian), rtol=0, atol=1e-14)
+        npt.assert_allclose(il.so_adjoint_matrix(Q, skew), _einsum_so(Q, skew), rtol=0, atol=1e-14)
+
+
+def test_no_module_calls_qr():
+    """Every Haar draw goes through the one Gram-Schmidt path (the
+    Householder oracle lives in the tests)."""
+    import ast
+    from pathlib import Path
+
+    for path in Path(il.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "qr" not in names, path.name

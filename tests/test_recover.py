@@ -681,6 +681,22 @@ def test_decompose_frobenius_has_no_canonical_form():
     assert rejected == 20
 
 
+def test_orthogonal_sign_distance_takes_each_members_sign():
+    """A stack gets one distance per member, each under its own sign: a
+    member negated in P is at distance 0, not at the stack's best common
+    sign."""
+    Q = il.haar_orthogonal(4, 76, special=True, count=3)
+    P = Q.copy()
+    P[1] *= -1.0
+    dist = il.orthogonal_sign_distance(Q, P)
+    assert dist.shape == (3,) and dist.tolist() == [0.0, 0.0, 0.0]
+    P[2] = il.haar_orthogonal(4, 77, special=True)
+    dist = il.orthogonal_sign_distance(Q, P)
+    assert dist[:2].tolist() == [0.0, 0.0]
+    assert dist[2] == il.orthogonal_sign_distance(Q[2], P[2]) > 0.1
+    assert isinstance(il.orthogonal_sign_distance(Q[1], P[1]), float)
+
+
 def test_recover_orthogonal_identity():
     Q, res = il.recover_orthogonal_from_adso(np.eye(6), 4)
     assert il.orthogonal_sign_distance(Q, np.eye(4)) < 1e-12
