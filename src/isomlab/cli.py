@@ -394,20 +394,13 @@ def _skew_round_trips(spec: NormSpec, n: int, count: int, use_psi: bool, rng):
     return [matches, np.max(found[:, 2], initial=0.0)]
 
 
-def _first_non_euclidean(cfg: SuiteConfig, space: str, n: int, target: str) -> NormSpec | None:
-    """The first configured norm that, parsed on ``space``, fits n, lives
-    on the ``target`` matrix space and is not Euclidean; None if none does."""
-    for spec in _specs(cfg.norms, space, n):
-        if spec.space == target and not _is_euclidean(spec):
-            return spec
-    return None
-
-
 def _decompose_records(cfg: SuiteConfig):
     count = cfg.samples or 20
     records = []
-    # parsed on the configured space, so under --space skew this falls back
-    spec = _first_non_euclidean(cfg, cfg.space, min(cfg.n_values), HERMITIAN_TRACELESS)
+    # the first non-Euclidean Hermitian norm that fits; parsed on the
+    # configured space, so under --space skew this falls back
+    specs = _specs(cfg.norms, cfg.space, min(cfg.n_values))
+    spec = next((s for s in specs if s.space == HERMITIAN_TRACELESS and not _is_euclidean(s)), None)
     spec = spec or parse_norm("schatten:3")
 
     for n in cfg.n_values:
@@ -438,7 +431,7 @@ def _decompose_records(cfg: SuiteConfig):
     for n in cfg.n_values:
         if n < 3:
             continue
-        skew_spec = _first_non_euclidean(cfg, "skew", n, SKEW_REAL)
+        skew_spec = next((s for s in _specs(cfg.norms, "skew", n) if not _is_euclidean(s)), None)
         skew_spec = skew_spec or c_spectral(float(n // 2 - i) for i in range(n // 2))
         for tag, use_psi in (("CK_i", False), ("CK_ii", True)):
             if use_psi and n != 4:

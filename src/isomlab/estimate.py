@@ -130,13 +130,12 @@ class DimensionReport:
 
 @dataclass(frozen=True, eq=False)
 class RangeSample:
-    """Exact endpoints and radius of a C-numerical range, with Haar-sampled
-    orbit values."""
+    """Exact endpoints of a C-numerical range, with Haar-sampled orbit
+    values; the radius is :func:`c_numerical_radius`."""
 
     values: np.ndarray
     lo: float
     hi: float
-    radius: float
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,7 +213,9 @@ def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
                 ) from exc
             X[redraw] = random_element(spec.space, n, rng, count=len(redraw))
     g, x = vectorize(G, basis), vectorize(X, basis)
-    scales = np.linalg.norm(g, axis=1) * np.linalg.norm(x, axis=1)
+    # |g| of g scaled by 2^-e, 2^e >= its largest entry: exact, and no overflow
+    _, e = np.frexp(np.max(np.abs(g), initial=0.0))
+    scales = np.ldexp(np.linalg.norm(np.ldexp(g, -e), axis=1), e) * np.linalg.norm(x, axis=1)
     bad = ~(np.isfinite(scales) & (scales > 0.0))
     if bad.any():
         row = int(np.argmax(bad))
@@ -361,7 +362,7 @@ def c_numerical_range_sample(
     n = np.shape(A)[0]
     u = haar_unitary(n, seed, count=trials).reshape(trials, n * n)
     values = np.einsum("ti,ti->t", u.conj(), u @ _kron(np.transpose(A), np.asarray(C))).real
-    return RangeSample(values=values, lo=lo, hi=hi, radius=max(abs(lo), abs(hi)))
+    return RangeSample(values=values, lo=lo, hi=hi)
 
 
 def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:

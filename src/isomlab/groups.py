@@ -1,24 +1,24 @@
 """Group elements acting on the matrix spaces, as coordinate maps.
 
 Constructs the generators of every isometry group handled by the package:
-adjoint conjugation maps of (special) unitary and orthogonal matrices, the
-negative-transpose involution on the Hermitian space and the n = 4 entry
-swap on the skew space, plus Haar sampling.  All maps are (d, d) real
-arrays relative to the package bases (the transpose map of the skew space
-is -I there, since A.T = -A).
+conjugation maps, the negative-transpose involution on the Hermitian space
+and the n = 4 entry swap on the skew space, plus Haar sampling.  All maps
+are (d, d) real arrays relative to the package bases (the transpose map of
+the skew space is -I there, since A.T = -A).
 
 Both kernels work on whole stacks.  A Haar draw is the Q factor, with R's
 diagonal positive, of a Ginibre matrix, found by Gram-Schmidt with each
 column projected twice; that Q has exactly the Haar law (Mezzadri 2007).
-A conjugation map is the Kronecker product kron(U, conj(U)) (kron(Q, Q)
-on the skew space) between the basis rows vec(E_a), two matrix products
-per call.
+Conjugation is one action on both spaces, A -> U A U* by a unitary U on
+the traceless Hermitians and A -> Q A Q.T by a real orthogonal Q on the
+skew matrices, so one kernel (:func:`ad_matrix`) builds both maps: the
+Kronecker product kron(U, conj(U)) between the basis rows vec(E_a), two
+matrix products per call.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import InvalidDimension, NotSpecialOrthogonal
 from .matspace import (
     HERMITIAN_TRACELESS,
     Basis,
+    _dimension,
     _rng,
     _trial_count,
     gell_mann_basis,
@@ -39,12 +40,7 @@ def _haar_shape(n, count) -> tuple:
     """``(n, n)``, or ``(count, n, n)`` for a stack: the shape a Haar
     sampler draws.  An n that is not an integer >= 1, or a count that is
     not an integer >= 0, raises InvalidDimension."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidDimension(f"need an integer n, got {n!r}") from None
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
+    n = _dimension(n, 1)
     return (n, n) if count is None else (_trial_count(count), n, n)
 
 
@@ -112,19 +108,32 @@ def _kron(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return K.reshape(U.shape[:-2] + (n * n, n * n))
 
 
-def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
-    """Coordinate matrix of A -> U A U^{-1} on the traceless Hermitian space.
-
-    The result is real orthogonal with determinant +1, and depends on U only
-    through its class modulo n-th roots of unity.  It is
-    ``Re(conj(B) kron(U, conj(U)) B.T)``, B the (d, n^2) rows vec(E_a) of
-    the basis: ``kron(U, conj(U)) vec(E)`` is vec(U E U*), and row a of
-    conj(B) pairs it with E_a by the trace form, since E_a.T = conj(E_a).
-    ``U`` is one (n, n) unitary, giving a (d, d) map, or a (k, n, n) stack,
-    giving the (k, d, d) stack of their maps; a member gets the bits it
-    gets alone.
-    """
+def _square_stack(U) -> np.ndarray:
+    """U as a finite (n, n) matrix or (k, n, n) stack, else InvalidDimension."""
     U = np.asarray(U)
+    if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2] or not np.isfinite(U).all():
+        raise InvalidDimension(
+            f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}"
+        )
+    return U
+
+
+def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
+    """Coordinate matrix of A -> U A U^{-1} on the space of ``basis`` (the
+    traceless Hermitian space when None).
+
+    It is ``Re(conj(B) kron(U, conj(U)) B.T)``, B the (d, n^2) rows vec(E_a)
+    of the basis: ``kron(U, conj(U)) vec(E)`` is vec(U E U*), and row a of
+    conj(B) pairs it with E_a by the trace form tr(E_a* X).  For a unitary
+    U on the Hermitian space the map is in SO(d) and depends on U only
+    modulo n-th roots of unity.  For a real orthogonal Q on the skew space
+    conj and Re change nothing: the map is the congruence ``B kron(Q, Q)
+    B.T``, a reflection's included (:func:`so_adjoint_matrix` refuses one).
+    ``U`` is one (n, n) matrix, giving a (d, d) map, or a (k, n, n) stack,
+    giving the (k, d, d) stack of their maps; a member gets the bits it
+    gets alone.  Any other U raises InvalidDimension.
+    """
+    U = _square_stack(U)
     n = U.shape[-1]
     if basis is None:
         basis = gell_mann_basis(n)
@@ -163,32 +172,18 @@ def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-def so_adjoint_matrix(
-    Q: np.ndarray, basis: Basis | None = None, allow_reflection: bool = False
-) -> np.ndarray:
-    """Coordinate matrix of A -> Q A Q.T on the real skew-symmetric space.
-
-    Q must lie in SO(n); congruence by a reflection (det -1) is only built
-    when ``allow_reflection`` is set, for orthogonal-orbit experiments.
-    The map is ``B kron(Q, Q) B.T``, B the (d, n^2) rows vec(E_a) of the
-    basis: ``kron(Q, Q) vec(E)`` is vec(Q E Q.T), and B pairs it with each
-    E_a by the trace form.  ``Q`` is one (n, n) matrix, giving a (d, d)
-    map, or a (k, n, n) stack, giving the (k, d, d) stack of their maps; a
-    member gets the bits it gets alone, and one reflection in a stack
-    raises.
+def so_adjoint_matrix(Q: np.ndarray, basis: Basis | None = None) -> np.ndarray:
+    """Coordinate matrix of A -> Q A Q.T on the real skew-symmetric space
+    for Q in SO(n): :func:`ad_matrix` on the skew basis, after a check
+    that raises NotSpecialOrthogonal for a reflection (det -1), one in a
+    stack included.  The congruence by a reflection is
+    ``ad_matrix(Q, skew_basis(n))``.
     """
-    Q = np.asarray(Q)
-    n = Q.shape[-1]
-    if basis is None:
-        basis = skew_basis(n)
-    if basis.n != n:
-        raise InvalidDimension(f"basis n={basis.n} does not match Q n={n}")
-    if not allow_reflection:
-        det = np.linalg.det(Q)
-        if (det < 0).any():
-            raise NotSpecialOrthogonal(f"det Q = {np.min(det):.6f}; expected +1")
-    B = basis.mats.reshape(basis.d, n * n)
-    return B @ _kron(Q, Q) @ B.T
+    Q = _square_stack(Q)
+    det = np.linalg.det(Q)
+    if (det < 0).any():
+        raise NotSpecialOrthogonal(f"det Q = {np.min(det):.6f}; expected +1")
+    return ad_matrix(Q, skew_basis(Q.shape[-1]) if basis is None else basis)
 
 
 def psi_matrix() -> np.ndarray:

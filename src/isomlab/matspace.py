@@ -51,6 +51,17 @@ class Basis:
         return self.mats.shape[0]
 
 
+def _dimension(n, least: int = 2) -> int:
+    """``n`` as a matrix size: an integer >= ``least``, else InvalidDimension."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidDimension(f"need an integer n, got {n!r}") from None
+    if n < least:
+        raise InvalidDimension(f"need n >= {least}, got n={n}")
+    return n
+
+
 @functools.lru_cache(maxsize=None)
 def gell_mann_basis(n: int) -> Basis:
     """Trace-orthonormal basis of the traceless Hermitian n x n matrices.
@@ -63,8 +74,7 @@ def gell_mann_basis(n: int) -> Basis:
     3. diagonal ladder ``diag(1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1))`` for
        l = 1..n-1.
     """
-    if n < 2:
-        raise InvalidDimension(f"need n >= 2, got n={n}")
+    n = _dimension(n)
     mats = []
     rt2 = np.sqrt(2.0)
     for j in range(n):
@@ -94,8 +104,7 @@ def skew_basis(n: int) -> Basis:
     For n = 4 this puts the six coordinates in the order
     (a_12, a_13, a_14, a_23, a_24, a_34).
     """
-    if n < 2:
-        raise InvalidDimension(f"need n >= 2, got n={n}")
+    n = _dimension(n)
     mats = []
     rt2 = np.sqrt(2.0)
     for j in range(n):
@@ -108,12 +117,7 @@ def skew_basis(n: int) -> Basis:
 
 
 def basis_for(space: str, n: int) -> Basis:
-    """Return the package-wide basis for the given space tag; an ``n``
-    that is not an integer raises InvalidDimension."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidDimension(f"need an integer n, got {n!r}") from None
+    """Return the package-wide basis for the given space tag."""
     if space == HERMITIAN_TRACELESS:
         return gell_mann_basis(n)
     if space == SKEW_REAL:
@@ -123,6 +127,7 @@ def basis_for(space: str, n: int) -> Basis:
 
 def space_dim(space: str, n: int) -> int:
     """Real dimension of the space: n**2 - 1 or n(n-1)/2."""
+    n = _dimension(n)
     if space == HERMITIAN_TRACELESS:
         return n * n - 1
     if space == SKEW_REAL:
@@ -131,7 +136,8 @@ def space_dim(space: str, n: int) -> int:
 
 
 def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
-    """Coordinates of A in the given basis: coords[i] = <B_i, A>.
+    """Coordinates of A in the given basis: coords[i] = <B_i, A>, the real
+    part of the space's trace form, tr(B_i A) or tr(B_i.T A).
 
     ``A`` is one (n, n) matrix, giving a (d,) vector, or a (k, n, n) stack,
     giving a (k, d) array of the members' coordinates.
@@ -141,10 +147,8 @@ def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
         raise InvalidDimension(
             f"matrix shape {A.shape} does not match basis n={basis.n}"
         )
-    if basis.space == HERMITIAN_TRACELESS:
-        return np.einsum("ijk,...kj->...i", basis.mats, A).real
-    coords = np.einsum("ijk,...jk->...i", basis.mats, A)
-    return np.asarray(coords.real if np.iscomplexobj(coords) else coords, dtype=float)
+    pairing = "ijk,...kj->...i" if basis.space == HERMITIAN_TRACELESS else "ijk,...jk->...i"
+    return np.einsum(pairing, basis.mats, A).real
 
 
 def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:

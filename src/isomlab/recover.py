@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, NotAdjointImage, NotInClassifiedForm, NotIsometry
-from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix
+# so_adjoint_matrix: unused here, but perfbench/tracing.py wraps recover.so_adjoint_matrix
+from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix  # noqa: F401
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
@@ -180,11 +181,11 @@ def _conjugator(M: np.ndarray, basis: Basis):
     its SVD.  Where ``S_jj`` is not positive and finite the column is zero
     and the member refused, so no NaN reaches the SVD.
 
-    The basis's space picks both the constants and the rebuild.  On the
-    Hermitian space U is normalized to determinant one and rebuilt with
-    ``ad_matrix``.  On the skew space Q is rebuilt by congruence; a
-    reflection is refused at even n, where no rotation reproduces it, and
-    flipped at odd n, where the rotation -Q gives the same congruence."""
+    The basis's space picks the constants and the determinant step, and
+    ``ad_matrix`` on the basis rebuilds.  On the Hermitian space U is
+    normalized to determinant one.  On the skew space a reflection is
+    refused at even n, where no rotation reproduces it, and flipped at odd
+    n, where the rotation -Q gives the same congruence."""
     n, k = basis.n, len(M)
     skew = basis.space == SKEW_REAL
     a, b, c = (4.0, 1.0, n - 2.0) if skew else (1.0, 1.0 / n**2, n - 2.0 / n)
@@ -202,14 +203,14 @@ def _conjugator(M: np.ndarray, basis: Basis):
     column[refused] = 0.0
     W, _, Vh = np.linalg.svd(column.reshape(k, n, n))
     C = W @ Vh
+    det = np.linalg.det(C)
     if not skew:
-        C = C * (np.linalg.det(C) ** (-1.0 / n))[:, None, None]
-        return C, ad_matrix(C, basis), refused
-    rebuilt = so_adjoint_matrix(C, basis, allow_reflection=True)
-    reflection = np.linalg.det(C) < 0
-    if n % 2 == 0:
-        return C, rebuilt, refused | reflection
-    return np.where(reflection[:, None, None], -C, C), rebuilt, refused
+        C = C * (det ** (-1.0 / n))[:, None, None]
+    elif n % 2 == 0:
+        refused = refused | (det < 0)
+    else:
+        C = np.where((det < 0)[:, None, None], -C, C)
+    return C, ad_matrix(C, basis), refused
 
 
 def _inverted(M: np.ndarray, basis: Basis):
@@ -272,9 +273,10 @@ def recover_orthogonal_from_adso(M: np.ndarray, n: int):
     reproduces (at odd n the rotation -Q is returned instead); in a stack,
     for the first member refused.
     """
-    if n < 3:
+    basis = skew_basis(n)
+    if basis.n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    return _inverted(M, skew_basis(n))
+    return _inverted(M, basis)
 
 
 def _branch_search(M: np.ndarray, basis: Basis):

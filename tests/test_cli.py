@@ -36,6 +36,12 @@ def small_config(suite, **kw):
     return SuiteConfig(suite=suite, **defaults)
 
 
+@pytest.mark.parametrize("norm", ["cspec:1e150,1e149", "cspec:1e200,1e199", "cspec:1e300,1e299"])
+def test_dimension_suite_passes_with_large_c_spectral_weights(norm):
+    doc = run_suite(SuiteConfig(suite="dimension", n_values=(4,), norms=(norm,), seed=0))
+    assert len(doc.records) == 3 and doc.overall_pass
+
+
 def test_dimension_record_matches_expected():
     cfg = SuiteConfig(suite="dimension", n_values=(3,), norms=("schatten:3",), seed=7)
     doc = run_suite(cfg)

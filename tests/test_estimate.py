@@ -274,6 +274,29 @@ def test_a_zero_or_non_finite_row_scale_fails_closed(value, monkeypatch):
         il.isometry_algebra_dimension(il.schatten(3), 3, seed=1)
 
 
+@pytest.mark.parametrize("weight", [1e150, 1e200, 1e300, 1e307])
+def test_large_c_spectral_weights_keep_a_finite_row_scale(weight):
+    """Scaling the weights cannot change the isometry group, and the
+    gradient stays finite, so the estimate must not overflow in |g|
+    (RuntimeWarnings are errors under the test configuration)."""
+    spec = il.c_spectral((weight, weight / 10))
+    report = il.skew_isometry_algebra_dimension(spec, 4, seed=0)
+    assert report.estimated_dim == 6 and report.gap_ratio > 1e3
+    assert report.containment_residual < 1e-12
+
+
+def test_the_row_scale_keeps_its_bits_on_ordinary_gradients():
+    """The power-of-two scaling of g is exact: the scales equal the plain
+    product of row norms bit for bit."""
+    import isomlab.estimate as est
+
+    spec, n = il.c_spectral((2.0, 1.0)), 4
+    basis = il.skew_basis(n)
+    _, scales, X, G = est._constraint_rows(spec, n, basis, 12, 3)
+    plain = np.linalg.norm(il.vectorize(G, basis), axis=1) * np.linalg.norm(il.vectorize(X, basis), axis=1)
+    assert scales.tobytes() == plain.tobytes()
+
+
 def _generator_coordinates(basis):
     """Oracle: upper entries, in ``np.triu_indices`` order, of the
     coordinate matrices of the adjoint algebra's generators, one row per
@@ -441,7 +464,7 @@ def test_range_sample_aligned_case():
     s = il.c_numerical_range_sample(A, A, 500, seed=1)
     assert s.hi == pytest.approx(1.0, abs=1e-12)
     assert s.lo == pytest.approx(-1.0, abs=1e-12)
-    assert s.radius == pytest.approx(1.0, abs=1e-12)
+    assert il.c_numerical_radius(A, A) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_range_sample_zero_c():
@@ -545,7 +568,8 @@ def test_radius_dominates_bounds():
         r = il.c_numerical_radius(A, C)
         assert r >= perm - 1e-9
         # Monte-Carlo lower-bound oracle
-        mc = il.c_numerical_range_sample(A, C, 100_000, seed=[8, seed]).radius
+        sample = il.c_numerical_range_sample(A, C, 100_000, seed=[8, seed])
+        mc = float(np.max(np.abs(sample.values)))
         assert r >= mc - 1e-6
 
 

@@ -138,7 +138,7 @@ def test_so_adjoint_rejects_reflections_without_flag():
     R = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(NotSpecialOrthogonal):
         il.so_adjoint_matrix(R)
-    M = il.so_adjoint_matrix(R, allow_reflection=True)
+    M = il.ad_matrix(R, il.skew_basis(4))
     assert np.max(np.abs(M.T @ M - np.eye(6))) < 1e-12
 
 
@@ -161,8 +161,27 @@ def test_so_adjoint_of_a_stack_rejects_one_reflection():
     Q[1, :, 0] *= -1.0
     with pytest.raises(NotSpecialOrthogonal):
         il.so_adjoint_matrix(Q)
-    M = il.so_adjoint_matrix(Q, allow_reflection=True)
-    assert M[1].tobytes() == il.so_adjoint_matrix(Q[1], allow_reflection=True).tobytes()
+    M = il.ad_matrix(Q, il.skew_basis(4))
+    assert M[1].tobytes() == il.ad_matrix(Q[1], il.skew_basis(4)).tobytes()
+
+
+_MALFORMED = {
+    "rectangular": np.zeros((2, 3)),
+    "vector": np.zeros(3),
+    "four_axes": np.zeros((2, 2, 2, 2)),
+    "nan": np.full((2, 2), np.nan),
+    "inf_in_a_stack": np.stack([np.eye(3), np.full((3, 3), np.inf)]),
+}
+
+
+@pytest.mark.parametrize("U", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_conjugation_map_refuses_a_malformed_matrix(U):
+    """The one kernel refuses anything but a finite square matrix or stack,
+    and so_adjoint_matrix refuses it before its determinant."""
+    with pytest.raises(InvalidDimension, match="need a finite"):
+        il.ad_matrix(U)
+    with pytest.raises(InvalidDimension, match="need a finite"):
+        il.so_adjoint_matrix(U)
 
 
 def test_cartan_matrix_is_built_once_per_basis_and_read_only():
@@ -257,6 +276,11 @@ def test_adjoint_maps_match_the_conjugated_basis_oracle(n):
         Q = il.haar_orthogonal(n, [68, n], special=True, count=count)
         npt.assert_allclose(il.ad_matrix(U, hermitian), _einsum_ad(U, hermitian), rtol=0, atol=1e-14)
         npt.assert_allclose(il.so_adjoint_matrix(Q, skew), _einsum_so(Q, skew), rtol=0, atol=1e-14)
+        # a reflection's congruence through the shared kernel
+        R = Q.copy()
+        R[..., :, 0] *= -1.0
+        assert (np.linalg.det(R) < 0).all()
+        npt.assert_allclose(il.ad_matrix(R, skew), _einsum_so(R, skew), rtol=0, atol=1e-14)
 
 
 def test_no_module_calls_qr():
@@ -270,3 +294,23 @@ def test_no_module_calls_qr():
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert "qr" not in names, path.name
+
+
+def test_only_the_conjugation_kernel_and_the_orbit_sample_build_kron():
+    """groups._kron has two callers, ad_matrix and
+    c_numerical_range_sample, so no second conjugation kernel grows back."""
+    import ast
+    from pathlib import Path
+
+    callers = set()
+    for path in Path(il.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                calls = {
+                    node.func.id for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                }
+                if "_kron" in calls:
+                    callers.add(func.name)
+    assert callers == {"ad_matrix", "c_numerical_range_sample"}

@@ -66,6 +66,27 @@ def test_basis_requires_n_at_least_2():
         il.skew_basis(0)
 
 
+_NON_INTEGER_N = {
+    "gell_mann_basis": lambda: il.gell_mann_basis(2.0),
+    "skew_basis": lambda: il.skew_basis(2.0),
+    "recover_unitary_from_ad": lambda: il.recover_unitary_from_ad(np.eye(3), 2.0),
+    "classify_eta_sigma": lambda: il.classify_eta_sigma(np.eye(3), 2.0),
+    "recover_orthogonal_from_adso": lambda: il.recover_orthogonal_from_adso(np.eye(3), 3.0),
+    "space_dim": lambda: il.space_dim(il.HERMITIAN_TRACELESS, 2.5),
+    "space_dim_string": lambda: il.space_dim(il.SKEW_REAL, "3"),
+    "recover_orthogonal_string": lambda: il.recover_orthogonal_from_adso(np.eye(3), "3"),
+}
+
+
+@pytest.mark.parametrize("call", _NON_INTEGER_N.values(), ids=_NON_INTEGER_N.keys())
+def test_a_non_integer_n_fails_closed(call):
+    """Checked by the cached basis constructors, after the bases of the
+    integer n are cached: 2.0 equals 2 but must not hit its cache entry."""
+    il.gell_mann_basis(2), il.skew_basis(2), il.skew_basis(3)
+    with pytest.raises(InvalidDimension, match="need an integer n"):
+        call()
+
+
 def test_vectorize_basis_element_gives_unit_vector():
     basis = il.gell_mann_basis(3)
     v = il.vectorize(basis.mats[0], basis)
@@ -89,6 +110,32 @@ def test_vectorize_round_trip(space, n):
         assert np.max(np.abs(A - back)) < 1e-12
         # coordinate Euclidean norm equals Frobenius norm by normalization
         assert abs(np.linalg.norm(il.vectorize(A, basis)) - np.linalg.norm(A)) < 1e-12
+
+
+def _old_vectorize(A, basis):
+    """The two pairings vectorize had before they became one einsum call:
+    tr(B_i A) on the Hermitian space; tr(B_i.T A), real part kept only for
+    a complex input, on the skew space."""
+    if basis.space == il.HERMITIAN_TRACELESS:
+        return np.einsum("ijk,...kj->...i", basis.mats, A).real
+    coords = np.einsum("ijk,...jk->...i", basis.mats, A)
+    return np.asarray(coords.real if np.iscomplexobj(coords) else coords, dtype=float)
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_vectorize_keeps_the_bits_of_the_two_trace_forms(space, n):
+    """One matrix and a stack, plus a complex input on the skew space, give
+    the old pairing's bytes, signed zeros included."""
+    basis = il.basis_for(space, n)
+    stack = il.random_element(space, n, [71, n], count=4)
+    inputs = [stack[0], stack, np.zeros((n, n), dtype=stack.dtype)]
+    if space == il.SKEW_REAL:
+        inputs += [stack[1] + 1j * stack[2], stack + 1j * stack[::-1]]
+    for A in inputs:
+        got, old = il.vectorize(A, basis), _old_vectorize(A, basis)
+        assert got.dtype == old.dtype and got.shape == old.shape
+        assert got.tobytes() == old.tobytes()
 
 
 def test_vectorize_dimension_mismatch():

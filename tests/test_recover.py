@@ -310,7 +310,7 @@ def _oracle_cases():
         R = il.haar_orthogonal(n, rng)
         if np.linalg.det(R) > 0:
             R[:, 0] = -R[:, 0]
-        M = il.so_adjoint_matrix(R, allow_reflection=True)
+        M = il.ad_matrix(R, il.skew_basis(n))
         for eps in (0.0, 1e-9, 1e-7):
             yield f"reflection-n{n}-{eps}", M + eps * rng.uniform(-1, 1, M.shape), spec
     for n in (2, 3, 4):
@@ -741,7 +741,7 @@ def test_even_n_reflection_congruence_is_refused(n):
         R = il.haar_orthogonal(n, [52, n, trial])
         if np.linalg.det(R) > 0:
             R[:, 0] = -R[:, 0]
-        M = il.so_adjoint_matrix(R, allow_reflection=True)
+        M = il.ad_matrix(R, il.skew_basis(n))
         with pytest.raises(NotAdjointImage, match="reflection") as err:
             il.recover_orthogonal_from_adso(M, n)
         assert err.value.residual < 1e-9
@@ -812,7 +812,7 @@ def test_psi_conjugation_stays_in_adjoint_image():
 
 def test_odd_n_reflection_congruence_folds_into_rotation():
     R = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
-    M = il.so_adjoint_matrix(R, allow_reflection=True)
+    M = il.ad_matrix(R, il.skew_basis(5))
     dec = il.decompose_skew_isometry(M, il.c_spectral((2, 1)))
     assert dec.sign == 1 and not dec.psi_flag
     assert il.orthogonal_sign_distance(dec.orthogonal, -R) < 1e-10
