@@ -146,18 +146,11 @@ class CheckRecord:
     error: str | None = None  # "Class: message" of an exception the check raised
 
     def as_dict(self) -> dict:
-        out = {
-            "check_id": self.check_id,
-            "theorem_tag": self.theorem_tag,
-            "n": self.n,
-            "spec": self.spec,
-            "value": self.value,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = asdict(self)
+        error = out.pop("error")
+        out["pass"] = out.pop("passed")
+        if error is not None:
+            out["error"] = error
         return out
 
 
@@ -243,9 +236,8 @@ def _group(cfg: SuiteConfig, tag: str, n: int, spec: str, rows, compute, rng=Non
 
 def _parse_token(token: str, space: str) -> NormSpec:
     """Parse a norm token on the configured space ("hermitian" or "skew");
-    cspec tokens always live on the skew space."""
-    skew = space == "skew" or token.startswith("cspec")
-    return parse_norm(token, SKEW_REAL if skew else HERMITIAN_TRACELESS)
+    under "hermitian" ``parse_norm`` picks the space (skew for cspec)."""
+    return parse_norm(token, SKEW_REAL if space == "skew" else None)
 
 
 def _specs(tokens, space: str, n: int):

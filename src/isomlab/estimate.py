@@ -93,7 +93,7 @@ from .matspace import (
     random_element,
     vectorize,
 )
-from .norms import NormSpec, _frobenius, norm_gradient
+from .norms import NormSpec, frobenius, norm_gradient, norm_value
 from .groups import _kron, haar_unitary
 
 #: smallest acceptable ratio across the singular-value gap
@@ -410,7 +410,7 @@ def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> Preser
     lo, hi = lo.reshape(5, trials), hi.reshape(5, trials)
     radius = np.maximum(np.abs(lo), np.abs(hi))
     radius_dev = np.max(np.abs(radius[1:] - radius[0]), axis=1, initial=0.0)
-    fro = _frobenius(A, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    fro = norm_value(A, frobenius())
     scale = np.maximum(fro * float(np.linalg.norm(C)), 1e-30)
     interval = np.maximum(np.abs(lo[0] - lo[1]), np.abs(hi[0] - hi[1])) / scale
     # conjugation moves each orbit point to another: values match exactly

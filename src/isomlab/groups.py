@@ -28,6 +28,7 @@ from .matspace import (
     Basis,
     _dimension,
     _rng,
+    _square_stack,
     _trial_count,
     gell_mann_basis,
     random_element,
@@ -108,16 +109,6 @@ def _kron(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return K.reshape(U.shape[:-2] + (n * n, n * n))
 
 
-def _square_stack(U) -> np.ndarray:
-    """U as a finite (n, n) matrix or (k, n, n) stack, else InvalidDimension."""
-    U = np.asarray(U)
-    if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2] or not np.isfinite(U).all():
-        raise InvalidDimension(
-            f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}"
-        )
-    return U
-
-
 def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     """Coordinate matrix of A -> U A U^{-1} on the space of ``basis`` (the
     traceless Hermitian space when None).
@@ -158,17 +149,20 @@ def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
     """Max deviation of -(U A U^{-1}).T from (U.T)^{-1} (-A.T) U.T over
     ``trials`` random traceless Hermitian A per unitary.  ``U`` is one
     (n, n) matrix or a (k, n, n) stack; all k * trials samples come from
-    one generator; a negative or non-integer ``trials`` raises
-    InvalidDimension."""
+    one generator.  A negative or non-integer ``trials``, or a U that is
+    singular or not a finite square matrix or stack, raises InvalidDimension."""
     trials = _trial_count(trials)
-    U = np.asarray(U)[..., None, :, :]
+    U = _square_stack(U)[..., None, :, :]
     n = U.shape[-1]
     lead = U.shape[:-3]
     A = random_element(HERMITIAN_TRACELESS, n, seed, count=int(np.prod(lead)) * trials)
     A = A.reshape(*lead, trials, n, n)
     Ut = np.swapaxes(U, -1, -2)
-    lhs = -np.swapaxes(U @ A @ np.linalg.inv(U), -1, -2)
-    rhs = np.linalg.inv(Ut) @ -np.swapaxes(A, -1, -2) @ Ut
+    try:
+        lhs = -np.swapaxes(U @ A @ np.linalg.inv(U), -1, -2)
+        rhs = np.linalg.inv(Ut) @ -np.swapaxes(A, -1, -2) @ Ut
+    except np.linalg.LinAlgError:
+        raise InvalidDimension("U is singular") from None
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 

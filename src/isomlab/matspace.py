@@ -253,6 +253,15 @@ def _trial_count(trials) -> int:
     return trials
 
 
+def _square_stack(U) -> np.ndarray:
+    """U as a finite (n, n) matrix or (k, n, n) stack, n >= 1, else
+    InvalidDimension: the shape check of group elements and coordinate maps."""
+    U = np.asarray(U)
+    if U.ndim in (2, 3) and U.shape[-1] == U.shape[-2] >= 1 and np.isfinite(U).all():
+        return U
+    raise InvalidDimension(f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}")
+
+
 def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:
     """Random space element with i.i.d. standard normal coordinates.
 

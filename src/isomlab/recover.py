@@ -60,6 +60,7 @@ from .matspace import (
     SKEW_REAL,
     Basis,
     _rng,
+    _square_stack,
     basis_for,
     devectorize,
     gell_mann_basis,
@@ -108,33 +109,34 @@ class SkewIsometryDecomposition:
     residual: float
 
 
-def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float | np.ndarray:
-    """min over n-th roots of unity zeta of max-entry |U - zeta V|; per
-    member (a (k,) array) for two (k, n, n) stacks."""
-    U, V = np.asarray(U), np.asarray(V)
-    zetas = np.exp(2j * np.pi * np.arange(U.shape[-1]) / U.shape[-1])[:, None, None]
-    dist = np.abs(U[..., None, :, :] - zetas * V[..., None, :, :]).max(axis=(-2, -1)).min(axis=-1)
+def _center_distance(U, V, roots: np.ndarray) -> float | np.ndarray:
+    """min over z in ``roots`` of max-entry |U - z V|: U's distance from V
+    modulo the action's kernel; per member, a (k,) array, for a stack.  U
+    and V pass :func:`_square_stack` with one n (one k if both are stacks)."""
+    U, V = _square_stack(U), _square_stack(V)
+    if U.shape[-1] != V.shape[-1] or (U.ndim == V.ndim == 3 and len(U) != len(V)):
+        raise InvalidDimension(f"cannot compare shapes {U.shape} and {V.shape}")
+    dist = np.abs(U[..., None, :, :] - roots[:, None, None] * V[..., None, :, :])
+    dist = dist.max(axis=(-2, -1)).min(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
+
+
+def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float | np.ndarray:
+    """min over n-th roots of unity z of max-entry |U - z V| (:func:`_center_distance`)."""
+    n = _square_stack(U).shape[-1]
+    return _center_distance(U, V, np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray:
-    """min over s in {+1, -1} of max-entry |Q - s P|; per member (a (k,)
-    array, each with its own sign) for two (k, n, n) stacks."""
-    Q, P = np.asarray(Q), np.asarray(P)
-    dist = np.minimum(np.abs(Q - P).max(axis=(-2, -1)), np.abs(Q + P).max(axis=(-2, -1)))
-    return float(dist) if dist.ndim == 0 else dist
+    """min over s = +-1 of max-entry |Q - s P| (:func:`_center_distance`)."""
+    return _center_distance(Q, P, np.array([1.0, -1.0]))
 
 
 def _coordinate_map(M: np.ndarray) -> np.ndarray:
     """M as a finite real (d, d) map or (k, d, d) stack of maps."""
     if np.iscomplexobj(M):
         raise InvalidDimension("a coordinate map is real, got a complex matrix")
-    M = np.asarray(M, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or not np.all(np.isfinite(M)):
-        raise InvalidDimension(
-            f"a coordinate map is a finite square matrix or a stack of them, got shape {M.shape}"
-        )
-    return M
+    return _square_stack(np.asarray(M, dtype=float))
 
 
 def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:

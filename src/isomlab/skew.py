@@ -22,7 +22,8 @@ ZERO_MODE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class YoulaForm:
-    """Orthogonal canonical decomposition of a skew-symmetric matrix.
+    """Orthogonal canonical decomposition A = Q S Q.T of a skew-symmetric
+    matrix, S as in the module docstring (``n`` and ``a`` determine it).
 
     Attributes
     ----------
@@ -39,19 +40,6 @@ class YoulaForm:
     a: np.ndarray
     r: int
     residual: float
-
-    def sigma(self) -> np.ndarray:
-        """The canonical middle factor S: zero block, then the 2 x 2 blocks."""
-        S = np.zeros((self.n, self.n))
-        off = self.n - 2 * self.r
-        for i, ai in enumerate(self.a):
-            j = off + 2 * i
-            S[j, j + 1] = ai
-            S[j + 1, j] = -ai
-        return S
-
-    def reconstruct(self) -> np.ndarray:
-        return self.orthogonal @ self.sigma() @ self.orthogonal.T
 
     @property
     def singular_values(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from isomlab.cli import (
     SUITES,
     ReportDocument,
     SuiteConfig,
+    _parse_token,
     _record,
     build_parser,
     emit_report,
@@ -26,6 +27,7 @@ from isomlab.errors import (
     InvalidDimension,
     NotHermitian,
 )
+from isomlab.norms import c_spectral
 
 TAGS = {"T1i", "T1ii", "C2", "T3", "CK_i", "CK_ii", "S4_psi", "S4_youla"}
 
@@ -95,6 +97,23 @@ def test_emit_report_round_trip():
     assert list(parsed["records"][0].keys()) == [
         "check_id", "theorem_tag", "n", "spec", "value", "expected", "tolerance", "pass",
     ]
+
+
+def test_record_dict_puts_an_error_last():
+    record = _record("x/n=2", "T1i", 2, "frobenius", 1.0, 1.0, 0.0, error="NotIsometry: far")
+    assert list(record.as_dict()) == [
+        "check_id", "theorem_tag", "n", "spec", "value", "expected", "tolerance", "pass", "error",
+    ]
+    assert record.as_dict()["pass"] is False
+
+
+@pytest.mark.parametrize("space", ["hermitian", "skew"])
+def test_a_cspec_token_picks_the_skew_space_in_any_case(space):
+    """parse_norm decides a token's space; an upper-case CSPEC is a cspec
+    token under either --space."""
+    spec = _parse_token("CSPEC:1,0", space)
+    assert spec == c_spectral((1.0, 0.0))
+    SuiteConfig(suite="skew", space=space, norms=("CSPEC:1,0",)).validate()
 
 
 def test_empty_suite_emits_valid_json():

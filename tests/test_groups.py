@@ -184,6 +184,16 @@ def test_conjugation_map_refuses_a_malformed_matrix(U):
         il.so_adjoint_matrix(U)
 
 
+@pytest.mark.parametrize(
+    "U",
+    [*_MALFORMED.values(), np.zeros((3, 3)), np.stack([np.eye(3), np.zeros((3, 3))])],
+    ids=[*_MALFORMED, "singular", "singular_in_a_stack"],
+)
+def test_sigma_normalizes_refuses_a_malformed_or_singular_matrix(U):
+    with pytest.raises(InvalidDimension):
+        il.verify_sigma_normalizes(U, 2, 0)
+
+
 def test_cartan_matrix_is_built_once_per_basis_and_read_only():
     basis = il.gell_mann_basis(4)
     S = il.cartan_matrix(basis)

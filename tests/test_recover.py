@@ -593,6 +593,59 @@ def test_unitary_phase_distance_of_stacks_is_per_member():
     assert il.unitary_phase_distance(U[0], 1j * U[0]) < 1e-15
 
 
+def _phase_closed_form(U, V):
+    """The n-th-roots-of-unity distance written out on its own."""
+    zetas = np.exp(2j * np.pi * np.arange(U.shape[-1]) / U.shape[-1])[:, None, None]
+    return np.abs(U[..., None, :, :] - zetas * V[..., None, :, :]).max(axis=(-2, -1)).min(axis=-1)
+
+
+def _sign_closed_form(Q, P):
+    """The +-1 distance written out on its own."""
+    return np.minimum(np.abs(Q - P).max(axis=(-2, -1)), np.abs(Q + P).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_center_distances_keep_the_bits_of_their_closed_forms(n):
+    """Both distances give the bits of their formulas written out, for
+    singles, stacks and a single against a stack, on members rotated by a
+    root of unity, negated, or unrelated."""
+    U = il.haar_unitary(n, [80, n], count=7)
+    V = U * np.exp(2j * np.pi * (np.arange(7) % n) / n)[:, None, None]
+    V[1], V[5] = -V[1], il.haar_unitary(n, [81, n])
+    Q = il.haar_orthogonal(n, [82, n], count=7)
+    P = Q.copy()
+    P[1::2] *= -1.0
+    P[4] = il.haar_orthogonal(n, [83, n])
+    for pick in ((), (0,), (1,), (5,)):
+        for A, B in ((U, V), (V, U)):
+            got = il.unitary_phase_distance(A[pick], B[pick])
+            assert np.asarray(got).tobytes() == _phase_closed_form(A[pick], B[pick]).tobytes()
+        for A, B in ((Q, P), (P, Q)):
+            got = il.orthogonal_sign_distance(A[pick], B[pick])
+            assert np.asarray(got).tobytes() == _sign_closed_form(A[pick], B[pick]).tobytes()
+    assert il.unitary_phase_distance(U, V[2]).tobytes() == _phase_closed_form(U, V[2]).tobytes()
+    assert il.orthogonal_sign_distance(Q[3], P).tobytes() == _sign_closed_form(Q[3], P).tobytes()
+
+
+_BAD_PAIRS = {
+    "rectangular": (np.zeros((2, 3)), np.zeros((2, 3))),
+    "nan": (np.full((3, 3), np.nan), np.eye(3)),
+    "inf_in_second": (np.eye(3), np.stack([np.eye(3), np.full((3, 3), np.inf)])),
+    "sizes_differ": (np.eye(2), np.eye(3)),
+    "vector": (np.zeros(3), np.zeros(3)),
+    "four_axes": (np.zeros((2, 2, 3, 3)), np.eye(3)),
+    "stack_lengths_differ": (np.zeros((2, 3, 3)), np.zeros((3, 3, 3))),
+    "empty": (np.zeros((0, 0)), np.zeros((0, 0))),
+}
+
+
+@pytest.mark.parametrize("pair", _BAD_PAIRS.values(), ids=_BAD_PAIRS.keys())
+@pytest.mark.parametrize("distance", [il.unitary_phase_distance, il.orthogonal_sign_distance])
+def test_center_distances_refuse_malformed_pairs(distance, pair):
+    with pytest.raises(InvalidDimension):
+        distance(*pair)
+
+
 @pytest.mark.parametrize(
     "offset", [np.zeros(7), np.full(8, np.nan), np.r_[np.zeros(7), np.inf], np.zeros((8, 1))]
 )

@@ -23,11 +23,22 @@ def test_youla_single_block():
     assert il.orthogonal_sign_distance(form.orthogonal, np.eye(2)) < 1e-12
 
 
+def canonical_middle(form):
+    """The documented middle factor S of a Youla form: a zero block of size
+    n - 2r, then the blocks [[0, a_i], [-a_i, 0]] in the order of ``a``."""
+    S = np.zeros((form.n, form.n))
+    for i, ai in enumerate(form.a):
+        j = form.n - 2 * form.r + 2 * i
+        S[j, j + 1], S[j + 1, j] = ai, -ai
+    return S
+
+
 def test_youla_zero_matrix():
     form = il.youla_decompose(np.zeros((4, 4)))
     assert form.r == 0
     assert form.a.size == 0
-    npt.assert_allclose(form.reconstruct(), np.zeros((4, 4)))
+    Q = form.orthogonal
+    npt.assert_allclose(Q @ canonical_middle(form) @ Q.T, np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -55,9 +66,11 @@ def test_youla_block_orientation_and_order():
     A[0, 1], A[1, 0] = 3.0, -3.0  # blocks (3, 1) already in canonical position
     form = il.youla_decompose(A)
     npt.assert_allclose(form.a, [3.0, 1.0], atol=1e-12)
-    S = form.sigma()
+    S = canonical_middle(form)
     assert S[0, 1] == pytest.approx(3.0)
     assert S[2, 3] == pytest.approx(1.0)
+    Q = form.orthogonal
+    npt.assert_allclose(Q @ S @ Q.T, A, atol=1e-12)
 
 
 def test_youla_handles_tied_blocks():
