@@ -43,7 +43,6 @@ from .matspace import (
     SKEW_REAL,
     gell_mann_basis,
     random_element,
-    skew_basis,
     space_dim,
     vectorize,
 )
@@ -117,7 +116,7 @@ class SuiteConfig:
         for key, val in self.tol.items():
             if key not in DEFAULT_TOL:
                 raise ValueError(f"unknown tolerance key {key!r}")
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
                 raise ValueError(f"tolerance {key} must be finite and >= 0, got {val!r}")
         seen = {}  # token() of each norm -> the token that named it
         for token in self.norms:
@@ -377,7 +376,7 @@ def _skew_round_trips(spec: NormSpec, n: int, count: int, use_psi: bool, rng):
     sign = 1 - 2 * rng.integers(2, size=count)
     flag = rng.integers(2, size=count).astype(bool) & use_psi
     Q = haar_orthogonal(n, rng, special=True, count=count)
-    M = sign[:, None, None] * so_adjoint_matrix(Q, skew_basis(n))
+    M = sign[:, None, None] * so_adjoint_matrix(Q)
     if use_psi:
         M[flag] = M[flag] @ psi_matrix()
     decs = decompose_skew_isometry(M, spec, seed=rng)
@@ -475,7 +474,7 @@ def _psi_closure_worst(count: int, rng):
     ``count`` Haar rotations, recovered as one stack."""
     psi = psi_matrix()
     Q = haar_orthogonal(4, rng, special=True, count=count)
-    _, residual = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi, 4)
+    _, residual = recover_orthogonal_from_adso(psi @ so_adjoint_matrix(Q) @ psi)
     return [np.max(residual, initial=0.0)]
 
 
@@ -487,7 +486,7 @@ def _psi_reject_residual():
     reject_res = math.inf
     for M in (psi, -psi):
         try:
-            recover_orthogonal_from_adso(M, 4)
+            recover_orthogonal_from_adso(M)
             reject_res = 0.0
         except NotAdjointImage as exc:
             reject_res = min(reject_res, exc.residual)
@@ -536,7 +535,7 @@ def _range_containment_worst(n: int, trials: int, rng):
 
 def _preserver_deviations(n: int, trials: int, rng):
     C = random_element(HERMITIAN_TRACELESS, n, rng)
-    rep = verify_preserver_forms(C, n, trials=trials, seed=rng)
+    rep = verify_preserver_forms(C, trials=trials, seed=rng)
     return [max(rep.radius_dev.values()), rep.wc_interval_dev, rep.wc_pointwise_dev]
 
 

@@ -184,18 +184,18 @@ def _so_rows(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
-    """The so(d) constraint rows (:func:`_so_rows`) of one stack of
-    samples drawn from ``default_rng(seed)`` (``seed`` may be a Generator,
-    which is drawn from in place), each row's scale ``|g| |x|``, and the
-    (num_samples, n, n) stacks X of samples and G of their gradients that
-    the rows were built from; all gradients come from one stacked call.  A
-    sample at which the norm is not smooth is redrawn from the same
-    generator after the stack, so only its row changes, up to MAX_RESAMPLE
-    tries per row.  A zero or non-finite row scale raises
+def _constraint_rows(spec: NormSpec, basis, num_samples: int, seed):
+    """The so(d) constraint rows (:func:`_so_rows`) of one stack of samples
+    at n = ``basis.n`` drawn from ``default_rng(seed)`` (``seed`` may be a
+    Generator, which is drawn from in place), each row's scale ``|g| |x|``,
+    and the (num_samples, n, n) stacks X of samples and G of their
+    gradients that the rows were built from; all gradients come from one
+    stacked call.  A sample at which the norm is not smooth is redrawn from
+    the same generator after the stack, so only its row changes, up to
+    MAX_RESAMPLE tries per row.  A zero or non-finite row scale raises
     InconclusiveDimension."""
     rng = _rng(seed)
-    X = random_element(spec.space, n, rng, count=num_samples)
+    X = random_element(spec.space, basis.n, rng, count=num_samples)
     attempt = np.zeros(num_samples, dtype=int)
     while True:
         try:
@@ -211,7 +211,7 @@ def _constraint_rows(spec: NormSpec, n: int, basis, num_samples: int, seed):
                 raise DegeneratePoint(
                     f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
                 ) from exc
-            X[redraw] = random_element(spec.space, n, rng, count=len(redraw))
+            X[redraw] = random_element(spec.space, basis.n, rng, count=len(redraw))
     g, x = vectorize(G, basis), vectorize(X, basis)
     # |g| of g scaled by 2^-e, 2^e >= its largest entry: exact, and no overflow
     _, e = np.frexp(np.max(np.abs(g), initial=0.0))
@@ -271,7 +271,7 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
         )
     blocks = _sign_blocks(basis)
     num_samples = blocks[0].shape[1] + basis.d
-    rows, scales, X, G = _constraint_rows(spec, n, basis, num_samples, seed)
+    rows, scales, X, G = _constraint_rows(spec, basis, num_samples, seed)
     # one stacked SVD per block size, each over a (k, rows, s) stack
     svals = np.concatenate([
         np.linalg.svd(rows[:, idx].swapaxes(0, 1), compute_uv=False).ravel()
@@ -315,15 +315,12 @@ def _range_endpoints(A: np.ndarray, C: np.ndarray):
     stochastic matrix |u_ij|^2).  ``A`` is one matrix, giving two floats,
     or a (k, n, n) stack against the one C, giving two (k,) arrays from one
     stacked eigvalsh; a member gets the bits it gets alone.  Fails closed on
-    non-square, mismatched, non-finite or non-Hermitian inputs, where the
-    formula does not hold.
+    mismatched inputs and on what :func:`_require_hermitian` refuses, where
+    the formula does not hold.
     """
-    A = np.asarray(A)
-    C = np.asarray(C)
-    if A.ndim not in (2, 3) or A.shape[-2:] != C.shape or C.shape[0] != C.shape[1]:
-        raise InvalidDimension(
-            f"need square matrices of one shape, got {A.shape} and {C.shape}"
-        )
+    A, C = np.asarray(A), np.asarray(C)
+    if A.shape[-2:] != C.shape:
+        raise InvalidDimension(f"need matrices of one shape, got {A.shape} and {C.shape}")
     _require_hermitian(A, "A")
     _require_hermitian(C, "C")
     lam_a = np.linalg.eigvalsh(A)[..., None, :]
@@ -333,11 +330,12 @@ def _range_endpoints(A: np.ndarray, C: np.ndarray):
     return (float(lo), float(hi)) if A.ndim == 2 else (lo, hi)
 
 
-def _pair_endpoints(A: np.ndarray, C: np.ndarray) -> tuple[float, float]:
-    """:func:`_range_endpoints` of one pair; a stack A raises InvalidDimension."""
-    if np.ndim(A) != 2:
-        raise InvalidDimension(f"need one square matrix A, got shape {np.shape(A)}")
-    return _range_endpoints(A, C)
+def _one_matrix(A, name: str) -> np.ndarray:
+    """A as one matrix; a stack, or any other non-matrix, raises InvalidDimension."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise InvalidDimension(f"need one square matrix {name}, got shape {A.shape}")
+    return A
 
 
 def c_numerical_range_sample(
@@ -358,7 +356,7 @@ def c_numerical_range_sample(
     InvalidDimension.
     """
     trials = _trial_count(trials)
-    lo, hi = _pair_endpoints(A, C)
+    lo, hi = _range_endpoints(_one_matrix(A, "A"), C)
     n = np.shape(A)[0]
     u = haar_unitary(n, seed, count=trials).reshape(trials, n * n)
     values = np.einsum("ti,ti->t", u.conj(), u @ _kron(np.transpose(A), np.asarray(C))).real
@@ -371,7 +369,7 @@ def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
     W_C(A) is the interval ``[lo, hi]`` of :func:`_range_endpoints`, so the
     radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977).
     """
-    lo, hi = _pair_endpoints(A, C)
+    lo, hi = _range_endpoints(_one_matrix(A, "A"), C)
     return max(abs(lo), abs(hi))
 
 
@@ -386,20 +384,24 @@ class PreserverReport:
     trials: int = 0
 
 
-def verify_preserver_forms(C: np.ndarray, n: int, trials: int, seed=0) -> PreserverReport:
+def verify_preserver_forms(C: np.ndarray, trials: int, seed=0) -> PreserverReport:
     """Check that both canonical forms preserve the C-numerical radius, and
     that conjugation preserves the C-numerical range as an interval.
 
-    Random elements A and Haar unitaries U and V are drawn as three stacks
-    from one generator; the radius is compared across ``A -> eta U A U*``
-    and ``A -> eta U (-A.T) U*`` for both signs, and for the plain
-    conjugation the range endpoints and the conjugation-invariance of
-    individual orbit values (at V C V*) are checked.  The endpoints of A
-    and its four images come from one :func:`_range_endpoints` call on
+    n is read off C, one finite Hermitian matrix, checked before anything
+    is drawn.  Random elements A and Haar unitaries U and V are drawn as
+    three stacks from one generator; the radius is compared across ``A ->
+    eta U A U*`` and ``A -> eta U (-A.T) U*`` for both signs, and for the
+    plain conjugation the range endpoints and the conjugation-invariance
+    of individual orbit values (at V C V*) are checked.  The endpoints of
+    A and its four images come from one :func:`_range_endpoints` call on
     their (5 trials, n, n) stack.  A negative or non-integer ``trials``
     raises InvalidDimension.
     """
     trials = _trial_count(trials)
+    C = _one_matrix(C, "C")
+    _require_hermitian(C, "C")
+    n = len(C)
     rng = _rng(seed)
     A = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)
     U = haar_unitary(n, rng, count=trials)

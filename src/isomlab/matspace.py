@@ -157,11 +157,12 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
     ``v`` is one (d,) vector, giving an (n, n) matrix, or a (k, d) array of
     coordinate vectors, giving the (k, n, n) stack of their matrices.
     """
-    v = np.asarray(v, dtype=float)
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDimension(f"a coordinate vector is a real array: {exc}") from None
     if v.ndim not in (1, 2) or v.shape[-1] != basis.d:
-        raise InvalidDimension(
-            f"coordinate length {v.shape} does not match basis d={basis.d}"
-        )
+        raise InvalidDimension(f"coordinate length {v.shape} does not match basis d={basis.d}")
     n = basis.n
     # one (1, d) product per member, so a stack member gets a single call's bits
     rows = v.reshape(-1, 1, basis.d) @ basis.mats.reshape(basis.d, n * n)
@@ -175,10 +176,12 @@ def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:
 
 
 def _require_hermitian(A: np.ndarray, name: str) -> None:
-    """Raise NotHermitian unless every member of A (one matrix or a stack)
-    has finite entries and a Hermiticity defect within STRUCT_TOL times
-    (1 + its largest entry modulus).  Finiteness is checked first: a NaN
-    defect compares False against any tolerance."""
+    """Raise InvalidDimension unless A is an (n, n) matrix or (k, n, n)
+    stack, n >= 1, then NotHermitian unless every member has finite entries
+    and a Hermiticity defect within STRUCT_TOL times (1 + its largest entry
+    modulus).  Finiteness comes first, since a NaN defect would pass."""
+    if A.ndim not in (2, 3) or not A.shape[-1] == A.shape[-2] >= 1:
+        raise InvalidDimension(f"{name}: need an (n, n) matrix or (k, n, n) stack, got shape {A.shape}")
     size = np.abs(A).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(size).all():
         raise NotHermitian(f"{name}: non-finite entries")
@@ -222,10 +225,8 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
     must pass :func:`_require_hermitian`.
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
-        raise InvalidDimension(f"expected a square matrix or a stack, got shape {A.shape}")
-    n = A.shape[-1]
     _require_hermitian(A, "A")
+    n = A.shape[-1]
     H = (A + A.swapaxes(-1, -2).conj()) / 2.0
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
 

@@ -141,6 +141,8 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     space; the others default to the Hermitian space unless ``space`` says
     otherwise.
     """
+    if not isinstance(token, str):
+        raise InvalidNormSpec(f"a norm token is a string, got {token!r}")
     name, colon, arg = token.partition(":")
     name = name.strip().lower()
     try:

@@ -63,9 +63,7 @@ from .matspace import (
     _square_stack,
     basis_for,
     devectorize,
-    gell_mann_basis,
     random_element,
-    skew_basis,
     space_dim,
     vectorize,
 )
@@ -132,11 +130,26 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray
     return _center_distance(Q, P, np.array([1.0, -1.0]))
 
 
-def _coordinate_map(M: np.ndarray) -> np.ndarray:
-    """M as a finite real (d, d) map or (k, d, d) stack of maps."""
-    if np.iscomplexobj(M):
-        raise InvalidDimension("a coordinate map is real, got a complex matrix")
-    return _square_stack(np.asarray(M, dtype=float))
+def _coordinate_map(M) -> np.ndarray:
+    """M as a finite real (d, d) map or (k, d, d) stack of maps, else
+    InvalidDimension.  Only a real numeric dtype casts to float: a complex,
+    object, string or ragged M is refused."""
+    try:
+        M = np.asarray(M).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDimension(f"a coordinate map is a real numeric array: {exc}") from None
+    return _square_stack(M)
+
+
+def _map_basis(M: np.ndarray, space: str) -> Basis:
+    """The basis of ``space`` at the n >= 2 with ``space_dim(space, n)`` the
+    size d of the checked map M, else InvalidDimension: the one d -> n rule."""
+    d, n = M.shape[-1], 2
+    while space_dim(space, n) < d:
+        n += 1
+    if space_dim(space, n) != d:
+        raise InvalidDimension(f"map size {d} is not the dimension of {space} at any n >= 2")
+    return basis_for(space, n)
 
 
 def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
@@ -154,15 +167,9 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     rank-one forms ``(T^2 - I/n^2) / (n - 2/n) = vec(U) vec(U)*`` and ``(4
     T^2 - I) / (n - 2) = vec(Q) vec(Q).T``, the same for M and -M.  Whether
     M was an adjoint image at all is left to the caller's reconstruction
-    residual.  Raises :class:`InvalidDimension` unless the maps are (d, d)
-    for the basis.
+    residual.
     """
-    n, d = basis.n, basis.d
-    if M.ndim != 3 or M.shape[1:] != (d, d):
-        raise InvalidDimension(
-            f"a map on the n = {n} space has shape ({d}, {d}), got {M.shape[1:]}"
-        )
-    k = len(M)
+    n, d, k = basis.n, basis.d, len(M)
     images = devectorize(M.swapaxes(-1, -2).reshape(k * d, d), basis)
     T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ basis.mats.reshape(d, n * n)
     return T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
@@ -216,12 +223,11 @@ def _conjugator(M: np.ndarray, basis: Basis):
 
 
 def _inverted(M: np.ndarray, basis: Basis):
-    """The public inversions' path: each map's candidate and rebuild from
-    :func:`_conjugator`, which chooses the rebuild by the basis's space;
-    no involution is tried here.  Returns ``(conjugator, residual)``, one
-    of each for one map and stacked for a stack, or raises
-    :class:`NotAdjointImage` for the first member refused."""
-    M = _coordinate_map(M)
+    """The public inversions' path on a checked M and its basis: each map's
+    candidate and rebuild from :func:`_conjugator`; no involution is tried
+    here.  Returns ``(conjugator, residual)``, one of each for one map and
+    stacked for a stack, or raises :class:`NotAdjointImage` for the first
+    member refused."""
     single = M.ndim == 2
     M = M.reshape(-1, *M.shape[-2:])
     C, rebuilt, refused = _conjugator(M, basis)
@@ -240,7 +246,7 @@ def _inverted(M: np.ndarray, basis: Basis):
     return (C[0], float(residual[0])) if single else (C, residual)
 
 
-def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+def recover_unitary_from_ad(M: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert the conjugation action: find U with ``ad_matrix(U) = M``.
 
     vec(U) is, up to phase, a column of the rank-one form ``(T^2 - I/n^2) /
@@ -249,23 +255,24 @@ def recover_unitary_from_ad(M: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     determinant one.  Returns ``(U, residual)`` with U in SU(n) up to an
     n-th root of unity and ``residual`` the max coordinate deviation of
     ``ad_matrix(U)`` from M.  Raises :class:`InvalidDimension` unless M is a
-    finite real (n^2 - 1)-square matrix, and :class:`NotAdjointImage` when
-    the residual exceeds ``RESIDUAL_TOL`` or the form has no positive
-    diagonal entry (the zero map, say).  A (k, d, d) stack is taken as
-    :func:`recover_orthogonal_from_adso` takes one.
+    finite real d-square matrix, n read off d = n^2 - 1, and
+    :class:`NotAdjointImage` when the residual exceeds ``RESIDUAL_TOL`` or
+    the form has no positive diagonal entry (the zero map, say).  A (k, d,
+    d) stack is taken as :func:`recover_orthogonal_from_adso` takes one.
     """
-    return _inverted(M, gell_mann_basis(n))
+    M = _coordinate_map(M)
+    return _inverted(M, _map_basis(M, HERMITIAN_TRACELESS))
 
 
-def recover_orthogonal_from_adso(M: np.ndarray, n: int):
+def recover_orthogonal_from_adso(M: np.ndarray):
     """Invert the congruence action on the skew space: find Q with
     ``so_adjoint_matrix(Q) = M``, up to global sign.
 
     vec(Q) is, up to sign, a column of the rank-one form ``(4 T^2 - I) / (n
     - 2)`` of M's rearranged superoperator T (see :func:`_rearranged` and
     :func:`_conjugator`), polished to an orthogonal matrix.  The form needs
-    n >= 3; :class:`InvalidDimension` is raised below that, and unless M is
-    a finite real (n(n-1)/2)-square matrix or a (k, d, d) stack of them.
+    n >= 3, read off d = n(n-1)/2; :class:`InvalidDimension` is raised below
+    that, and unless M is a finite real d-square map or a (k, d, d) stack.
     Returns ``(Q, residual)`` with Q in SO(n) and ``residual`` the max
     coordinate deviation of the congruence by Q from M; for a stack, a (k,
     n, n) stack of rotations and a (k,) array of residuals, each member what
@@ -275,7 +282,8 @@ def recover_orthogonal_from_adso(M: np.ndarray, n: int):
     reproduces (at odd n the rotation -Q is returned instead); in a stack,
     for the first member refused.
     """
-    basis = skew_basis(n)
+    M = _coordinate_map(M)
+    basis = _map_basis(M, SKEW_REAL)
     if basis.n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
     return _inverted(M, basis)
@@ -328,7 +336,7 @@ def _branch_search(M: np.ndarray, basis: Basis):
     return sign, flag, conjugator, residual
 
 
-def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
+def classify_eta_sigma(M: np.ndarray) -> tuple[int, bool, np.ndarray]:
     """Find the branch (eta, sigma_flag) of a Hermitian-space linear map and
     its conjugating unitary.
 
@@ -336,30 +344,32 @@ def classify_eta_sigma(M: np.ndarray, n: int) -> tuple[int, bool, np.ndarray]:
     involution A -> -A.T is tried only for n >= 3 (at n = 2 it is itself a
     conjugation).  Returns ``(eta, sigma_flag, U)`` from the first branch
     whose rebuilt map reproduces M within ``RESIDUAL_TOL``; raises
-    :class:`InvalidDimension` unless M is a finite real (n^2 - 1)-square
-    matrix, and :class:`NotInClassifiedForm` when no branch does.
+    :class:`InvalidDimension` unless M is one finite real d-square matrix
+    (a stack is refused), n read off d = n^2 - 1, and
+    :class:`NotInClassifiedForm` when no branch does.
     """
-    basis = gell_mann_basis(n)
-    eta, sigma_flag, U, _ = _branch_search(_coordinate_map(M)[None], basis)
+    M = _coordinate_map(M)
+    if M.ndim != 2:
+        raise InvalidDimension(f"classify_eta_sigma takes one map, got shape {M.shape}")
+    eta, sigma_flag, U, _ = _branch_search(M[None], _map_basis(M, HERMITIAN_TRACELESS))
     if not eta[0]:
         raise NotInClassifiedForm("no branch of the canonical family reproduces the map", members=(0,))
     return int(eta[0]), bool(sigma_flag[0]), U[0]
 
 
-def _check_isometry(M: np.ndarray, spec: NormSpec, n: int, seed, members=None) -> None:
+def _check_isometry(M: np.ndarray, spec: NormSpec, basis: Basis, seed, members=None) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
-    D over 50 random differences D per member of the (k, d, d) stack M,
-    drawn from ``seed`` (a seed or a Generator, drawn from in place) in one
-    ``random_element`` call, member after member: the stream k one-member
-    tests draw in turn.  Two stacked norm evaluations in all.  Raises
-    :class:`NotIsometry` when a relative deviation exceeds
+    D over 50 random differences D per member of the (k, d, d) stack M on
+    ``basis``, drawn from ``seed`` (a seed or a Generator, drawn from in
+    place) in one ``random_element`` call, member after member: the stream
+    k one-member tests draw in turn.  Two stacked norm evaluations in all.
+    Raises :class:`NotIsometry` when a relative deviation exceeds
     ``ISOMETRY_TOL``, naming the failing members by their entries in
     ``members`` (M's indices in the caller's stack; ``range(k)`` when
     None)."""
-    basis = basis_for(spec.space, n)
     k, d = len(M), basis.d
-    D = random_element(spec.space, n, seed, count=50 * k)
+    D = random_element(spec.space, basis.n, seed, count=50 * k)
     moved = vectorize(D, basis).reshape(k, 50, d) @ M.swapaxes(-1, -2)
     lhs = norm_value(devectorize(moved.reshape(50 * k, d), basis), spec)
     rhs = norm_value(D, spec)
@@ -378,30 +388,24 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     equal to ``space_dim(space, n)`` for some n >= 2, a finite ``offset``
     of M's leading shape by d (zero when None), a ``seed`` that
     ``np.random.default_rng`` accepts, and spec parameters that fit n.
-    Returns ``(M, n, offset, rng)`` with M a (k, d, d) stack, ``offset`` a
-    (k, d) array and ``rng`` the generator made from ``seed`` (``seed``
-    itself when it is one), nothing drawn from it yet.  Every failure
-    before the seed raises :class:`InvalidDimension`, a refused seed
-    :class:`InvalidSeed`.  The distance test is not among these checks: it
-    runs after the branch search, and only when the residual cannot
-    certify the map (see the module docstring)."""
+    Returns ``(M, basis, offset, rng)`` with M a (k, d, d) stack, ``basis``
+    the space's at that n (:func:`_map_basis`), ``offset`` a (k, d) array
+    and ``rng`` the generator made from ``seed`` (``seed`` itself when it
+    is one), nothing drawn from it yet.  Every failure before the seed
+    raises :class:`InvalidDimension`, a refused seed :class:`InvalidSeed`.
+    The distance test is not among these checks: it runs after the branch
+    search, and only when the residual cannot certify the map (see the
+    module docstring)."""
     M = _coordinate_map(M)
-    d = M.shape[-1]
     if spec.space != space:
         raise InvalidDimension(f"the norm acts on {spec.space}, the map on {space}")
-    n = 2
-    while space_dim(space, n) < d:
-        n += 1
-    if space_dim(space, n) != d:
-        raise InvalidDimension(f"map size {d} is not the dimension of {space} at any n >= 2")
+    basis = _map_basis(M, space)
     offset = np.zeros(M.shape[:-1]) if offset is None else np.asarray(offset, dtype=float)
     if offset.shape != M.shape[:-1] or not np.all(np.isfinite(offset)):
-        raise InvalidDimension(
-            f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}"
-        )
+        raise InvalidDimension(f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}")
     rng = _rng(seed)
-    _check_parameters(spec, n)
-    return M.reshape(-1, d, d), n, offset.reshape(-1, d), rng
+    _check_parameters(spec, basis.n)
+    return M.reshape(-1, basis.d, basis.d), basis, offset.reshape(-1, basis.d), rng
 
 
 def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
@@ -413,7 +417,7 @@ def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
     sign, flag, conjugator, residual = _branch_search(M, basis)
     uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
     if uncertified.any():
-        _check_isometry(M[uncertified], spec, basis.n, rng, np.flatnonzero(uncertified))
+        _check_isometry(M[uncertified], spec, basis, rng, np.flatnonzero(uncertified))
         missing = np.flatnonzero(sign == 0)
         if missing.size:
             raise NotInClassifiedForm(
@@ -422,12 +426,7 @@ def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
     return sign, flag, conjugator, residual
 
 
-def decompose_isometry(
-    M: np.ndarray,
-    spec: NormSpec,
-    offset: np.ndarray | None = None,
-    seed=0,
-):
+def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None = None, seed=0):
     """Decompose an affine isometry of a Hermitian-space norm.
 
     ``M`` is the linear part in coordinates, ``offset`` the coordinate
@@ -455,15 +454,12 @@ def decompose_isometry(
     branch reproduces; the distance test runs before the latter is raised,
     so a non-isometry is always :class:`NotIsometry`.
     """
-    stack, n, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
-    basis = gell_mann_basis(n)
+    stack, basis, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
     eta, sigma_flag, U, residual = _certified_branches(stack, spec, rng, basis)
     translation = devectorize(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
-        IsometryDecomposition(
-            eta=e, sigma_flag=f, unitary=u.copy(), translation=b.copy(), residual=r
-        )
+        IsometryDecomposition(e, f, u.copy(), b.copy(), r)
         for e, f, u, b, r in zip(eta.tolist(), sigma_flag.tolist(), U, translation, residual.tolist())
     )
     return decompositions[0] if np.ndim(M) == 2 else decompositions
@@ -485,11 +481,11 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     those members in ``exc.members``; at n = 2 an isometry raises
     :class:`InvalidDimension`, since congruence recovery needs n >= 3.
     """
-    stack, n, _, rng = _checked_input(M, spec, SKEW_REAL, seed)
-    if n < 3:
-        _check_isometry(stack, spec, n, rng)
+    stack, basis, _, rng = _checked_input(M, spec, SKEW_REAL, seed)
+    if basis.n < 3:
+        _check_isometry(stack, spec, basis, rng)
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    sign, flag, Q, residual = _certified_branches(stack, spec, rng, skew_basis(n))
+    sign, flag, Q, residual = _certified_branches(stack, spec, rng, basis)
     decompositions = tuple(
         SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)
         for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())

@@ -179,12 +179,12 @@ def test_07_psi_facts():
     worst_closure = 0.0
     for t in range(100):
         Q = il.haar_orthogonal(4, [7, 1000 + t], special=True)
-        _, res = il.recover_orthogonal_from_adso(psi @ il.so_adjoint_matrix(Q) @ psi, 4)
+        _, res = il.recover_orthogonal_from_adso(psi @ il.so_adjoint_matrix(Q) @ psi)
         worst_closure = max(worst_closure, res)
     reject_res = math.inf
     for M in (psi, -psi):
         try:
-            il.recover_orthogonal_from_adso(M, 4)
+            il.recover_orthogonal_from_adso(M)
             reject_res = 0.0
         except NotAdjointImage as exc:
             reject_res = min(reject_res, exc.residual)
@@ -255,7 +255,7 @@ def test_10_c_numerical_quantities():
         bound_ok = bound_ok and r >= perm - 1e-9
 
     C = il.random_element(il.HERMITIAN_TRACELESS, 3, 1010)
-    rep = il.verify_preserver_forms(C, 3, trials=20, seed=1011)
+    rep = il.verify_preserver_forms(C, trials=20, seed=1011)
     inv_dev = max(rep.radius_dev.values())
     ok = analytic_ok and bound_ok and inv_dev < 1e-10
     report(

@@ -527,7 +527,7 @@ def test_skew_suite_counts_only_a_failed_recovery_as_a_rejection(monkeypatch):
 
     error = InvalidDimension("orthogonal recovery needs n >= 3")
 
-    def broken(M, n):
+    def broken(M):
         raise error
 
     monkeypatch.setattr(cli, "recover_orthogonal_from_adso", broken)
@@ -599,3 +599,19 @@ def test_main_never_raises(suite, n, samples, options):
         except SystemExit as exc:
             status = exc.code
     assert status in (0, 1, 2), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(norms=(3,)), "a norm token is a string, got 3"),
+        (dict(norms=(None,)), "a norm token is a string, got None"),
+        (dict(tol={"radius": True}), "tolerance radius must be finite and >= 0, got True"),
+        (dict(tol={"invariance": False}), "tolerance invariance must be finite and >= 0, got False"),
+    ],
+    ids=["norm-int", "norm-none", "tol-true", "tol-false"],
+)
+def test_run_suite_refuses_a_token_or_tolerance_it_cannot_read(kw, message):
+    """Both are usage errors (ValueError), like a bool seed or sample count."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(SuiteConfig(**{"suite": "invariance", "n_values": (2,), "samples": 2, **kw}))

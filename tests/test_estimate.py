@@ -176,7 +176,7 @@ def _full_width_dimension(spec, n, seed):
 
     basis = il.basis_for(spec.space, n)
     unknowns = basis.d * (basis.d - 1) // 2
-    rows, scales, _, _ = est._constraint_rows(spec, n, basis, unknowns + basis.d, seed)
+    rows, scales, _, _ = est._constraint_rows(spec, basis, unknowns + basis.d, seed)
     svals = np.linalg.svd(rows, compute_uv=False)
     return est._null_space_dimension(svals, float(scales.max()))[0]
 
@@ -221,7 +221,7 @@ def test_constraint_rows_build_no_d_squared_wide_temporary():
     num = 84  # the largest sign block, 36, plus d = 48
     tracemalloc.start()
     try:
-        rows = est._constraint_rows(spec, n, basis, num, [0, n])[0]
+        rows = est._constraint_rows(spec, basis, num, [0, n])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,7 +292,7 @@ def test_the_row_scale_keeps_its_bits_on_ordinary_gradients():
 
     spec, n = il.c_spectral((2.0, 1.0)), 4
     basis = il.skew_basis(n)
-    _, scales, X, G = est._constraint_rows(spec, n, basis, 12, 3)
+    _, scales, X, G = est._constraint_rows(spec, basis, 12, 3)
     plain = np.linalg.norm(il.vectorize(G, basis), axis=1) * np.linalg.norm(il.vectorize(X, basis), axis=1)
     assert scales.tobytes() == plain.tobytes()
 
@@ -355,7 +355,7 @@ def test_commutator_pairings_match_the_generator_coordinates(space, n):
     np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x), scales), rtol=0, atol=1e-15)
     # and on the estimator's own samples and gradients
     num = est._sign_blocks(basis)[0].shape[1] + basis.d
-    rows, scales, X, G = est._constraint_rows(il.schatten(3, space), n, basis, num, [0, n])
+    rows, scales, X, G = est._constraint_rows(il.schatten(3, space), basis, num, [0, n])
     pairing = est._adjoint_pairings(X, G, scales, basis)
     np.testing.assert_allclose(pairing, oracle(rows, scales), rtol=0, atol=1e-15)
 
@@ -366,7 +366,7 @@ def test_containment_tells_the_adjoint_algebra_from_other_directions():
     spec, n = il.schatten(3), 4
     basis = il.gell_mann_basis(n)
     # the estimator's 43 rows: the largest sign block, 28, plus d = 15
-    rows, scales, _, _ = est._constraint_rows(spec, n, basis, 43, 5)
+    rows, scales, _, _ = est._constraint_rows(spec, basis, 43, 5)
 
     def residual(t):
         return np.max(np.abs(rows @ t) / scales) / np.linalg.norm(t)
@@ -409,7 +409,7 @@ def test_dimension_refuses_a_non_integer_n(n):
 _NEGATIVE_TRIALS = {
     "check_invariance": lambda C: il.check_invariance(il.schatten(3), 3, -1, 0),
     "c_numerical_range_sample": lambda C: il.c_numerical_range_sample(C, C, -1),
-    "verify_preserver_forms": lambda C: il.verify_preserver_forms(C, 3, -1),
+    "verify_preserver_forms": lambda C: il.verify_preserver_forms(C, -1),
     "verify_sigma_normalizes": lambda C: il.verify_sigma_normalizes(np.eye(3), -1, 0),
     "random_element": lambda C: il.random_element(il.HERMITIAN_TRACELESS, 3, 0, count=-1),
     "haar_unitary": lambda C: il.haar_unitary(3, 0, count=-1),
@@ -427,7 +427,7 @@ def test_a_negative_trial_count_fails_closed(call):
 _TRIAL_CALLS = {
     "check_invariance": lambda C, trials: il.check_invariance(il.schatten(3), 3, trials, 0),
     "c_numerical_range_sample": lambda C, trials: il.c_numerical_range_sample(C, C, trials),
-    "verify_preserver_forms": lambda C, trials: il.verify_preserver_forms(C, 3, trials),
+    "verify_preserver_forms": lambda C, trials: il.verify_preserver_forms(C, trials),
     "verify_sigma_normalizes": lambda C, trials: il.verify_sigma_normalizes(np.eye(3), trials, 0),
     "random_element": lambda C, trials: il.random_element(il.HERMITIAN_TRACELESS, 3, 0, count=trials),
     "haar_unitary": lambda C, trials: il.haar_unitary(3, 0, count=trials),
@@ -456,7 +456,7 @@ def test_zero_trials_keep_their_meaning():
     C = il.random_element(il.HERMITIAN_TRACELESS, 3, 42)
     assert il.check_invariance(il.schatten(3), 3, 0, 0) == 0.0
     assert il.c_numerical_range_sample(C, C, 0).values.shape == (0,)
-    assert il.verify_preserver_forms(C, 3, 0).trials == 0
+    assert il.verify_preserver_forms(C, 0).trials == 0
 
 
 def test_range_sample_aligned_case():
@@ -537,7 +537,7 @@ def test_range_rejects_non_hermitian_or_non_square():
     # a NaN C once gave all-zero deviations, a passing report
     for trials in (0, 3):
         with pytest.raises(NotHermitian, match="C: non-finite"):
-            il.verify_preserver_forms(nan_entry, 3, trials)
+            il.verify_preserver_forms(nan_entry, trials)
 
 
 def test_radius_n2_analytic():
@@ -641,7 +641,7 @@ def test_preserver_forms_match_the_per_trial_loop_bit_for_bit(monkeypatch, n, tr
 
     monkeypatch.setattr(est, "_range_endpoints", counted)
     C = il.random_element(il.HERMITIAN_TRACELESS, n, [50, n])
-    rep = il.verify_preserver_forms(C, n, trials, seed=[51, n, trials])
+    rep = il.verify_preserver_forms(C, trials, seed=[51, n, trials])
     # one endpoint call, on the five images of every trial, so C's
     # eigvalsh runs once
     assert calls == [(5 * trials, n, n)]
@@ -667,7 +667,7 @@ def test_stacked_range_endpoints_give_each_member_its_lone_bits(n):
 
 def test_preserver_forms_report():
     C = il.random_element(il.HERMITIAN_TRACELESS, 3, 20)
-    rep = il.verify_preserver_forms(C, 3, trials=5, seed=21)
+    rep = il.verify_preserver_forms(C, trials=5, seed=21)
     assert max(rep.radius_dev.values()) < 1e-10
     assert rep.wc_interval_dev < 1e-12
     assert rep.wc_pointwise_dev < 1e-12
@@ -679,7 +679,7 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     spec, n, basis = il.schatten(1.0), 3, il.gell_mann_basis(3)
     num = 20
-    clean = est._constraint_rows(spec, n, basis, num, 7)
+    clean = est._constraint_rows(spec, basis, num, 7)
     real_draw, real_grad = est.random_element, est.norm_gradient
     draws, grads = [], []
 
@@ -696,7 +696,7 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     monkeypatch.setattr(est, "norm_gradient", grad)
-    rows, scales, samples, gradients = est._constraint_rows(spec, n, basis, num, 7)
+    rows, scales, samples, gradients = est._constraint_rows(spec, basis, num, 7)
     assert draws == [num, 1]
     assert grads == [num, num]
     assert np.flatnonzero(np.any(rows != clean[0], axis=1)).tolist() == [5]
@@ -729,4 +729,31 @@ def test_constraint_rows_give_up_after_the_resample_budget(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     with pytest.raises(DegeneratePoint, match="row 3 after 20 tries"):
-        est._constraint_rows(il.schatten(1.0), 3, il.gell_mann_basis(3), 10, 0)
+        est._constraint_rows(il.schatten(1.0), il.gell_mann_basis(3), 10, 0)
+
+
+@pytest.mark.parametrize(
+    "C, error",
+    [
+        (np.eye(3)[:2], InvalidDimension),
+        (np.stack([np.eye(3), np.eye(3)]), InvalidDimension),
+        (np.zeros((0, 0)), InvalidDimension),
+        (np.triu(np.ones((3, 3))), NotHermitian),
+        (np.full((3, 3), np.inf), NotHermitian),
+    ],
+    ids=["not-square", "stack", "empty", "not-hermitian", "inf"],
+)
+def test_preserver_forms_check_c_before_any_draw(C, error):
+    """n is read off C, so C is checked first: the generator is untouched."""
+    rng = np.random.default_rng(80)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        il.verify_preserver_forms(C, 4, seed=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_preserver_forms_read_n_off_c(n):
+    C = il.random_element(il.HERMITIAN_TRACELESS, n, [81, n])
+    rep = il.verify_preserver_forms(C, 3, seed=[82, n])
+    assert rep.trials == 3 and max(rep.radius_dev.values()) < 1e-10

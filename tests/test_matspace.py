@@ -69,12 +69,8 @@ def test_basis_requires_n_at_least_2():
 _NON_INTEGER_N = {
     "gell_mann_basis": lambda: il.gell_mann_basis(2.0),
     "skew_basis": lambda: il.skew_basis(2.0),
-    "recover_unitary_from_ad": lambda: il.recover_unitary_from_ad(np.eye(3), 2.0),
-    "classify_eta_sigma": lambda: il.classify_eta_sigma(np.eye(3), 2.0),
-    "recover_orthogonal_from_adso": lambda: il.recover_orthogonal_from_adso(np.eye(3), 3.0),
     "space_dim": lambda: il.space_dim(il.HERMITIAN_TRACELESS, 2.5),
     "space_dim_string": lambda: il.space_dim(il.SKEW_REAL, "3"),
-    "recover_orthogonal_string": lambda: il.recover_orthogonal_from_adso(np.eye(3), "3"),
 }
 
 
@@ -280,7 +276,7 @@ _DRAWS = {
         il.schatten(3, il.SKEW_REAL), 4, seed=seed
     ),
     "c_numerical_range_sample": lambda seed: il.c_numerical_range_sample(_C3, _C3, 2, seed=seed),
-    "verify_preserver_forms": lambda seed: il.verify_preserver_forms(_C3, 3, 2, seed=seed),
+    "verify_preserver_forms": lambda seed: il.verify_preserver_forms(_C3, 2, seed=seed),
     "decompose_isometry": lambda seed: il.decompose_isometry(np.eye(8), il.schatten(3), seed=seed),
     "decompose_skew_isometry": lambda seed: il.decompose_skew_isometry(
         np.eye(6), il.c_spectral((1.0, 0.0)), seed=seed
@@ -301,3 +297,42 @@ def test_the_seed_helper_passes_a_generator_through():
     rng = np.random.default_rng(4)
     assert _rng(rng) is rng
     npt.assert_array_equal(_rng([4, 5]).standard_normal(3), np.random.default_rng([4, 5]).standard_normal(3))
+
+
+@pytest.mark.parametrize(
+    "v",
+    ["x", [[1.0, 2.0, 3.0], [1.0]], np.array([np.zeros(3), np.zeros(2)], dtype=object)],
+    ids=["string", "ragged-list", "ragged-objects"],
+)
+def test_devectorize_refuses_a_non_numeric_vector(v):
+    with pytest.raises(InvalidDimension, match="a coordinate vector is a real array"):
+        il.devectorize(v, il.gell_mann_basis(2))
+
+
+_HERMITIAN_CHECKED = {
+    "c_numerical_radius": lambda A: il.c_numerical_radius(A, A),
+    "c_numerical_range_sample": lambda A: il.c_numerical_range_sample(A, A, 3),
+    "project_traceless": il.project_traceless,
+    "verify_preserver_forms": lambda A: il.verify_preserver_forms(A, 3),
+}
+
+
+@pytest.mark.parametrize("call", _HERMITIAN_CHECKED.values(), ids=_HERMITIAN_CHECKED.keys())
+@pytest.mark.parametrize(
+    "A, error",
+    [
+        (np.zeros((0, 0)), InvalidDimension),
+        (np.zeros((2, 0, 0)), InvalidDimension),
+        (np.zeros((2, 3)), InvalidDimension),
+        (np.zeros(3), InvalidDimension),
+        (np.full((2, 2), np.nan), NotHermitian),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
+    ],
+    ids=["empty", "empty-stack", "not-square", "vector", "nan", "not-hermitian"],
+)
+def test_the_hermitian_check_refuses_empty_and_non_square_inputs(call, A, error):
+    """One check serves the projection and the C-numerical functions: shape
+    first (an (n, n) matrix or (k, n, n) stack, n >= 1), then finiteness,
+    then the defect."""
+    with pytest.raises(error):
+        call(A)

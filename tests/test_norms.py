@@ -620,3 +620,9 @@ def test_norm_value_invariant_under_the_adjoint_group(case, seed, log10_scale):
         U = il.haar_orthogonal(n, [seed, 1])
     moved = U @ A @ U.conj().T
     assert il.norm_value(moved, spec) == pytest.approx(il.norm_value(A, spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("token", [None, 3, 3.0, b"frobenius", ("schatten", 3)])
+def test_parse_norm_refuses_a_token_that_is_not_a_string(token):
+    with pytest.raises(InvalidNormSpec, match="a norm token is a string"):
+        il.parse_norm(token)

@@ -35,7 +35,7 @@ def test_classifier_separates_all_four_branches(n):
         for eta in (1, -1):
             for flag in flags:
                 M = canonical_map(n, eta, flag, U)
-                eta_h, flag_h, U_h = il.classify_eta_sigma(M, n)
+                eta_h, flag_h, U_h = il.classify_eta_sigma(M)
                 assert (eta_h, flag_h) == (eta, flag)
                 assert il.unitary_phase_distance(U, U_h) <= 1e-9
 
@@ -45,14 +45,14 @@ def test_classifier_rejects_generic_orthogonal():
     for t in range(100):
         M = il.haar_orthogonal(8, [200, t], special=True)
         try:
-            il.classify_eta_sigma(M, 3)
+            il.classify_eta_sigma(M)
         except NotInClassifiedForm:
             rejected += 1
     assert rejected == 100
 
 
 def test_recover_unitary_identity():
-    U, res = il.recover_unitary_from_ad(np.eye(8), 3)
+    U, res = il.recover_unitary_from_ad(np.eye(8))
     assert il.unitary_phase_distance(U, np.eye(3)) < 1e-12
     assert res < 1e-12
 
@@ -61,7 +61,7 @@ def test_recover_unitary_identity():
 def test_recover_unitary_round_trip(n):
     for trial in range(10):
         U = il.haar_unitary(n, [3 * n, trial], special=True)
-        Uh, res = il.recover_unitary_from_ad(il.ad_matrix(U), n)
+        Uh, res = il.recover_unitary_from_ad(il.ad_matrix(U))
         assert il.unitary_phase_distance(U, Uh) < 1e-9
         assert res < 1e-9
 
@@ -70,14 +70,14 @@ def test_recover_unitary_phase_covariance():
     n = 4
     U = il.haar_unitary(n, 17, special=True)
     zeta = np.exp(2j * np.pi / n)
-    U1, _ = il.recover_unitary_from_ad(il.ad_matrix(U), n)
-    U2, _ = il.recover_unitary_from_ad(il.ad_matrix(zeta * U), n)
+    U1, _ = il.recover_unitary_from_ad(il.ad_matrix(U))
+    U2, _ = il.recover_unitary_from_ad(il.ad_matrix(zeta * U))
     assert il.unitary_phase_distance(U1, U2) < 1e-9
 
 
 def test_recover_unitary_rejects_cartan():
     with pytest.raises(NotAdjointImage):
-        il.recover_unitary_from_ad(il.cartan_matrix(il.gell_mann_basis(3)), 3)
+        il.recover_unitary_from_ad(il.cartan_matrix(il.gell_mann_basis(3)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -89,7 +89,7 @@ def test_recover_unitary_rejects_negated_cartan_branch(n):
     U = il.haar_unitary(n, [49, n], special=True)
     for M in (-S, -il.ad_matrix(U, basis) @ S):
         with pytest.raises(NotAdjointImage) as err:
-            il.recover_unitary_from_ad(M, n)
+            il.recover_unitary_from_ad(M)
         assert err.value.residual > 0.1
 
 
@@ -104,30 +104,30 @@ def test_recover_unitary_rejects_every_wrong_branch(n):
         A = il.ad_matrix(il.haar_unitary(n, [50, n, trial], special=True), basis)
         for M in (-A, A @ S, -A @ S):
             with pytest.raises(NotAdjointImage) as err:
-                il.recover_unitary_from_ad(M, n)
+                il.recover_unitary_from_ad(M)
             assert err.value.residual > 0.1
 
 
 @pytest.mark.parametrize(
-    "recover, M, n",
+    "recover, M",
     [
-        (il.recover_unitary_from_ad, np.eye(5), 3),
-        (il.recover_unitary_from_ad, np.eye(8)[:, :7], 3),
-        (il.recover_unitary_from_ad, np.full((8, 8), np.nan), 3),
-        (il.recover_unitary_from_ad, np.eye(8) + 1j * np.eye(8), 3),
-        (il.recover_orthogonal_from_adso, np.eye(6)[:, :3], 4),
-        (il.recover_orthogonal_from_adso, np.eye(3), 4),
-        (il.recover_orthogonal_from_adso, np.full((6, 6), np.nan), 4),
-        (il.recover_orthogonal_from_adso, np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)], 4),
+        (il.recover_unitary_from_ad, np.eye(5)),
+        (il.recover_unitary_from_ad, np.eye(8)[:, :7]),
+        (il.recover_unitary_from_ad, np.full((8, 8), np.nan)),
+        (il.recover_unitary_from_ad, np.eye(8) + 1j * np.eye(8)),
+        (il.recover_orthogonal_from_adso, np.eye(6)[:, :3]),
+        (il.recover_orthogonal_from_adso, np.eye(4)),
+        (il.recover_orthogonal_from_adso, np.full((6, 6), np.nan)),
+        (il.recover_orthogonal_from_adso, np.r_[np.eye(6)[:5], np.full((1, 6), np.inf)]),
     ],
     ids=[
         "ad-wrong-n", "ad-not-square", "ad-nan", "ad-complex",
         "adso-not-square", "adso-wrong-n", "adso-nan", "adso-inf",
     ],
 )
-def test_recover_rejects_malformed_maps(recover, M, n):
+def test_recover_rejects_malformed_maps(recover, M):
     with pytest.raises(InvalidDimension):
-        recover(M, n)
+        recover(M)
 
 
 def test_decompose_translation_only():
@@ -250,8 +250,9 @@ def _parent_order(M, spec, seed, offset=None):
     try:
         # a Frobenius spec and seed 0 leave only the map and offset checks,
         # which came before the distance test
-        M, n, _, _ = recover._checked_input(M, il.frobenius(spec.space), spec.space, 0, offset)
-        recover._check_isometry(M, spec, n, seed)
+        M, basis, _, _ = recover._checked_input(M, il.frobenius(spec.space), spec.space, 0, offset)
+        recover._check_isometry(M, spec, basis, seed)
+        n = basis.n
         if skew:
             involution = il.psi_matrix() if n == 4 else None
             invert = il.recover_orthogonal_from_adso
@@ -262,7 +263,7 @@ def _parent_order(M, spec, seed, offset=None):
             linear = M @ involution if flag else M
             for sign in (1, -1):
                 try:
-                    invert(linear / sign, n)
+                    invert(linear / sign)
                     return sign, flag
                 except NotAdjointImage:
                     continue
@@ -476,17 +477,17 @@ def test_inversions_of_a_stack_are_its_members_inverted_alone():
         (il.recover_unitary_from_ad, il.ad_matrix(U), 3),
         (il.recover_orthogonal_from_adso, P @ il.so_adjoint_matrix(Q) @ P, 4),
     ):
-        C, residual = invert(maps, n)
+        C, residual = invert(maps)
         assert C.shape == (4, n, n) and residual.shape == (4,)
         for t, M in enumerate(maps):
-            c, r = invert(M, n)
+            c, r = invert(M)
             assert C[t].tobytes() == c.tobytes() and residual[t] == r
     # a stack raises for its first refused member, with that member's residual
     maps = np.stack([il.so_adjoint_matrix(Q[0]), -P, P])
     with pytest.raises(NotAdjointImage) as err:
-        il.recover_orthogonal_from_adso(maps, 4)
+        il.recover_orthogonal_from_adso(maps)
     with pytest.raises(NotAdjointImage) as alone:
-        il.recover_orthogonal_from_adso(-P, 4)
+        il.recover_orthogonal_from_adso(-P)
     assert err.value.residual == alone.value.residual
 
 
@@ -577,7 +578,7 @@ def test_degenerate_maps_fail_closed(space, n):
     projector = np.diag(np.r_[np.ones(d - 1), 0.0])
     for M in (np.zeros((d, d)), projector, np.stack([np.eye(d), np.zeros((d, d)), projector])):
         with pytest.raises(NotAdjointImage):
-            invert(M, n)
+            invert(M)
         with pytest.raises(NotIsometry) as err:
             decompose(M, spec, seed=0)
         assert err.value.members == ((0,) if M.ndim == 2 else (1, 2))
@@ -751,7 +752,7 @@ def test_orthogonal_sign_distance_takes_each_members_sign():
 
 
 def test_recover_orthogonal_identity():
-    Q, res = il.recover_orthogonal_from_adso(np.eye(6), 4)
+    Q, res = il.recover_orthogonal_from_adso(np.eye(6))
     assert il.orthogonal_sign_distance(Q, np.eye(4)) < 1e-12
     assert res < 1e-12
 
@@ -760,7 +761,7 @@ def test_recover_orthogonal_identity():
 def test_recover_orthogonal_round_trip(n):
     for trial in range(10):
         Q = il.haar_orthogonal(n, [6 * n, trial], special=True)
-        Qh, res = il.recover_orthogonal_from_adso(il.so_adjoint_matrix(Q), n)
+        Qh, res = il.recover_orthogonal_from_adso(il.so_adjoint_matrix(Q))
         assert il.orthogonal_sign_distance(Q, Qh) < 1e-9
         assert res < 1e-9
         assert np.linalg.det(Qh) == pytest.approx(1.0, abs=1e-9)
@@ -769,7 +770,7 @@ def test_recover_orthogonal_round_trip(n):
 def test_recover_orthogonal_rejects_psi():
     for M in (il.psi_matrix(), -il.psi_matrix()):
         with pytest.raises(NotAdjointImage) as err:
-            il.recover_orthogonal_from_adso(M, 4)
+            il.recover_orthogonal_from_adso(M)
         assert err.value.residual > 0.1
 
 
@@ -782,7 +783,7 @@ def test_recover_orthogonal_rejects_wrong_branches(n):
         A = il.so_adjoint_matrix(il.haar_orthogonal(n, [51, n, trial], special=True))
         for M in (-A, A @ P, -A @ P) if n == 4 else (-A,):
             with pytest.raises(NotAdjointImage) as err:
-                il.recover_orthogonal_from_adso(M, n)
+                il.recover_orthogonal_from_adso(M)
             assert err.value.residual > 0.1
 
 
@@ -796,7 +797,7 @@ def test_even_n_reflection_congruence_is_refused(n):
             R[:, 0] = -R[:, 0]
         M = il.ad_matrix(R, il.skew_basis(n))
         with pytest.raises(NotAdjointImage, match="reflection") as err:
-            il.recover_orthogonal_from_adso(M, n)
+            il.recover_orthogonal_from_adso(M)
         assert err.value.residual < 1e-9
 
 
@@ -859,7 +860,7 @@ def test_psi_conjugation_stays_in_adjoint_image():
     for trial in range(20):
         Q = il.haar_orthogonal(4, [44, trial], special=True)
         M = P @ il.so_adjoint_matrix(Q) @ P
-        Qh, res = il.recover_orthogonal_from_adso(M, 4)
+        Qh, res = il.recover_orthogonal_from_adso(M)
         assert res < 1e-8
 
 
@@ -879,6 +880,86 @@ def test_sigma_conjugation_of_ad_recovers():
     for trial in range(5):
         U = il.haar_unitary(4, [45, trial], special=True)
         M = S @ il.ad_matrix(U, basis) @ S
-        Uh, res = il.recover_unitary_from_ad(M, 4)
+        Uh, res = il.recover_unitary_from_ad(M)
         assert res < 1e-9
         assert il.unitary_phase_distance(Uh, np.conj(U)) < 1e-9
+
+
+def test_the_inversions_and_the_classifier_take_no_n():
+    """Each function reads n off its argument, so none of them asks for it."""
+    import inspect
+
+    for func in (
+        il.recover_unitary_from_ad,
+        il.recover_orthogonal_from_adso,
+        il.classify_eta_sigma,
+        il.verify_preserver_forms,
+    ):
+        assert "n" not in inspect.signature(func).parameters, func.__name__
+
+
+@pytest.mark.parametrize(
+    "invert, space, n",
+    [(il.recover_unitary_from_ad, il.HERMITIAN_TRACELESS, n) for n in range(2, 9)]
+    + [(il.recover_orthogonal_from_adso, il.SKEW_REAL, n) for n in range(3, 9)],
+)
+def test_each_inversion_reads_n_off_the_map(invert, space, n):
+    """A map of size d = space_dim(space, n) gives n x n conjugators, alone
+    and stacked, and the Hermitian classifier reads the same n."""
+    draw = il.haar_orthogonal if space == il.SKEW_REAL else il.haar_unitary
+    maps = il.ad_matrix(draw(n, [78, n], special=True, count=2), il.basis_for(space, n))
+    assert maps.shape == (2, il.space_dim(space, n), il.space_dim(space, n))
+    assert invert(maps[0])[0].shape == (n, n)
+    assert invert(maps)[0].shape == (2, n, n)
+    if space == il.HERMITIAN_TRACELESS:
+        assert il.classify_eta_sigma(maps[0])[2].shape == (n, n)
+
+
+_ENTRY_POINTS = {
+    "recover_unitary_from_ad": il.recover_unitary_from_ad,
+    "recover_orthogonal_from_adso": il.recover_orthogonal_from_adso,
+    "classify_eta_sigma": il.classify_eta_sigma,
+    "decompose_isometry": lambda M: il.decompose_isometry(M, SPEC3),
+    "decompose_skew_isometry": lambda M: il.decompose_skew_isometry(M, CSPEC21),
+}
+
+
+@pytest.mark.parametrize("name, d", [
+    pytest.param(name, d, id=f"{name}-{d}")
+    for name in _ENTRY_POINTS
+    for d in ((2, 4, 5) if "orthogonal" in name or "skew" in name else (5, 7))
+])
+def test_a_size_that_no_n_gives_is_refused(name, d):
+    """Hermitian sizes are n^2 - 1 (3, 8, 15, ...), skew ones n(n-1)/2 (1,
+    3, 6, ...); any other size names no n."""
+    with pytest.raises(InvalidDimension, match="is not the dimension"):
+        _ENTRY_POINTS[name](np.eye(d))
+
+
+def test_orthogonal_recovery_of_the_line_needs_n_at_least_3():
+    """d = 1 is the skew space at n = 2, where the rank-one form is void."""
+    with pytest.raises(InvalidDimension, match="needs n >= 3"):
+        il.recover_orthogonal_from_adso(np.eye(1))
+    with pytest.raises(InvalidDimension, match="needs n >= 3"):
+        il.recover_orthogonal_from_adso(np.ones((3, 1, 1)))
+
+
+def test_the_classifier_refuses_a_stack():
+    maps = il.ad_matrix(il.haar_unitary(3, 79, special=True, count=2))
+    with pytest.raises(InvalidDimension, match="takes one map"):
+        il.classify_eta_sigma(maps)
+
+
+_NON_NUMERIC_MAPS = {
+    "string": "x",
+    "ragged-objects": np.array([np.zeros(2), np.zeros(3)], dtype=object),
+    "ragged-list": [[1.0, 2.0], [3.0]],
+    "complex-objects": np.array([[1j, 0], [0, 1]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("M", _NON_NUMERIC_MAPS.values(), ids=_NON_NUMERIC_MAPS.keys())
+def test_a_non_numeric_map_fails_closed(call, M):
+    with pytest.raises(InvalidDimension, match="a coordinate map is a real numeric array"):
+        call(M)
