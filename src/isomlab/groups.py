@@ -11,9 +11,10 @@ diagonal positive, of a Ginibre matrix, found by Gram-Schmidt with each
 column projected twice; that Q has exactly the Haar law (Mezzadri 2007).
 Conjugation is one action on both spaces, A -> U A U* by a unitary U on
 the traceless Hermitians and A -> Q A Q.T by a real orthogonal Q on the
-skew matrices, so one kernel (:func:`ad_matrix`) builds both maps: the
-Kronecker product kron(U, conj(U)) between the basis rows vec(E_a), two
-matrix products per call.
+skew matrices, so one kernel (:func:`_conjugation_map`, which
+:func:`ad_matrix` calls after its checks) builds both maps: the Kronecker
+product kron(U, conj(U)) between the basis rows vec(E_a), two matrix
+products per call.
 """
 
 from __future__ import annotations
@@ -130,7 +131,15 @@ def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
         basis = gell_mann_basis(n)
     if basis.n != n:
         raise InvalidDimension(f"basis n={basis.n} does not match U n={n}")
-    B = basis.mats.reshape(basis.d, n * n)
+    return _conjugation_map(U, basis)
+
+
+def _conjugation_map(U: np.ndarray, basis: Basis) -> np.ndarray:
+    """The one conjugation kernel, ``Re(conj(B) kron(U, conj(U)) B.T)``,
+    on a (..., n, n) array U that is already checked and a basis of its n:
+    :func:`ad_matrix` after its checks, and the branch search of
+    ``recover`` on the polar factors it builds."""
+    B = basis.mats.reshape(basis.d, basis.n * basis.n)
     return (B.conj() @ _kron(U, U.conj()) @ B.T).real
 
 

@@ -142,7 +142,7 @@ def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
     ``A`` is one (n, n) matrix, giving a (d,) vector, or a (k, n, n) stack,
     giving a (k, d) array of the members' coordinates.
     """
-    A = np.asarray(A)
+    A = _numeric(A, "a matrix to vectorize is a numeric array")
     if A.ndim not in (2, 3) or A.shape[-2:] != (basis.n, basis.n):
         raise InvalidDimension(
             f"matrix shape {A.shape} does not match basis n={basis.n}"
@@ -157,10 +157,7 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
     ``v`` is one (d,) vector, giving an (n, n) matrix, or a (k, d) array of
     coordinate vectors, giving the (k, n, n) stack of their matrices.
     """
-    try:
-        v = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDimension(f"a coordinate vector is a real array: {exc}") from None
+    v = _numeric(v, "a coordinate vector is a real array", real=True)
     if v.ndim not in (1, 2) or v.shape[-1] != basis.d:
         raise InvalidDimension(f"coordinate length {v.shape} does not match basis d={basis.d}")
     n = basis.n
@@ -231,6 +228,28 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
 
 
+def _seed(seed):
+    """``seed`` checked as ``np.random.default_rng`` checks it, without
+    building a Generator: a Generator, BitGenerator, SeedSequence or
+    RandomState comes back unchanged, anything else as the SeedSequence
+    that default_rng makes of it, so ``default_rng(_seed(seed))`` draws
+    what ``default_rng(seed)`` draws.  A seed numpy refuses raises
+    InvalidSeed, as in :func:`_rng`."""
+    # np.random is read here, not imported, so importing isomlab leaves it unloaded
+    kinds = (
+        np.random.Generator,
+        np.random.BitGenerator,
+        np.random.bit_generator.ISeedSequence,
+        np.random.RandomState,
+    )
+    if isinstance(seed, kinds):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSeed(f"cannot seed a generator from {seed!r}: {exc}") from None
+
+
 def _rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``: a Generator comes back unchanged
     (and is then drawn from in place).  A seed numpy refuses, such as a
@@ -254,10 +273,27 @@ def _trial_count(trials) -> int:
     return trials
 
 
+def _numeric(x, refusal: str, real: bool = False) -> np.ndarray:
+    """x as an array whose dtype numpy casts to complex (to float, with
+    ``real``) by the ``same_kind`` rule, else InvalidDimension(refusal):
+    the one conversion rule of array inputs.  So a string, object or
+    ragged x is refused, and with ``real`` a complex one, rather than
+    parsed or stripped of its imaginary part.  With ``real`` the array
+    comes back as float, else with its own dtype."""
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDimension(f"{refusal}: {exc}") from None
+    if not np.can_cast(x.dtype, float if real else complex, casting="same_kind"):
+        raise InvalidDimension(f"{refusal}, got dtype {x.dtype}")
+    return x.astype(float, copy=False) if real else x
+
+
 def _square_stack(U) -> np.ndarray:
-    """U as a finite (n, n) matrix or (k, n, n) stack, n >= 1, else
-    InvalidDimension: the shape check of group elements and coordinate maps."""
-    U = np.asarray(U)
+    """U as a finite (n, n) matrix or (k, n, n) stack, n >= 1, of a numeric
+    dtype (:func:`_numeric`), else InvalidDimension: the shape check of
+    group elements and coordinate maps."""
+    U = _numeric(U, "need a finite (n, n) matrix or (k, n, n) stack")
     if U.ndim in (2, 3) and U.shape[-1] == U.shape[-2] >= 1 and np.isfinite(U).all():
         return U
     raise InvalidDimension(f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}")

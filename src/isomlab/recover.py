@@ -35,8 +35,9 @@ cannot fail on any sample, and it is skipped; otherwise it runs after the
 branch search on the same draws it would have made first.  When every
 branch fails it runs before :class:`NotInClassifiedForm` is raised, so a
 non-isometry is still reported as :class:`NotIsometry`.  The distance test
-is the only consumer of random numbers, so a ``Generator`` passed as
-``seed`` is drawn from only when it runs.
+is the only consumer of random numbers: the seed is checked up front, but
+a generator is built from it, or a ``Generator`` passed as ``seed`` drawn
+from, only when the test runs.
 
 Stacks.  Both decompositions and the inversions take a (k, d, d) stack of
 maps through the same code as one map (k = 1): one stacked candidate, polar
@@ -53,13 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, NotAdjointImage, NotInClassifiedForm, NotIsometry
-# so_adjoint_matrix: unused here, but perfbench/tracing.py wraps recover.so_adjoint_matrix
-from .groups import ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix  # noqa: F401
+# ad_matrix, so_adjoint_matrix: unused here, but perfbench/tracing.py wraps
+# recover.ad_matrix and recover.so_adjoint_matrix
+from .groups import _conjugation_map, ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix  # noqa: F401
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     Basis,
-    _rng,
+    _numeric,
+    _seed,
     _square_stack,
     basis_for,
     devectorize,
@@ -132,13 +135,9 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray
 
 def _coordinate_map(M) -> np.ndarray:
     """M as a finite real (d, d) map or (k, d, d) stack of maps, else
-    InvalidDimension.  Only a real numeric dtype casts to float: a complex,
-    object, string or ragged M is refused."""
-    try:
-        M = np.asarray(M).astype(float, casting="same_kind", copy=False)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDimension(f"a coordinate map is a real numeric array: {exc}") from None
-    return _square_stack(M)
+    InvalidDimension.  Only a real numeric dtype casts to float
+    (:func:`_numeric`): a complex, object, string or ragged M is refused."""
+    return _square_stack(_numeric(M, "a coordinate map is a real numeric array", real=True))
 
 
 def _map_basis(M: np.ndarray, space: str) -> Basis:
@@ -167,11 +166,13 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     rank-one forms ``(T^2 - I/n^2) / (n - 2/n) = vec(U) vec(U)*`` and ``(4
     T^2 - I) / (n - 2) = vec(Q) vec(Q).T``, the same for M and -M.  Whether
     M was an adjoint image at all is left to the caller's reconstruction
-    residual.
+    residual.  The images are devectorize's (1, d) product per column, on
+    columns the caller has already checked.
     """
     n, d, k = basis.n, basis.d, len(M)
-    images = devectorize(M.swapaxes(-1, -2).reshape(k * d, d), basis)
-    T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ basis.mats.reshape(d, n * n)
+    mats = basis.mats.reshape(d, n * n)
+    images = M.swapaxes(-1, -2).reshape(k * d, 1, d) @ mats
+    T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ mats
     return T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
 
 
@@ -191,10 +192,11 @@ def _conjugator(M: np.ndarray, basis: Basis):
     and the member refused, so no NaN reaches the SVD.
 
     The basis's space picks the constants and the determinant step, and
-    ``ad_matrix`` on the basis rebuilds.  On the Hermitian space U is
-    normalized to determinant one.  On the skew space a reflection is
-    refused at even n, where no rotation reproduces it, and flipped at odd
-    n, where the rotation -Q gives the same congruence."""
+    the conjugation kernel (``groups._conjugation_map``) on the basis
+    rebuilds, with no second check of the polar factors.  On the Hermitian
+    space U is normalized to determinant one.  On the skew space a
+    reflection is refused at even n, where no rotation reproduces it, and
+    flipped at odd n, where the rotation -Q gives the same congruence."""
     n, k = basis.n, len(M)
     skew = basis.space == SKEW_REAL
     a, b, c = (4.0, 1.0, n - 2.0) if skew else (1.0, 1.0 / n**2, n - 2.0 / n)
@@ -219,7 +221,7 @@ def _conjugator(M: np.ndarray, basis: Basis):
         refused = refused | (det < 0)
     else:
         C = np.where((det < 0)[:, None, None], -C, C)
-    return C, ad_matrix(C, basis), refused
+    return C, _conjugation_map(C, basis), refused
 
 
 def _inverted(M: np.ndarray, basis: Basis):
@@ -363,16 +365,18 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, basis: Basis, seed, members=N
     D over 50 random differences D per member of the (k, d, d) stack M on
     ``basis``, drawn from ``seed`` (a seed or a Generator, drawn from in
     place) in one ``random_element`` call, member after member: the stream
-    k one-member tests draw in turn.  Two stacked norm evaluations in all.
-    Raises :class:`NotIsometry` when a relative deviation exceeds
-    ``ISOMETRY_TOL``, naming the failing members by their entries in
-    ``members`` (M's indices in the caller's stack; ``range(k)`` when
-    None)."""
+    k one-member tests draw in turn.  One stacked norm evaluation in all,
+    of the moved differences followed by the differences, in which every
+    member gets the bits it gets alone.  Raises :class:`NotIsometry` when
+    a relative deviation exceeds ``ISOMETRY_TOL``, naming the failing
+    members by their entries in ``members`` (M's indices in the caller's
+    stack; ``range(k)`` when None)."""
     k, d = len(M), basis.d
     D = random_element(spec.space, basis.n, seed, count=50 * k)
     moved = vectorize(D, basis).reshape(k, 50, d) @ M.swapaxes(-1, -2)
-    lhs = norm_value(devectorize(moved.reshape(50 * k, d), basis), spec)
-    rhs = norm_value(D, spec)
+    # the moved differences, then the differences; rebinding D frees the lone copy
+    D = np.concatenate([devectorize(moved.reshape(50 * k, d), basis), D])
+    lhs, rhs = np.split(norm_value(D, spec), 2)
     dev = np.abs(lhs - rhs)
     failed = ~(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30)).reshape(k, 50).all(axis=1)
     if failed.any():
@@ -386,13 +390,15 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     """Both decompositions' input checks, in order: a finite real square M
     (one map or a (k, d, d) stack), a ``spec`` on ``space``, M's size d
     equal to ``space_dim(space, n)`` for some n >= 2, a finite ``offset``
-    of M's leading shape by d (zero when None), a ``seed`` that
-    ``np.random.default_rng`` accepts, and spec parameters that fit n.
-    Returns ``(M, basis, offset, rng)`` with M a (k, d, d) stack, ``basis``
-    the space's at that n (:func:`_map_basis`), ``offset`` a (k, d) array
-    and ``rng`` the generator made from ``seed`` (``seed`` itself when it
-    is one), nothing drawn from it yet.  Every failure before the seed
-    raises :class:`InvalidDimension`, a refused seed :class:`InvalidSeed`.
+    of M's leading shape by d (zero when None; a real numeric array, by
+    :func:`_numeric`), a ``seed`` that ``np.random.default_rng`` accepts,
+    and spec parameters that fit n.  Returns ``(M, basis, offset, seed)``
+    with M a (k, d, d) stack, ``basis`` the space's at that n
+    (:func:`_map_basis`), ``offset`` a (k, d) array and ``seed`` checked
+    but no generator built from it (:func:`matspace._seed`), so a
+    decomposition that the residual certifies builds none.  Every failure
+    before the seed raises :class:`InvalidDimension`, a refused seed
+    :class:`InvalidSeed`.
     The distance test is not among these checks: it runs after the branch
     search, and only when the residual cannot certify the map (see the
     module docstring)."""
@@ -400,15 +406,18 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     if spec.space != space:
         raise InvalidDimension(f"the norm acts on {spec.space}, the map on {space}")
     basis = _map_basis(M, space)
-    offset = np.zeros(M.shape[:-1]) if offset is None else np.asarray(offset, dtype=float)
+    if offset is None:
+        offset = np.zeros(M.shape[:-1])
+    else:
+        offset = _numeric(offset, "offset is a real numeric array", real=True)
     if offset.shape != M.shape[:-1] or not np.all(np.isfinite(offset)):
         raise InvalidDimension(f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}")
-    rng = _rng(seed)
+    seed = _seed(seed)
     _check_parameters(spec, basis.n)
-    return M.reshape(-1, basis.d, basis.d), basis, offset.reshape(-1, basis.d), rng
+    return M.reshape(-1, basis.d, basis.d), basis, offset.reshape(-1, basis.d), seed
 
 
-def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
+def _certified_branches(M, spec: NormSpec, seed, basis: Basis):
     """:func:`_branch_search`'s winners ``(sign, flag, conjugator,
     residual)``, after one distance test over the members whose ``n d
     residual`` exceeds ``ISOMETRY_TOL``, those that no branch reproduces
@@ -417,7 +426,7 @@ def _certified_branches(M, spec: NormSpec, rng, basis: Basis):
     sign, flag, conjugator, residual = _branch_search(M, basis)
     uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
     if uncertified.any():
-        _check_isometry(M[uncertified], spec, basis, rng, np.flatnonzero(uncertified))
+        _check_isometry(M[uncertified], spec, basis, seed, np.flatnonzero(uncertified))
         missing = np.flatnonzero(sign == 0)
         if missing.size:
             raise NotInClassifiedForm(
@@ -436,8 +445,9 @@ def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None 
     branch, the conjugating unitary and the residual.  A residual with ``n
     d residual`` within ``ISOMETRY_TOL`` certifies that M is an isometry of
     ``spec``; otherwise M is checked to be one on random pairs drawn from
-    ``seed`` (the only random numbers a decomposition uses, so a Generator
-    passed as ``seed`` is drawn from only then).  At n = 2 the involution
+    ``seed`` (the only random numbers a decomposition uses: ``seed`` is
+    checked first, but a generator is built from it, or a Generator passed
+    as ``seed`` drawn from, only then).  At n = 2 the involution
     branch coincides with a conjugation, so ``sigma_flag`` is always False
     there.
 
@@ -454,8 +464,8 @@ def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None 
     branch reproduces; the distance test runs before the latter is raised,
     so a non-isometry is always :class:`NotIsometry`.
     """
-    stack, basis, offset, rng = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
-    eta, sigma_flag, U, residual = _certified_branches(stack, spec, rng, basis)
+    stack, basis, offset, seed = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
+    eta, sigma_flag, U, residual = _certified_branches(stack, spec, seed, basis)
     translation = devectorize(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
@@ -481,11 +491,11 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     those members in ``exc.members``; at n = 2 an isometry raises
     :class:`InvalidDimension`, since congruence recovery needs n >= 3.
     """
-    stack, basis, _, rng = _checked_input(M, spec, SKEW_REAL, seed)
+    stack, basis, _, seed = _checked_input(M, spec, SKEW_REAL, seed)
     if basis.n < 3:
-        _check_isometry(stack, spec, basis, rng)
+        _check_isometry(stack, spec, basis, seed)
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    sign, flag, Q, residual = _certified_branches(stack, spec, rng, basis)
+    sign, flag, Q, residual = _certified_branches(stack, spec, seed, basis)
     decompositions = tuple(
         SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)
         for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())

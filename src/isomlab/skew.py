@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension
-from .matspace import SKEW_REAL, is_element
+from .matspace import SKEW_REAL, _numeric, is_element
 
 #: relative eigenvalue threshold separating zero modes from blocks
 ZERO_MODE_TOL = 1e-10
@@ -49,12 +49,13 @@ class YoulaForm:
 
 
 def _skew_stack(A) -> np.ndarray:
-    """A as a (k, n, n) stack of real skew-symmetric matrices; raises
+    """A as a (k, n, n) float stack of real skew-symmetric matrices; raises
     :class:`InvalidDimension` unless every member is one."""
-    A = np.asarray(A)
+    refusal = "input is not a real skew-symmetric matrix or a stack of them"
+    A = _numeric(A, refusal, real=True)
     if A.ndim not in (2, 3) or not np.all(is_element(A, SKEW_REAL)):
-        raise InvalidDimension("input is not a real skew-symmetric matrix or a stack of them")
-    return A.reshape(-1, *A.shape[-2:]).astype(float, copy=False)
+        raise InvalidDimension(refusal)
+    return A.reshape(-1, *A.shape[-2:])
 
 
 def youla_decompose(A: np.ndarray):

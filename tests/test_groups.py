@@ -307,8 +307,9 @@ def test_no_module_calls_qr():
 
 
 def test_only_the_conjugation_kernel_and_the_orbit_sample_build_kron():
-    """groups._kron has two callers, ad_matrix and
-    c_numerical_range_sample, so no second conjugation kernel grows back."""
+    """groups._kron has two callers, the conjugation kernel behind
+    ad_matrix and c_numerical_range_sample, so no second conjugation
+    kernel grows back."""
     import ast
     from pathlib import Path
 
@@ -323,4 +324,4 @@ def test_only_the_conjugation_kernel_and_the_orbit_sample_build_kron():
                 }
                 if "_kron" in calls:
                     callers.add(func.name)
-    assert callers == {"ad_matrix", "c_numerical_range_sample"}
+    assert callers == {"_conjugation_map", "c_numerical_range_sample"}

@@ -299,10 +299,38 @@ def test_the_seed_helper_passes_a_generator_through():
     npt.assert_array_equal(_rng([4, 5]).standard_normal(3), np.random.default_rng([4, 5]).standard_normal(3))
 
 
+_SEED_KINDS = {
+    "int": lambda: 4,
+    "list": lambda: [4, 5],
+    "numpy-int": lambda: np.uint64(4),
+    "seed-sequence": lambda: np.random.SeedSequence([4, 5]),
+    "bit-generator": lambda: np.random.PCG64([4, 5]),
+    "generator": lambda: np.random.default_rng([4, 5]),
+    "random-state": lambda: np.random.RandomState(4),
+}
+
+
+@pytest.mark.parametrize("make", _SEED_KINDS.values(), ids=_SEED_KINDS.keys())
+def test_a_checked_seed_draws_what_the_seed_draws(make):
+    """_seed builds no generator: a Generator, BitGenerator, SeedSequence
+    or RandomState comes back as it is, anything else as a SeedSequence,
+    and default_rng of the checked seed draws what default_rng of the seed
+    draws."""
+    from isomlab.matspace import _seed
+
+    seed = make()
+    checked = _seed(seed)
+    if not isinstance(seed, (int, list, np.integer)):
+        assert checked is seed
+    npt.assert_array_equal(
+        np.random.default_rng(checked).standard_normal(3), np.random.default_rng(make()).standard_normal(3)
+    )
+
+
 @pytest.mark.parametrize(
     "v",
-    ["x", [[1.0, 2.0, 3.0], [1.0]], np.array([np.zeros(3), np.zeros(2)], dtype=object)],
-    ids=["string", "ragged-list", "ragged-objects"],
+    ["x", [[1.0, 2.0, 3.0], [1.0]], np.array([np.zeros(3), np.zeros(2)], dtype=object), np.ones(3) * 1j],
+    ids=["string", "ragged-list", "ragged-objects", "complex"],
 )
 def test_devectorize_refuses_a_non_numeric_vector(v):
     with pytest.raises(InvalidDimension, match="a coordinate vector is a real array"):
@@ -336,3 +364,30 @@ def test_the_hermitian_check_refuses_empty_and_non_square_inputs(call, A, error)
     then the defect."""
     with pytest.raises(error):
         call(A)
+
+
+_ARRAY_ENTRY_POINTS = {
+    "ad_matrix": il.ad_matrix,
+    "so_adjoint_matrix": il.so_adjoint_matrix,
+    "verify_sigma_normalizes": lambda X: il.verify_sigma_normalizes(X, 1, 0),
+    "unitary_phase_distance": lambda X: il.unitary_phase_distance(X, np.eye(2)),
+    "orthogonal_sign_distance": lambda X: il.orthogonal_sign_distance(np.eye(2), X),
+    "vectorize": lambda X: il.vectorize(X, il.gell_mann_basis(2)),
+    "youla_decompose": il.youla_decompose,
+    "char_poly_skew": il.char_poly_skew,
+}
+
+_NON_NUMERIC_MATRICES = {
+    "ragged-list": [[0.0, 1.0], [-1.0]],
+    "string": np.array([["0", "1"], ["-1", "0"]]),
+    "objects": np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("call", _ARRAY_ENTRY_POINTS.values(), ids=_ARRAY_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("X", _NON_NUMERIC_MATRICES.values(), ids=_NON_NUMERIC_MATRICES.keys())
+def test_a_non_numeric_matrix_fails_closed(call, X):
+    """The matrix inputs share the coordinate map's conversion rule: a
+    ragged, string or object array is refused, not parsed."""
+    with pytest.raises(InvalidDimension):
+        call(X)

@@ -193,8 +193,8 @@ def test_distance_test_runs_only_when_the_residual_cannot_certify(monkeypatch):
     """An exact map of every branch is certified by its residual: no norm
     evaluation, and nothing drawn from a Generator passed as seed.  A map
     perturbed by 1e-9 (n d residual above ISOMETRY_TOL) and a Euclidean
-    rotation (no branch) each get the distance test: two (50, n, n) norm
-    evaluations."""
+    rotation (no branch) each get the distance test: one (100, n, n) norm
+    evaluation, the 50 moved differences and then the 50 differences."""
     import isomlab.recover as recover
 
     shapes = []
@@ -227,17 +227,64 @@ def test_distance_test_runs_only_when_the_residual_cannot_certify(monkeypatch):
     A = il.ad_matrix(il.haar_unitary(4, 49, special=True))
     dec = il.decompose_isometry(A + 1e-9 * noise.uniform(-1, 1, A.shape), SPEC3, seed=rng)
     assert 4 * 15 * dec.residual > recover.ISOMETRY_TOL
-    assert shapes == [(50, 4, 4), (50, 4, 4)]
+    assert shapes == [(100, 4, 4)]
     shapes.clear()
     A = il.so_adjoint_matrix(il.haar_orthogonal(4, 49, special=True)) @ P
     dec = il.decompose_skew_isometry(A + 1e-9 * noise.uniform(-1, 1, A.shape), CSPEC21, seed=rng)
     assert 4 * 6 * dec.residual > recover.ISOMETRY_TOL
-    assert shapes == [(50, 4, 4), (50, 4, 4)]
+    assert shapes == [(100, 4, 4)]
     shapes.clear()
     with pytest.raises(NotInClassifiedForm):
         il.decompose_isometry(il.haar_orthogonal(15, 50, special=True), il.frobenius(), seed=rng)
-    assert shapes == [(50, 4, 4), (50, 4, 4)]
+    assert shapes == [(100, 4, 4)]
     assert rng.bit_generator.state != state
+
+
+def test_a_certified_decomposition_builds_no_generator(monkeypatch):
+    """The seed is checked up front, but a generator is built only for the
+    distance test: none for maps their residual certifies, one for a
+    Euclidean rotation, which no branch reproduces."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    M = canonical_map(3, -1, True, il.haar_unitary(3, 61, special=True))
+    A = il.so_adjoint_matrix(il.haar_orthogonal(4, 61, special=True)) @ il.psi_matrix()
+    R = il.haar_orthogonal(15, 61, special=True)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    il.decompose_isometry(M, SPEC3, seed=[61, 1])
+    il.decompose_isometry(np.stack([M, -M]), SPEC3, seed=[61, 2])
+    il.decompose_skew_isometry(A, CSPEC21, seed=[61, 3])
+    assert built == []
+    with pytest.raises(NotInClassifiedForm):
+        il.decompose_isometry(R, il.frobenius(), seed=[61, 4])
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [1, -2]])
+def test_a_refused_seed_is_refused_before_the_branch_search(monkeypatch, seed):
+    """InvalidSeed comes from the input checks, on a certified map and on a
+    Euclidean one alike, and no branch is searched."""
+    import isomlab.recover as recover
+
+    def unreachable(*args):
+        raise AssertionError("the branch search ran")
+
+    M = canonical_map(3, 1, False, il.haar_unitary(3, 62, special=True))
+    A = il.so_adjoint_matrix(il.haar_orthogonal(4, 62, special=True))
+    R, S = il.haar_orthogonal(15, 62, special=True), il.haar_orthogonal(6, 62, special=True)
+    monkeypatch.setattr(recover, "_branch_search", unreachable)
+    for decompose, X, spec in (
+        (il.decompose_isometry, M, SPEC3),
+        (il.decompose_isometry, R, il.frobenius()),
+        (il.decompose_skew_isometry, A, CSPEC21),
+        (il.decompose_skew_isometry, S, il.frobenius(il.SKEW_REAL)),
+    ):
+        with pytest.raises(InvalidSeed, match="cannot seed a generator"):
+            decompose(X, spec, seed=seed)
 
 
 def _parent_order(M, spec, seed, offset=None):
@@ -648,7 +695,11 @@ def test_center_distances_refuse_malformed_pairs(distance, pair):
 
 
 @pytest.mark.parametrize(
-    "offset", [np.zeros(7), np.full(8, np.nan), np.r_[np.zeros(7), np.inf], np.zeros((8, 1))]
+    "offset",
+    [
+        np.zeros(7), np.full(8, np.nan), np.r_[np.zeros(7), np.inf], np.zeros((8, 1)),
+        "x", [[0.0] * 8, [0.0]], np.ones(8) * 1j,
+    ],
 )
 def test_decompose_rejects_malformed_offsets(offset):
     with pytest.raises(InvalidDimension):
