@@ -139,8 +139,18 @@ def _conjugation_map(U: np.ndarray, basis: Basis) -> np.ndarray:
     on a (..., n, n) array U that is already checked and a basis of its n:
     :func:`ad_matrix` after its checks, and the branch search of
     ``recover`` on the polar factors it builds."""
+    B, B_conj = _basis_rows(basis)
+    return (B_conj @ _kron(U, U.conj()) @ B.T).real
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_rows(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, conj(B))``, B the (d, n^2) rows vec(E_a) of the basis: built
+    once per basis, as :func:`cartan_matrix` is, and read-only."""
     B = basis.mats.reshape(basis.d, basis.n * basis.n)
-    return (B.conj() @ _kron(U, U.conj()) @ B.T).real
+    B_conj = B.conj()
+    B_conj.setflags(write=False)
+    return B, B_conj
 
 
 @functools.lru_cache(maxsize=None)

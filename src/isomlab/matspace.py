@@ -160,8 +160,15 @@ def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
     v = _numeric(v, "a coordinate vector is a real array", real=True)
     if v.ndim not in (1, 2) or v.shape[-1] != basis.d:
         raise InvalidDimension(f"coordinate length {v.shape} does not match basis d={basis.d}")
+    return _combination(v, basis)
+
+
+def _combination(v: np.ndarray, basis: Basis) -> np.ndarray:
+    """The matrices ``sum_i v[..., i] B_i`` of already checked float
+    coordinates v of shape (..., d): :func:`devectorize` after its checks.
+    One (1, d) product per vector, so a stack member gets a single call's
+    bits."""
     n = basis.n
-    # one (1, d) product per member, so a stack member gets a single call's bits
     rows = v.reshape(-1, 1, basis.d) @ basis.mats.reshape(basis.d, n * n)
     return rows.reshape(v.shape[:-1] + (n, n))
 
@@ -230,11 +237,19 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
 
 def _seed(seed):
     """``seed`` checked as ``np.random.default_rng`` checks it, without
-    building a Generator: a Generator, BitGenerator, SeedSequence or
-    RandomState comes back unchanged, anything else as the SeedSequence
-    that default_rng makes of it, so ``default_rng(_seed(seed))`` draws
-    what ``default_rng(seed)`` draws.  A seed numpy refuses raises
-    InvalidSeed, as in :func:`_rng`."""
+    building a Generator, so ``default_rng(_seed(seed))`` draws what
+    ``default_rng(seed)`` draws.  A non-negative Python int, or a list or
+    tuple of them, comes back unchanged: numpy takes each as it is, and
+    checking it costs less than the entropy mixing of a SeedSequence.  A
+    Generator, BitGenerator, SeedSequence or RandomState comes back
+    unchanged too, and anything else as the SeedSequence that default_rng
+    makes of it.  A seed numpy refuses raises InvalidSeed, as in
+    :func:`_rng`."""
+    if isinstance(seed, (list, tuple)):
+        if all(isinstance(word, int) and word >= 0 for word in seed):
+            return seed
+    elif isinstance(seed, int) and seed >= 0:
+        return seed
     # np.random is read here, not imported, so importing isomlab leaves it unloaded
     kinds = (
         np.random.Generator,
@@ -292,8 +307,14 @@ def _numeric(x, refusal: str, real: bool = False) -> np.ndarray:
 def _square_stack(U) -> np.ndarray:
     """U as a finite (n, n) matrix or (k, n, n) stack, n >= 1, of a numeric
     dtype (:func:`_numeric`), else InvalidDimension: the shape check of
-    group elements and coordinate maps."""
-    U = _numeric(U, "need a finite (n, n) matrix or (k, n, n) stack")
+    group elements."""
+    return _finite_square(_numeric(U, "need a finite (n, n) matrix or (k, n, n) stack"))
+
+
+def _finite_square(U: np.ndarray) -> np.ndarray:
+    """The converted array U if it is a finite (n, n) matrix or (k, n, n)
+    stack, n >= 1, else InvalidDimension: the shape check of group elements
+    (:func:`_square_stack`) and coordinate maps."""
     if U.ndim in (2, 3) and U.shape[-1] == U.shape[-2] >= 1 and np.isfinite(U).all():
         return U
     raise InvalidDimension(f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}")

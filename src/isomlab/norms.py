@@ -244,21 +244,26 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     single = np.ndim(A) == 2
     A, largest = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
-    if spec.family == FROBENIUS:
-        value = _frobenius(A, largest)
-    else:
-        s = _moduli(A, spec.space)
-        if spec.family == C_SPECTRAL:  # the first member of each +-a_i pair
-            value = (np.asarray(spec.c) @ s[..., : 2 * len(spec.c) : 2, None])[..., 0]
-        elif spec.family == SCHATTEN:
-            if math.isinf(spec.p):
-                value = s[..., 0]
-            else:
-                t, scale = _scaled(s, s[..., :1])
-                value = scale * (t ** spec.p).sum(axis=-1) ** (1.0 / spec.p)
-        else:  # Ky Fan
-            value = s[..., : spec.k].sum(axis=-1)
+    value = _norm_values(A, largest, spec)
     return float(value[0]) if single else value
+
+
+def _norm_values(A: np.ndarray, largest: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """The (k,) norms of a (k, n, n) stack A of the spec's space, whose
+    members' largest entry moduli are ``largest``: :func:`norm_value` after
+    its checks of A and of the spec's parameters, for a caller that built
+    A in the space and has checked the parameters itself."""
+    if spec.family == FROBENIUS:
+        return _frobenius(A, largest)
+    s = _moduli(A, spec.space)
+    if spec.family == C_SPECTRAL:  # the first member of each +-a_i pair
+        return (np.asarray(spec.c) @ s[..., : 2 * len(spec.c) : 2, None])[..., 0]
+    if spec.family == SCHATTEN:
+        if math.isinf(spec.p):
+            return s[..., 0]
+        t, scale = _scaled(s, s[..., :1])
+        return scale * (t ** spec.p).sum(axis=-1) ** (1.0 / spec.p)
+    return s[..., : spec.k].sum(axis=-1)  # Ky Fan
 
 
 def _refuse(bad: np.ndarray, what: str) -> None:

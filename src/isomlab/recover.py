@@ -2,7 +2,9 @@
 
 On the traceless Hermitian space every isometry of a non-Euclidean invariant
 norm is ``A -> eta U (A or -A.T) U^{-1} + B``; on the real skew space it is
-``A -> sign Q psi^f(A) Q.T``, with the entry swap psi only at n = 4.  Both
+``A -> sign Q psi^f(A) Q.T`` with Q in O(n), with the entry swap psi only at
+n = 4.  A reflection's congruence is a rotation's at odd n (that of -Q), but
+not at even n, where Q keeps determinant -1.  Both
 decompositions share one path: the same input checks, then one branch
 search over ``(M @ involution if flag else M) / sign`` (involution -A.T or
 psi) in the order (1, F), (-1, F), (1, T), (-1, T), where the first branch
@@ -37,31 +39,43 @@ branch fails it runs before :class:`NotInClassifiedForm` is raised, so a
 non-isometry is still reported as :class:`NotIsometry`.  The distance test
 is the only consumer of random numbers: the seed is checked up front, but
 a generator is built from it, or a ``Generator`` passed as ``seed`` drawn
-from, only when the test runs.
+from, only when the test runs.  The test works in coordinates, and a map so
+large that it moves a difference out of the floating-point range fails it.
+
+What depends only on the basis (the bases, the conjugation kernel's basis
+rows, the involutions) is built once per n, each input is converted and
+checked once, and the kernels behind ``devectorize``, ``ad_matrix`` and
+``norm_value`` run without those functions' checks on what is checked.
 
 Stacks.  Both decompositions and the inversions take a (k, d, d) stack of
 maps through the same code as one map (k = 1): one stacked candidate, polar
 fit and rebuild per flag over the members still open, and one distance test
-over the uncertified members, which draws their samples in
-member order from one ``random_element`` call, as k single calls would in
-turn.  Every stacked numpy call used gives a member the bits it gets alone.
+over the uncertified members, which draws their samples in member order
+from one generator call, as k single calls would in turn.  Every stacked
+numpy call used gives a member the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDimension, NotAdjointImage, NotInClassifiedForm, NotIsometry
-# ad_matrix, so_adjoint_matrix: unused here, but perfbench/tracing.py wraps
-# recover.ad_matrix and recover.so_adjoint_matrix
+# ad_matrix, so_adjoint_matrix, devectorize, random_element, vectorize and
+# norm_value: unused here, but perfbench/tracing.py wraps each of them in
+# recover's namespace; the work they did runs in their private kernels
+# (_conjugation_map, _combination, _norm_values) on inputs already checked
 from .groups import _conjugation_map, ad_matrix, cartan_matrix, psi_matrix, so_adjoint_matrix  # noqa: F401
-from .matspace import (
+from .matspace import (  # noqa: F401
     HERMITIAN_TRACELESS,
     SKEW_REAL,
     Basis,
+    _combination,
+    _finite_square,
     _numeric,
+    _rng,
     _seed,
     _square_stack,
     basis_for,
@@ -70,7 +84,7 @@ from .matspace import (
     space_dim,
     vectorize,
 )
-from .norms import NormSpec, _check_parameters, norm_value
+from .norms import NormSpec, _check_parameters, _norm_values, norm_value  # noqa: F401
 
 #: accepted end-to-end reconstruction residual for recovered forms
 RESIDUAL_TOL = 1e-6
@@ -78,6 +92,10 @@ RESIDUAL_TOL = 1e-6
 #: accepted relative norm deviation of the isometry distance test; the
 #: residual certificate holds ``n d residual`` to the same bound
 ISOMETRY_TOL = 1e-8
+
+#: the skew involution psi at n = 4, built once for every branch search
+_PSI = psi_matrix()
+_PSI.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +119,10 @@ class IsometryDecomposition:
 @dataclass(frozen=True, eq=False)
 class SkewIsometryDecomposition:
     """Canonical data of a skew-space isometry: ``A -> sign * Q psi^f(A) Q.T``
-    with ``orthogonal`` determined up to global sign and ``psi_flag`` only
-    ever set at n = 4."""
+    with ``orthogonal`` in O(n), determined up to global sign (so a
+    rotation at odd n, where -Q flips the determinant, and of determinant
+    -1 at even n for a reflection's congruence), and ``psi_flag`` only ever
+    set at n = 4."""
 
     sign: int
     psi_flag: bool
@@ -136,17 +156,19 @@ def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray
 def _coordinate_map(M) -> np.ndarray:
     """M as a finite real (d, d) map or (k, d, d) stack of maps, else
     InvalidDimension.  Only a real numeric dtype casts to float
-    (:func:`_numeric`): a complex, object, string or ragged M is refused."""
-    return _square_stack(_numeric(M, "a coordinate map is a real numeric array", real=True))
+    (:func:`_numeric`): a complex, object, string or ragged M is refused.
+    M is converted once, then shape-checked as a group element is."""
+    return _finite_square(_numeric(M, "a coordinate map is a real numeric array", real=True))
 
 
 def _map_basis(M: np.ndarray, space: str) -> Basis:
     """The basis of ``space`` at the n >= 2 with ``space_dim(space, n)`` the
-    size d of the checked map M, else InvalidDimension: the one d -> n rule."""
-    d, n = M.shape[-1], 2
-    while space_dim(space, n) < d:
-        n += 1
-    if space_dim(space, n) != d:
+    size d of the checked map M, else InvalidDimension: the one d -> n rule.
+    n is read off d in closed form, the integer root of ``d = n^2 - 1`` or
+    ``d = n(n - 1)/2``, and d must then be exactly that dimension."""
+    d = M.shape[-1]
+    n = math.isqrt(d + 1) if space == HERMITIAN_TRACELESS else (1 + math.isqrt(1 + 8 * d)) // 2
+    if n < 2 or space_dim(space, n) != d:
         raise InvalidDimension(f"map size {d} is not the dimension of {space} at any n >= 2")
     return basis_for(space, n)
 
@@ -166,13 +188,12 @@ def _rearranged(M: np.ndarray, basis: Basis) -> np.ndarray:
     rank-one forms ``(T^2 - I/n^2) / (n - 2/n) = vec(U) vec(U)*`` and ``(4
     T^2 - I) / (n - 2) = vec(Q) vec(Q).T``, the same for M and -M.  Whether
     M was an adjoint image at all is left to the caller's reconstruction
-    residual.  The images are devectorize's (1, d) product per column, on
-    columns the caller has already checked.
+    residual.  The images are devectorize's (1, d) product per column
+    (``matspace._combination``), on columns the caller has already checked.
     """
     n, d, k = basis.n, basis.d, len(M)
-    mats = basis.mats.reshape(d, n * n)
-    images = M.swapaxes(-1, -2).reshape(k * d, 1, d) @ mats
-    T = images.reshape(k, d, n * n).swapaxes(-1, -2) @ mats
+    images = _combination(M.swapaxes(-1, -2), basis).reshape(k, d, n * n)
+    T = images.swapaxes(-1, -2) @ basis.mats.reshape(d, n * n)
     return T.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
 
 
@@ -195,16 +216,21 @@ def _conjugator(M: np.ndarray, basis: Basis):
     the conjugation kernel (``groups._conjugation_map``) on the basis
     rebuilds, with no second check of the polar factors.  On the Hermitian
     space U is normalized to determinant one.  On the skew space a
-    reflection is refused at even n, where no rotation reproduces it, and
-    flipped at odd n, where the rotation -Q gives the same congruence."""
+    reflection is kept at even n, where it is the only matrix that
+    reproduces its congruence (the public inversion refuses it, see
+    :func:`_inverted`), and flipped at odd n, where the rotation -Q gives
+    the same congruence.  T is real on the skew space, so its squared row
+    norms are then taken without a conjugate."""
     n, k = basis.n, len(M)
     skew = basis.space == SKEW_REAL
     a, b, c = (4.0, 1.0, n - 2.0) if skew else (1.0, 1.0 / n**2, n - 2.0 / n)
-    T = _rearranged(M, basis)
     members = np.arange(k)
-    # a huge map overflows here; its pivot is then not finite and refused
+    # a huge map overflows here, in T or its square; its pivot is then not
+    # finite and refused
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = (a * (T * T.conj()).real.sum(axis=-1) - b) / c
+        T = _rearranged(M, basis)
+        squares = T * T if skew else (T * T.conj()).real
+        diagonal = (a * squares.sum(axis=-1) - b) / c
         j = np.argmax(diagonal, axis=-1)
         pivot = diagonal[members, j]
         refused = ~(np.isfinite(pivot) & (pivot > 0))
@@ -214,13 +240,10 @@ def _conjugator(M: np.ndarray, basis: Basis):
     column[refused] = 0.0
     W, _, Vh = np.linalg.svd(column.reshape(k, n, n))
     C = W @ Vh
-    det = np.linalg.det(C)
     if not skew:
-        C = C * (det ** (-1.0 / n))[:, None, None]
-    elif n % 2 == 0:
-        refused = refused | (det < 0)
-    else:
-        C = np.where((det < 0)[:, None, None], -C, C)
+        C = C * (np.linalg.det(C) ** (-1.0 / n))[:, None, None]
+    elif n % 2:
+        C = np.where((np.linalg.det(C) < 0)[:, None, None], -C, C)
     return C, _conjugation_map(C, basis), refused
 
 
@@ -229,10 +252,14 @@ def _inverted(M: np.ndarray, basis: Basis):
     candidate and rebuild from :func:`_conjugator`; no involution is tried
     here.  Returns ``(conjugator, residual)``, one of each for one map and
     stacked for a stack, or raises :class:`NotAdjointImage` for the first
-    member refused."""
+    member refused.  On the skew space that includes a reflection, which
+    the conjugator keeps only at even n: the skew inversion returns a
+    rotation."""
     single = M.ndim == 2
     M = M.reshape(-1, *M.shape[-2:])
     C, rebuilt, refused = _conjugator(M, basis)
+    if basis.space == SKEW_REAL:
+        refused = refused | (np.linalg.det(C) < 0)
     residual = np.max(np.abs(rebuilt - M), axis=(-2, -1))
     accepted = ~refused & (residual <= RESIDUAL_TOL)
     if not accepted.all():
@@ -310,7 +337,7 @@ def _branch_search(M: np.ndarray, basis: Basis):
     a rejected map's traceback keeps none of them alive."""
     k, n = len(M), basis.n
     if basis.space == SKEW_REAL:
-        involution = psi_matrix() if n == 4 else None
+        involution = _PSI if n == 4 else None
     else:
         involution = cartan_matrix(basis) if n >= 3 else None
     sign = np.zeros(k, dtype=int)
@@ -363,22 +390,35 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, basis: Basis, seed, members=N
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
     D over 50 random differences D per member of the (k, d, d) stack M on
-    ``basis``, drawn from ``seed`` (a seed or a Generator, drawn from in
-    place) in one ``random_element`` call, member after member: the stream
-    k one-member tests draw in turn.  One stacked norm evaluation in all,
-    of the moved differences followed by the differences, in which every
-    member gets the bits it gets alone.  Raises :class:`NotIsometry` when
-    a relative deviation exceeds ``ISOMETRY_TOL``, naming the failing
-    members by their entries in ``members`` (M's indices in the caller's
-    stack; ``range(k)`` when None)."""
+    ``basis``.  It works in coordinates: the (50 k, d) standard normal
+    coordinates of the differences are drawn from ``seed`` (a seed or a
+    Generator, drawn from in place) in one call, member after member, the
+    draws that ``random_element(spec.space, n, seed, count=50 k)`` makes
+    and so the stream k one-member tests draw in turn.  M moves them, and
+    one devectorize product (``matspace._combination``) builds the moved
+    differences followed by the differences, whose norms come from one
+    stacked evaluation (``norms._norm_values``: the matrices are in the
+    space by construction, and the caller has checked the spec's
+    parameters), in which every member gets the bits it gets alone.
+
+    Raises :class:`NotIsometry` when a relative deviation exceeds
+    ``ISOMETRY_TOL``, or when a moved difference is not finite (a map so
+    large that it leaves the floating-point range; no overflow warning
+    escapes), naming the failing members by their entries in ``members``
+    (M's indices in the caller's stack; ``range(k)`` when None)."""
     k, d = len(M), basis.d
-    D = random_element(spec.space, basis.n, seed, count=50 * k)
-    moved = vectorize(D, basis).reshape(k, 50, d) @ M.swapaxes(-1, -2)
-    # the moved differences, then the differences; rebinding D frees the lone copy
-    D = np.concatenate([devectorize(moved.reshape(50 * k, d), basis), D])
-    lhs, rhs = np.split(norm_value(D, spec), 2)
-    dev = np.abs(lhs - rhs)
-    failed = ~(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30)).reshape(k, 50).all(axis=1)
+    x = _rng(seed).standard_normal((50 * k, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = (x.reshape(k, 50, d) @ M.swapaxes(-1, -2)).reshape(50 * k, d)
+        D = _combination(np.concatenate([moved, x]), basis)
+        del x, moved  # the norm evaluation is the peak; only D is needed there
+        finite = np.isfinite(D[: 50 * k]).reshape(k, -1).all(axis=1)
+        # an overflowed member is evaluated as zero, then failed below
+        D[: 50 * k][np.repeat(~finite, 50)] = 0.0
+        lhs, rhs = np.split(_norm_values(D, np.abs(D).max(axis=(-2, -1)), spec), 2)
+    dev = np.abs(lhs - rhs).reshape(k, 50)
+    dev[~finite] = np.inf
+    failed = ~(dev <= ISOMETRY_TOL * np.maximum(rhs, 1e-30).reshape(k, 50)).all(axis=1)
     if failed.any():
         members = np.arange(k) if members is None else np.asarray(members)
         raise NotIsometry(
@@ -398,7 +438,8 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     but no generator built from it (:func:`matspace._seed`), so a
     decomposition that the residual certifies builds none.  Every failure
     before the seed raises :class:`InvalidDimension`, a refused seed
-    :class:`InvalidSeed`.
+    :class:`InvalidSeed`.  The distance test's norm kernel takes the spec's
+    parameters as checked here.
     The distance test is not among these checks: it runs after the branch
     search, and only when the residual cannot certify the map (see the
     module docstring)."""
@@ -410,8 +451,8 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
         offset = np.zeros(M.shape[:-1])
     else:
         offset = _numeric(offset, "offset is a real numeric array", real=True)
-    if offset.shape != M.shape[:-1] or not np.all(np.isfinite(offset)):
-        raise InvalidDimension(f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}")
+        if offset.shape != M.shape[:-1] or not np.isfinite(offset).all():
+            raise InvalidDimension(f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}")
     seed = _seed(seed)
     _check_parameters(spec, basis.n)
     return M.reshape(-1, basis.d, basis.d), basis, offset.reshape(-1, basis.d), seed
@@ -466,7 +507,7 @@ def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None 
     """
     stack, basis, offset, seed = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
     eta, sigma_flag, U, residual = _certified_branches(stack, spec, seed, basis)
-    translation = devectorize(offset, basis)
+    translation = _combination(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
         IsometryDecomposition(e, f, u.copy(), b.copy(), r)
@@ -477,7 +518,9 @@ def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None 
 
 def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     """Decompose a linear isometry of a skew-space norm into its canonical
-    form ``A -> sign * Q psi^f(A) Q.T``.
+    form ``A -> sign * Q psi^f(A) Q.T``, Q in O(n): at even n the congruence
+    by a reflection gives a Q of determinant -1 (where
+    :func:`recover_orthogonal_from_adso` refuses it).
 
     Branches are tried in the fixed order (M, -M, M psi, -M psi), the psi
     branches only at n = 4, and the first branch whose congruence recovery

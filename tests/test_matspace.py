@@ -299,32 +299,59 @@ def test_the_seed_helper_passes_a_generator_through():
     npt.assert_array_equal(_rng([4, 5]).standard_normal(3), np.random.default_rng([4, 5]).standard_normal(3))
 
 
+# (seed maker, whether _seed hands the seed back as it is)
 _SEED_KINDS = {
-    "int": lambda: 4,
-    "list": lambda: [4, 5],
-    "numpy-int": lambda: np.uint64(4),
-    "seed-sequence": lambda: np.random.SeedSequence([4, 5]),
-    "bit-generator": lambda: np.random.PCG64([4, 5]),
-    "generator": lambda: np.random.default_rng([4, 5]),
-    "random-state": lambda: np.random.RandomState(4),
+    "int": (lambda: 4, True),
+    "zero": (lambda: 0, True),
+    "huge-int": (lambda: 2**70, True),
+    "bool": (lambda: True, True),
+    "list": (lambda: [4, 5], True),
+    "four-int-list": (lambda: [5, 4, 3, 1], True),
+    "empty-list": (lambda: [], True),
+    "tuple": (lambda: (1, 2), True),
+    "nested-list": (lambda: [[1]], False),
+    "numpy-int": (lambda: np.uint64(4), False),
+    "numpy-int64": (lambda: np.int64(7), False),
+    "numpy-int-list": (lambda: [np.int64(7), 2], False),
+    "seed-sequence": (lambda: np.random.SeedSequence([4, 5]), True),
+    "bit-generator": (lambda: np.random.PCG64([4, 5]), True),
+    "generator": (lambda: np.random.default_rng([4, 5]), True),
+    "random-state": (lambda: np.random.RandomState(4), True),
 }
 
 
-@pytest.mark.parametrize("make", _SEED_KINDS.values(), ids=_SEED_KINDS.keys())
-def test_a_checked_seed_draws_what_the_seed_draws(make):
-    """_seed builds no generator: a Generator, BitGenerator, SeedSequence
-    or RandomState comes back as it is, anything else as a SeedSequence,
-    and default_rng of the checked seed draws what default_rng of the seed
-    draws."""
-    from isomlab.matspace import _seed
+@pytest.mark.parametrize("make, passes", _SEED_KINDS.values(), ids=_SEED_KINDS.keys())
+def test_a_checked_seed_draws_what_the_seed_draws(make, passes):
+    """_seed builds no generator: a non-negative int, a list or tuple of
+    them, a Generator, BitGenerator, SeedSequence or RandomState comes back
+    as it is, anything else as a SeedSequence, and default_rng of the
+    checked seed draws what default_rng of the seed draws."""
+    from isomlab.matspace import _rng, _seed
 
     seed = make()
     checked = _seed(seed)
-    if not isinstance(seed, (int, list, np.integer)):
-        assert checked is seed
-    npt.assert_array_equal(
-        np.random.default_rng(checked).standard_normal(3), np.random.default_rng(make()).standard_normal(3)
-    )
+    assert (checked is seed) == passes
+    npt.assert_array_equal(_rng(checked).standard_normal(3), np.random.default_rng(make()).standard_normal(3))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [1, -2], (3, -1), "x", [[1]], [1.5], None])
+def test_the_seed_check_refuses_exactly_what_numpy_refuses(seed):
+    """_seed raises InvalidSeed where default_rng raises, and nowhere else
+    (numpy takes a nested list of non-negative ints)."""
+    from isomlab.matspace import _seed
+
+    try:
+        np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        with pytest.raises(InvalidSeed, match="cannot seed a generator"):
+            _seed(seed)
+    else:
+        if seed is None:
+            assert isinstance(_seed(seed), np.random.SeedSequence)
+        else:
+            npt.assert_array_equal(
+                np.random.default_rng(_seed(seed)).standard_normal(3), np.random.default_rng(seed).standard_normal(3)
+            )
 
 
 @pytest.mark.parametrize(

@@ -194,16 +194,18 @@ def test_distance_test_runs_only_when_the_residual_cannot_certify(monkeypatch):
     evaluation, and nothing drawn from a Generator passed as seed.  A map
     perturbed by 1e-9 (n d residual above ISOMETRY_TOL) and a Euclidean
     rotation (no branch) each get the distance test: one (100, n, n) norm
-    evaluation, the 50 moved differences and then the 50 differences."""
+    evaluation, the 50 moved differences and then the 50 differences,
+    through the norm kernel that norm_value runs after its checks."""
     import isomlab.recover as recover
 
     shapes = []
+    kernel = recover._norm_values
 
-    def counted(A, spec):
+    def counted(A, largest, spec):
         shapes.append(np.shape(A))
-        return il.norm_value(A, spec)
+        return kernel(A, largest, spec)
 
-    monkeypatch.setattr(recover, "norm_value", counted)
+    monkeypatch.setattr(recover, "_norm_values", counted)
     rng = np.random.default_rng(48)
     state = rng.bit_generator.state
     P = il.psi_matrix()
@@ -287,22 +289,107 @@ def test_a_refused_seed_is_refused_before_the_branch_search(monkeypatch, seed):
             decompose(X, spec, seed=seed)
 
 
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_distance_test_draws_the_random_elements(monkeypatch, space):
+    """The distance test builds its differences in coordinates, but they
+    are, bit for bit, the stack random_element draws from the same seed,
+    and the moved differences are M applied to their coordinates."""
+    import isomlab.recover as recover
+
+    evaluated = []
+    kernel = recover._norm_values
+
+    def spy(A, largest, spec):
+        evaluated.append(A.copy())
+        return kernel(A, largest, spec)
+
+    monkeypatch.setattr(recover, "_norm_values", spy)
+    n = 4
+    basis = il.basis_for(space, n)
+    rng = np.random.default_rng(63)
+    M = rng.standard_normal((2, basis.d, basis.d))
+    spec = il.schatten(3, space)
+    with pytest.raises(NotIsometry):
+        recover._check_isometry(M, spec, basis, [63, 1])
+    (D,) = evaluated
+    drawn = il.random_element(space, n, [63, 1], count=100)
+    assert D.shape == (200, n, n)
+    assert D[100:].tobytes() == drawn.tobytes()
+    moved = il.vectorize(D[:100], basis).reshape(2, 50, basis.d)
+    expected = il.vectorize(drawn, basis).reshape(2, 50, basis.d) @ M.swapaxes(-1, -2)
+    npt.assert_allclose(moved, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_the_map_size_rule_is_the_dimension_loop(space):
+    """_map_basis reads n off d in closed form: the same n as the loop up
+    from n = 2 over space_dim, and the same refusal, for d = 1..300."""
+    import isomlab.recover as recover
+
+    for d in range(1, 301):
+        n = 2
+        while il.space_dim(space, n) < d:
+            n += 1
+        M = np.zeros((d, d))
+        if il.space_dim(space, n) == d:
+            assert recover._map_basis(M, space) is il.basis_for(space, n)
+        else:
+            with pytest.raises(InvalidDimension, match=f"map size {d} is not the dimension"):
+                recover._map_basis(M, space)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1.7e308])
+@pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
+def test_a_map_too_large_for_the_distance_test_is_not_an_isometry(space, scale):
+    """A huge multiple of an isometry moves the differences to 1e300 or out
+    of the floating-point range: NotIsometry names that member, alone or in
+    a stack, and no overflow warning escapes (tier-1 makes RuntimeWarning an
+    error)."""
+    n = 4
+    basis = il.basis_for(space, n)
+    if space == il.SKEW_REAL:
+        maps = il.ad_matrix(il.haar_orthogonal(n, 64, special=True, count=3), basis)
+        decompose, spec = il.decompose_skew_isometry, CSPEC21
+    else:
+        maps = il.ad_matrix(il.haar_unitary(n, 64, special=True, count=3), basis)
+        decompose, spec = il.decompose_isometry, SPEC3
+    with pytest.raises(NotIsometry) as err:
+        decompose(scale * maps[0], spec, seed=64)
+    assert err.value.members == (0,)
+    maps[1] *= scale
+    with pytest.raises(NotIsometry) as err:
+        decompose(maps, spec, seed=64)
+    assert err.value.members == (1,)
+
+
 def _parent_order(M, spec, seed, offset=None):
     """The decompositions' outcome in the order they had before the residual
     certificate: the distance test first, then the branch search through the
-    public inversions.  Returns ``(sign, flag)`` or the class raised."""
+    public inversions.  Returns ``(sign, flag)`` or the class raised.  On
+    the skew space Q ranges over O(n): where the rotation inversion refuses
+    a map L, L ad(J) is inverted too, J = diag(-1, 1, ..., 1), which is a
+    rotation's congruence exactly when L is a reflection's."""
     import isomlab.recover as recover
+    from isomlab.norms import _check_parameters
 
     skew = spec.space == il.SKEW_REAL
     try:
         # a Frobenius spec and seed 0 leave only the map and offset checks,
-        # which came before the distance test
+        # which came before the distance test; the spec's parameters, which
+        # that test's norm evaluation used to check, are checked here
         M, basis, _, _ = recover._checked_input(M, il.frobenius(spec.space), spec.space, 0, offset)
+        _check_parameters(spec, basis.n)
         recover._check_isometry(M, spec, basis, seed)
         n = basis.n
         if skew:
             involution = il.psi_matrix() if n == 4 else None
-            invert = il.recover_orthogonal_from_adso
+            J = il.ad_matrix(np.diag([-1.0] + [1.0] * (n - 1)), basis)
+
+            def invert(L):
+                try:
+                    return il.recover_orthogonal_from_adso(L)
+                except NotAdjointImage:
+                    return il.recover_orthogonal_from_adso(L @ J)
         else:
             involution = il.cartan_matrix(il.gell_mann_basis(n)) if n >= 3 else None
             invert = il.recover_unitary_from_ad
@@ -850,6 +937,32 @@ def test_even_n_reflection_congruence_is_refused(n):
         with pytest.raises(NotAdjointImage, match="reflection") as err:
             il.recover_orthogonal_from_adso(M)
         assert err.value.residual < 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_even_n_reflection_congruence_decomposes(n):
+    """Congruence by a reflection keeps singular values, so it is an
+    isometry of every skew norm: at even n it decomposes with an
+    orthogonal factor of determinant -1, the reflection up to sign, where
+    the public inversion (above) still refuses it."""
+    basis = il.skew_basis(n)
+    specs = (
+        il.schatten(1, il.SKEW_REAL),
+        il.schatten(3, il.SKEW_REAL),
+        il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2))),
+    )
+    for trial in range(3):
+        R = il.haar_orthogonal(n, [53, n, trial])
+        if np.linalg.det(R) > 0:
+            R[:, 0] = -R[:, 0]
+        for sign in (1, -1):
+            M = sign * il.ad_matrix(R, basis)
+            for spec in specs:
+                dec = il.decompose_skew_isometry(M, spec, seed=trial)
+                assert (dec.sign, dec.psi_flag) == (sign, False)
+                assert np.linalg.det(dec.orthogonal) < 0
+                assert il.orthogonal_sign_distance(dec.orthogonal, R) < 1e-12
+                assert dec.residual < 1e-12
 
 
 def test_decompose_skew_tau():
