@@ -4,28 +4,37 @@ For each workload it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in a parent checkout and in a change checkout, one after the other, for a
-number of pairs: the parent runs first in the first, third, fifth ... pair
-and second in the others.  From each run it reads the last two lines of
-standard output, the detail object and the result object.
+in a parent checkout and in a change checkout, one after the other, for
+ten pairs: the parent runs first in the first, third, fifth ... pair and
+second in the others.  T is the change checkout's ``BENCHMARK.json``
+``run_seconds``, so every row is run as the benchmark runs it.  From each
+run it reads the last two lines of standard output, the detail object and
+the result object.
 
 The summary of one workload and seed gives, for every end-to-end metric of
-the change checkout's ``BENCHMARK.json`` (its unit, its better direction
-and its bound), each side's median and quartiles, the pairs the change won
-(ties count for neither), the relative change of the medians, whether the
-change's median is within the bound of the parent's, and whether the pairs
-show a gain: the change won at least nine tenths of them and its median is
-better by more than the parent's quartile spread.  It also gives the per-pair values,
-the failed and attempted checks of each side, and the machine block of the
-first run.
+``BENCHMARK.json`` (its unit, its better direction and its bound), each
+side's median and quartiles, the pairs the change won (ties count for
+neither), the relative change of the medians, and two verdicts:
+
+* ``within_bound``: ``"unresolved"`` when the parent's quartile spread is
+  wider than the bound (bound x |parent median|) and not every change run
+  is better than every parent run, so the runs spread too widely to tell;
+  else whether the change's median is worse than the parent's by at most
+  the bound.
+* ``gain_shown``: the pairs are at least ten, the change fails no larger
+  share of its checks than the parent, it won at least nine tenths of the
+  pairs, and its median is better by more than the parent's quartile
+  spread.
+
+It also gives the per-pair values, the failed and attempted checks of each
+side, and the machine block of the first run.
 
     python3 tools/bench_record.py --parent ../parent --change . \\
-        --out bench.json --workload decompose_stream --seed 11 --pairs 10
+        --out bench.json --workload decompose_stream --seed 11
 
 The summary goes into the output's ``measured`` list, replacing an entry
-of the same workload, seed and run length, so several invocations fill one
-file; every other key already in the file (rows copied from CHANGES.md,
-say) is kept.
+of the same workload and seed, so several invocations fill one file; every
+other key already in the file (rows copied from CHANGES.md, say) is kept.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# alternating pairs per workload and seed: the fewest that can show a gain
+PAIRS = 10
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -72,6 +84,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """The summary of alternating pairs, each ``{"first": "parent" or
     "change", "parent": result, "change": result}`` with ``result`` a run's
     result object, over the metrics ``end_to_end`` (BENCHMARK.json's list)."""
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+    attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in ("parent", "change")}
+    # the benchmark's rule compares the share of checks that fail, not the count
+    fails_more = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
     metrics = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -82,6 +98,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         # the change's advantage, positive when it is better
         gain = base - new if lower else new - base
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+        if lower:
+            apart = max(change) < min(parent)
+        else:
+            apart = min(change) > max(parent)
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -89,15 +110,19 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             **sides,
             "change_wins": wins,
             "relative_change": (new - base) / base if base else None,
-            "within_bound": gain >= -spec["bound"] * abs(base),
-            "gain_shown": wins >= math.ceil(0.9 * len(pairs))
-            and gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "within_bound": "unresolved"
+            if spread > spec["bound"] * abs(base) and not apart
+            else gain >= -spec["bound"] * abs(base),
+            "gain_shown": len(pairs) >= PAIRS
+            and not fails_more
+            and wins >= math.ceil(0.9 * len(pairs))
+            and gain > spread,
         }
     return {
         "pairs": len(pairs),
         "metrics": metrics,
-        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
-        "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in ("parent", "change")},
+        "failed": failed,
+        "attempted": attempted,
         "per_pair": [
             {
                 "first": p["first"],
@@ -111,11 +136,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
-def record(parent: Path, change: Path, workload: str, seed: int, seconds: float, count: int):
-    """``(pairs, machine)``: ``count`` alternating pairs of runs, and the
+def record(parent: Path, change: Path, workload: str, seed: int, seconds: float):
+    """``(pairs, machine)``: PAIRS alternating pairs of runs, and the
     machine block of the first run."""
     pairs, machine = [], None
-    for i in range(count):
+    for i in range(PAIRS):
         first = "parent" if i % 2 == 0 else "change"
         order = ("parent", "change") if first == "parent" else ("change", "parent")
         pair = {"first": first}
@@ -124,7 +149,7 @@ def record(parent: Path, change: Path, workload: str, seed: int, seconds: float,
             machine = machine or detail["machine"]
         pairs.append(pair)
         print(
-            f"{workload} seed {seed} pair {i + 1}/{count}: wall_ref "
+            f"{workload} seed {seed} pair {i + 1}/{PAIRS}: wall_ref "
             f"{pair['parent']['metrics']['wall_ref']['value']:.1f} -> "
             f"{pair['change']['metrics']['wall_ref']['value']:.1f}",
             file=sys.stderr,
@@ -139,32 +164,27 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
     parser.add_argument("--workload", action="append", help="workload to run (repeatable; default all)")
     parser.add_argument("--seed", type=int, default=11, help="workload seed (default 11)")
-    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (default 10)")
-    parser.add_argument("--seconds", type=float, help="run length of each run (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = float(benchmark["run_seconds"])
+    seconds = benchmark["run_seconds"]
     known = [w["name"] for w in benchmark["workloads"]]
     workloads = args.workload or known
-    if args.pairs < 1 or args.seconds <= 0 or any(w not in known for w in workloads):
-        parser.error(f"need --pairs >= 1, --seconds > 0 and workloads among {known}")
+    if any(w not in known for w in workloads):
+        parser.error(f"need workloads among {known}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     measured = doc.setdefault("measured", [])
     for workload in workloads:
-        pairs, machine = record(args.parent, args.change, workload, args.seed, args.seconds, args.pairs)
+        pairs, machine = record(args.parent, args.change, workload, args.seed, seconds)
         entry = {
             "workload": workload,
             "seed": args.seed,
-            "seconds": args.seconds,
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             **summarize(pairs, benchmark["end_to_end"]),
             "machine": machine,
         }
         measured[:] = [
-            m for m in measured
-            if (m["workload"], m["seed"], m["seconds"]) != (workload, args.seed, args.seconds)
+            m for m in measured if (m["workload"], m["seed"]) != (workload, args.seed)
         ] + [entry]
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
