@@ -86,6 +86,8 @@ from .errors import DegeneratePoint, InconclusiveDimension, InvalidDimension
 from .matspace import (
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    _coordinates,
+    _numeric,
     _require_hermitian,
     _rng,
     _trial_count,
@@ -212,7 +214,8 @@ def _constraint_rows(spec: NormSpec, basis, num_samples: int, seed):
                     f"no generic sample found for row {row} after {MAX_RESAMPLE} tries"
                 ) from exc
             X[redraw] = random_element(spec.space, basis.n, rng, count=len(redraw))
-    g, x = vectorize(G, basis), vectorize(X, basis)
+    # a non-finite gradient is refused below, by its row scale
+    g, x = _coordinates(G, basis), _coordinates(X, basis)
     # |g| of g scaled by 2^-e, 2^e >= its largest entry: exact, and no overflow
     _, e = np.frexp(np.max(np.abs(g), initial=0.0))
     scales = np.ldexp(np.linalg.norm(np.ldexp(g, -e), axis=1), e) * np.linalg.norm(x, axis=1)
@@ -318,7 +321,7 @@ def _range_endpoints(A: np.ndarray, C: np.ndarray):
     mismatched inputs and on what :func:`_require_hermitian` refuses, where
     the formula does not hold.
     """
-    A, C = np.asarray(A), np.asarray(C)
+    A, C = _numeric(A, "A is a numeric array"), _numeric(C, "C is a numeric array")
     if A.shape[-2:] != C.shape:
         raise InvalidDimension(f"need matrices of one shape, got {A.shape} and {C.shape}")
     _require_hermitian(A, "A")
@@ -331,8 +334,8 @@ def _range_endpoints(A: np.ndarray, C: np.ndarray):
 
 
 def _one_matrix(A, name: str) -> np.ndarray:
-    """A as one matrix; a stack, or any other non-matrix, raises InvalidDimension."""
-    A = np.asarray(A)
+    """A by :func:`_numeric` as one matrix; anything else raises InvalidDimension."""
+    A = _numeric(A, f"{name} is a numeric array")
     if A.ndim != 2:
         raise InvalidDimension(f"need one square matrix {name}, got shape {A.shape}")
     return A
@@ -356,10 +359,11 @@ def c_numerical_range_sample(
     InvalidDimension.
     """
     trials = _trial_count(trials)
-    lo, hi = _range_endpoints(_one_matrix(A, "A"), C)
-    n = np.shape(A)[0]
+    A, C = _one_matrix(A, "A"), _one_matrix(C, "C")
+    lo, hi = _range_endpoints(A, C)
+    n = len(A)
     u = haar_unitary(n, seed, count=trials).reshape(trials, n * n)
-    values = np.einsum("ti,ti->t", u.conj(), u @ _kron(np.transpose(A), np.asarray(C))).real
+    values = np.einsum("ti,ti->t", u.conj(), u @ _kron(A.T, C)).real
     return RangeSample(values=values, lo=lo, hi=hi)
 
 
@@ -399,8 +403,7 @@ def verify_preserver_forms(C: np.ndarray, trials: int, seed=0) -> PreserverRepor
     raises InvalidDimension.
     """
     trials = _trial_count(trials)
-    C = _one_matrix(C, "C")
-    _require_hermitian(C, "C")
+    C = _require_hermitian(_one_matrix(C, "C"), "C")
     n = len(C)
     rng = _rng(seed)
     A = random_element(HERMITIAN_TRACELESS, n, rng, count=trials)

@@ -111,8 +111,10 @@ def _kron(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
-    """Coordinate matrix of A -> U A U^{-1} on the space of ``basis`` (the
-    traceless Hermitian space when None).
+    """Coordinate matrix of A -> U A U* on the space of ``basis`` (the
+    traceless Hermitian space when None), which is the conjugation A -> U A
+    U^{-1} for a unitary U.  For any other square U it is still U A U*
+    (``ad_matrix(2 * np.eye(n))`` is 4 I), not a conjugation.
 
     It is ``Re(conj(B) kron(U, conj(U)) B.T)``, B the (d, n^2) rows vec(E_a)
     of the basis: ``kron(U, conj(U)) vec(E)`` is vec(U E U*), and row a of
@@ -125,7 +127,7 @@ def ad_matrix(U: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     giving the (k, d, d) stack of their maps; a member gets the bits it
     gets alone.  Any other U raises InvalidDimension.
     """
-    U = _square_stack(U)
+    U = _square_stack(U, "U: need a finite (n, n) matrix or (k, n, n) stack")
     n = U.shape[-1]
     if basis is None:
         basis = gell_mann_basis(n)
@@ -171,7 +173,7 @@ def verify_sigma_normalizes(U: np.ndarray, trials: int, seed) -> float:
     one generator.  A negative or non-integer ``trials``, or a U that is
     singular or not a finite square matrix or stack, raises InvalidDimension."""
     trials = _trial_count(trials)
-    U = _square_stack(U)[..., None, :, :]
+    U = _square_stack(U, "U: need a finite (n, n) matrix or (k, n, n) stack")[..., None, :, :]
     n = U.shape[-1]
     lead = U.shape[:-3]
     A = random_element(HERMITIAN_TRACELESS, n, seed, count=int(np.prod(lead)) * trials)
@@ -192,7 +194,7 @@ def so_adjoint_matrix(Q: np.ndarray, basis: Basis | None = None) -> np.ndarray:
     stack included.  The congruence by a reflection is
     ``ad_matrix(Q, skew_basis(n))``.
     """
-    Q = _square_stack(Q)
+    Q = _square_stack(Q, "Q: need a finite (n, n) matrix or (k, n, n) stack")
     det = np.linalg.det(Q)
     if (det < 0).any():
         raise NotSpecialOrthogonal(f"det Q = {np.min(det):.6f}; expected +1")

@@ -52,8 +52,10 @@ class Basis:
 
 
 def _dimension(n, least: int = 2) -> int:
-    """``n`` as a matrix size: an integer >= ``least``, else InvalidDimension."""
+    """``n`` as a matrix size: an integer >= ``least``, else InvalidDimension (a bool too)."""
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise InvalidDimension(f"need an integer n, got {n!r}") from None
@@ -62,7 +64,6 @@ def _dimension(n, least: int = 2) -> int:
     return n
 
 
-@functools.lru_cache(maxsize=None)
 def gell_mann_basis(n: int) -> Basis:
     """Trace-orthonormal basis of the traceless Hermitian n x n matrices.
 
@@ -74,29 +75,9 @@ def gell_mann_basis(n: int) -> Basis:
     3. diagonal ladder ``diag(1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1))`` for
        l = 1..n-1.
     """
-    n = _dimension(n)
-    mats = []
-    rt2 = np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / rt2
-            mats.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = -1j / rt2
-            m[k, j] = 1j / rt2
-            mats.append(m)
-    for l in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m / np.sqrt(l * (l + 1.0)))
-    return Basis(HERMITIAN_TRACELESS, n, np.stack(mats))
+    return basis_for(HERMITIAN_TRACELESS, n)
 
 
-@functools.lru_cache(maxsize=None)
 def skew_basis(n: int) -> Basis:
     """Trace-orthonormal basis F_jk = (E_jk - E_kj)/sqrt(2) of the real
     skew-symmetric matrices, pairs (j, k) with j < k in lexicographic order.
@@ -104,25 +85,39 @@ def skew_basis(n: int) -> Basis:
     For n = 4 this puts the six coordinates in the order
     (a_12, a_13, a_14, a_23, a_24, a_34).
     """
-    n = _dimension(n)
-    mats = []
-    rt2 = np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n))
-            m[j, k] = 1.0 / rt2
-            m[k, j] = -1.0 / rt2
-            mats.append(m)
-    return Basis(SKEW_REAL, n, np.stack(mats))
+    return basis_for(SKEW_REAL, n)
 
 
 def basis_for(space: str, n: int) -> Basis:
-    """Return the package-wide basis for the given space tag."""
-    if space == HERMITIAN_TRACELESS:
-        return gell_mann_basis(n)
+    """The package-wide basis of the space tag at size n, from one cache;
+    an unknown tag or an n that :func:`_dimension` refuses raises InvalidDimension."""
+    if space not in (HERMITIAN_TRACELESS, SKEW_REAL):
+        raise InvalidDimension(f"unknown space tag {space!r}")
+    return _built_basis(space, _dimension(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _built_basis(space: str, n: int) -> Basis:
+    """:func:`basis_for` after its checks, built once per (space, n)."""
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    rt2 = np.sqrt(2.0)
     if space == SKEW_REAL:
-        return skew_basis(n)
-    raise InvalidDimension(f"unknown space tag {space!r}")
+        mats = np.zeros((len(pairs), n, n))
+        for m, (j, k) in zip(mats, pairs):
+            m[j, k] = 1.0 / rt2
+            m[k, j] = -1.0 / rt2
+        return Basis(SKEW_REAL, n, mats)
+    mats = np.zeros((2 * len(pairs) + n - 1, n, n), dtype=complex)
+    for m, (j, k) in zip(mats, pairs):
+        m[j, k] = m[k, j] = 1.0 / rt2
+    for m, (j, k) in zip(mats[len(pairs):], pairs):
+        m[j, k] = -1j / rt2
+        m[k, j] = 1j / rt2
+    for m, l in zip(mats[2 * len(pairs):], range(1, n)):
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        m /= np.sqrt(l * (l + 1.0))
+    return Basis(HERMITIAN_TRACELESS, n, mats)
 
 
 def space_dim(space: str, n: int) -> int:
@@ -139,14 +134,17 @@ def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
     """Coordinates of A in the given basis: coords[i] = <B_i, A>, the real
     part of the space's trace form, tr(B_i A) or tr(B_i.T A).
 
-    ``A`` is one (n, n) matrix, giving a (d,) vector, or a (k, n, n) stack,
-    giving a (k, d) array of the members' coordinates.
+    ``A`` is one finite (n, n) matrix, giving a (d,) vector, or a (k, n, n)
+    stack, giving a (k, d) array of the members' coordinates.
     """
     A = _numeric(A, "a matrix to vectorize is a numeric array")
-    if A.ndim not in (2, 3) or A.shape[-2:] != (basis.n, basis.n):
-        raise InvalidDimension(
-            f"matrix shape {A.shape} does not match basis n={basis.n}"
-        )
+    if A.ndim not in (2, 3) or A.shape[-2:] != (basis.n, basis.n) or not np.isfinite(A).all():
+        raise InvalidDimension(f"need finite matrices of basis n={basis.n}, got shape {A.shape}")
+    return _coordinates(A, basis)
+
+
+def _coordinates(A: np.ndarray, basis: Basis) -> np.ndarray:
+    """:func:`vectorize` after its checks, on a (..., n, n) array A."""
     pairing = "ijk,...kj->...i" if basis.space == HERMITIAN_TRACELESS else "ijk,...jk->...i"
     return np.einsum(pairing, basis.mats, A).real
 
@@ -154,12 +152,12 @@ def vectorize(A: np.ndarray, basis: Basis) -> np.ndarray:
 def devectorize(v: np.ndarray, basis: Basis) -> np.ndarray:
     """Matrix represented by coordinate vector v: sum_i v[i] B_i.
 
-    ``v`` is one (d,) vector, giving an (n, n) matrix, or a (k, d) array of
-    coordinate vectors, giving the (k, n, n) stack of their matrices.
+    ``v`` is one finite (d,) vector, giving an (n, n) matrix, or a (k, d)
+    array of coordinate vectors, giving the (k, n, n) stack of their matrices.
     """
     v = _numeric(v, "a coordinate vector is a real array", real=True)
-    if v.ndim not in (1, 2) or v.shape[-1] != basis.d:
-        raise InvalidDimension(f"coordinate length {v.shape} does not match basis d={basis.d}")
+    if v.ndim not in (1, 2) or v.shape[-1] != basis.d or not np.isfinite(v).all():
+        raise InvalidDimension(f"need finite coordinates of basis d={basis.d}, got shape {v.shape}")
     return _combination(v, basis)
 
 
@@ -179,11 +177,12 @@ def hermiticity_defect(A: np.ndarray) -> float | np.ndarray:
     return np.abs(A - A.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
-def _require_hermitian(A: np.ndarray, name: str) -> None:
-    """Raise InvalidDimension unless A is an (n, n) matrix or (k, n, n)
-    stack, n >= 1, then NotHermitian unless every member has finite entries
-    and a Hermiticity defect within STRUCT_TOL times (1 + its largest entry
-    modulus).  Finiteness comes first, since a NaN defect would pass."""
+def _require_hermitian(A, name: str) -> np.ndarray:
+    """A by :func:`_numeric` if it is an (n, n) matrix or (k, n, n) stack, n
+    >= 1, else InvalidDimension, and if every member has finite entries and
+    a Hermiticity defect within STRUCT_TOL times (1 + its largest entry
+    modulus), else NotHermitian; finiteness first, as a NaN defect passes."""
+    A = _numeric(A, f"{name}: need a numeric array")
     if A.ndim not in (2, 3) or not A.shape[-1] == A.shape[-2] >= 1:
         raise InvalidDimension(f"{name}: need an (n, n) matrix or (k, n, n) stack, got shape {A.shape}")
     size = np.abs(A).max(axis=(-2, -1), initial=0.0)
@@ -192,6 +191,7 @@ def _require_hermitian(A: np.ndarray, name: str) -> None:
     defect = hermiticity_defect(A)
     if np.any(defect > STRUCT_TOL * (1.0 + size)):
         raise NotHermitian(f"{name}: hermiticity defect {np.max(defect):.3e} exceeds its tolerance")
+    return A
 
 
 def _skewness_defect(A: np.ndarray) -> float | np.ndarray:
@@ -205,13 +205,14 @@ def is_element(A: np.ndarray, space: str, tol: float | np.ndarray | None = None)
     The answer is a numpy boolean for one matrix and a (k,) boolean array,
     one entry per member, for a (k, n, n) stack; ``tol`` may then be a (k,)
     array.  By default each matrix is held to ``STRUCT_TOL`` times (1 + its
-    own largest entry modulus).
+    own largest entry modulus).  :func:`_numeric` converts A and tol.
     """
-    A = np.asarray(A)
+    A = _numeric(A, "a matrix to test is a numeric array")
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 2:
         return np.False_
     if tol is None:
         tol = STRUCT_TOL * (1.0 + np.abs(A).max(axis=(-2, -1)))
+    tol = _numeric(tol, "a tolerance is a real numeric array", real=True)
     if space == HERMITIAN_TRACELESS:
         trace = np.abs(A.trace(axis1=-2, axis2=-1))
         return (hermiticity_defect(A) <= tol) & (trace <= tol)
@@ -228,8 +229,7 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
     and the identity on inputs that are already traceless.  Each member
     must pass :func:`_require_hermitian`.
     """
-    A = np.asarray(A, dtype=complex)
-    _require_hermitian(A, "A")
+    A = _require_hermitian(A, "A").astype(complex, copy=False)
     n = A.shape[-1]
     H = (A + A.swapaxes(-1, -2).conj()) / 2.0
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
@@ -243,8 +243,7 @@ def _seed(seed):
     checking it costs less than the entropy mixing of a SeedSequence.  A
     Generator, BitGenerator, SeedSequence or RandomState comes back
     unchanged too, and anything else as the SeedSequence that default_rng
-    makes of it.  A seed numpy refuses raises InvalidSeed, as in
-    :func:`_rng`."""
+    makes of it.  A seed numpy refuses raises InvalidSeed."""
     if isinstance(seed, (list, tuple)):
         if all(isinstance(word, int) and word >= 0 for word in seed):
             return seed
@@ -266,20 +265,19 @@ def _seed(seed):
 
 
 def _rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``: a Generator comes back unchanged
-    (and is then drawn from in place).  A seed numpy refuses, such as a
-    negative integer, raises InvalidSeed."""
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSeed(f"cannot seed a generator from {seed!r}: {exc}") from None
+    """``np.random.default_rng(seed)`` after :func:`_seed`: a Generator comes
+    back unchanged (and is then drawn from in place).  A seed numpy refuses,
+    such as a negative integer, raises InvalidSeed."""
+    return np.random.default_rng(_seed(seed))
 
 
 def _trial_count(trials) -> int:
-    """``trials`` as a count: an integer >= 0, else InvalidDimension (a
-    float such as 2.5 or a negative count would otherwise reach numpy).
-    Every function that draws checks its count here."""
+    """``trials`` as a count: an integer >= 0, else InvalidDimension (a bool
+    too; a float such as 2.5 or a negative count would otherwise reach
+    numpy).  Every function that draws checks its count here."""
     try:
+        if isinstance(trials, bool):
+            raise TypeError
         trials = operator.index(trials)
     except TypeError:
         raise InvalidDimension(f"need an integer trial count, got {trials!r}") from None
@@ -289,35 +287,30 @@ def _trial_count(trials) -> int:
 
 
 def _numeric(x, refusal: str, real: bool = False) -> np.ndarray:
-    """x as an array whose dtype numpy casts to complex (to float, with
-    ``real``) by the ``same_kind`` rule, else InvalidDimension(refusal):
-    the one conversion rule of array inputs.  So a string, object or
-    ragged x is refused, and with ``real`` a complex one, rather than
-    parsed or stripped of its imaginary part.  With ``real`` the array
-    comes back as float, else with its own dtype."""
+    """x as an array of an integer, float or (unless ``real``) complex dtype,
+    else InvalidDimension(refusal): the one conversion rule of array inputs.
+    So a string, object, bool or ragged x is refused, and with ``real`` a
+    complex one, rather than parsed, read as 0 and 1 or stripped of its
+    imaginary part.  With ``real`` the array comes back as float, else with
+    its own dtype."""
     try:
         x = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise InvalidDimension(f"{refusal}: {exc}") from None
-    if not np.can_cast(x.dtype, float if real else complex, casting="same_kind"):
+    if x.dtype.kind not in ("iuf" if real else "iufc"):
         raise InvalidDimension(f"{refusal}, got dtype {x.dtype}")
     return x.astype(float, copy=False) if real else x
 
 
-def _square_stack(U) -> np.ndarray:
-    """U as a finite (n, n) matrix or (k, n, n) stack, n >= 1, of a numeric
-    dtype (:func:`_numeric`), else InvalidDimension: the shape check of
-    group elements."""
-    return _finite_square(_numeric(U, "need a finite (n, n) matrix or (k, n, n) stack"))
-
-
-def _finite_square(U: np.ndarray) -> np.ndarray:
-    """The converted array U if it is a finite (n, n) matrix or (k, n, n)
-    stack, n >= 1, else InvalidDimension: the shape check of group elements
-    (:func:`_square_stack`) and coordinate maps."""
-    if U.ndim in (2, 3) and U.shape[-1] == U.shape[-2] >= 1 and np.isfinite(U).all():
-        return U
-    raise InvalidDimension(f"need a finite (n, n) matrix or (k, n, n) stack, got shape {U.shape}")
+def _square_stack(x, refusal: str, real: bool = False) -> np.ndarray:
+    """x converted by :func:`_numeric` (to float, with ``real``), if it is a
+    finite (n, n) matrix or (k, n, n) stack, n >= 1, else
+    InvalidDimension(refusal): the check of group elements and coordinate
+    maps."""
+    x = _numeric(x, refusal, real)
+    if x.ndim in (2, 3) and x.shape[-1] == x.shape[-2] >= 1 and np.isfinite(x).all():
+        return x
+    raise InvalidDimension(f"{refusal}, got shape {x.shape}")
 
 
 def random_element(space: str, n: int, seed, count: int | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ from .errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
 from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
+    _numeric,
     _rng,
     _trial_count,
     devectorize,
@@ -163,20 +164,20 @@ def parse_norm(token: str, space: str | None = None) -> NormSpec:
     raise InvalidNormSpec(f"unknown norm family in token {token!r}")
 
 
-def _check_space(A: np.ndarray, spec: NormSpec):
-    """``(A, largest)``: A as a (k, n, n) stack (k = 1 for one matrix), if
-    it is one element of the spec's space or a stack of them, and each
-    member's largest entry modulus, a (k,) array.  Each member is held to
-    1e-10 times (1 + its largest entry modulus); one non-member fails the
-    whole argument.  One matrix becomes a stack of one, so it gets the
-    bits it gets inside any stack."""
-    A = np.asarray(A)
+def _check_space(A, spec: NormSpec):
+    """``(A, largest, shape)``: A by :func:`_numeric` as a (k, n, n) stack
+    (k = 1 for one matrix) if it is one element of the spec's space or a
+    stack of them, each member's largest entry modulus, a (k,) array, and
+    A's own shape.  Each member is held to 1e-10 times (1 + its largest
+    entry modulus); one non-member fails the whole argument.  One matrix
+    becomes a stack of one, so it gets the bits it gets inside any stack."""
+    A = _numeric(A, "a norm's argument is a numeric array")
     largest = np.abs(A).max(axis=(-2, -1), initial=0.0) if A.ndim in (2, 3) else None
     if largest is None or not is_element(A, spec.space, tol=1e-10 * (1.0 + largest)).all():
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"
         )
-    return A.reshape((-1,) + A.shape[-2:]), largest.reshape(-1)
+    return A.reshape((-1,) + A.shape[-2:]), largest.reshape(-1), A.shape
 
 
 def _check_parameters(spec: NormSpec, n: int) -> None:
@@ -241,11 +242,10 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     are ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
     range.
     """
-    single = np.ndim(A) == 2
-    A, largest = _check_space(A, spec)
+    A, largest, shape = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
     value = _norm_values(A, largest, spec)
-    return float(value[0]) if single else value
+    return float(value[0]) if len(shape) == 2 else value
 
 
 def _norm_values(A: np.ndarray, largest: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -350,8 +350,7 @@ def norm_gradient(A: np.ndarray, spec: NormSpec) -> np.ndarray:
     underflows, so every nonzero finite member has a gradient, and 2^j A
     gets the bits of A.
     """
-    shape = np.shape(A)
-    A, largest = _check_space(A, spec)
+    A, largest, shape = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
     scaled, e = np.frexp(largest)  # scaled: each member's largest modulus after the scaling
     A = _ldexp(A, -e[:, None, None])

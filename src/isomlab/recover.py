@@ -73,7 +73,6 @@ from .matspace import (  # noqa: F401
     SKEW_REAL,
     Basis,
     _combination,
-    _finite_square,
     _numeric,
     _rng,
     _seed,
@@ -92,6 +91,9 @@ RESIDUAL_TOL = 1e-6
 #: accepted relative norm deviation of the isometry distance test; the
 #: residual certificate holds ``n d residual`` to the same bound
 ISOMETRY_TOL = 1e-8
+
+#: the message with which :func:`matspace._square_stack` refuses a coordinate map
+_MAP = "a coordinate map is a real numeric array: a finite (d, d) map or (k, d, d) stack"
 
 #: the skew involution psi at n = 4, built once for every branch search
 _PSI = psi_matrix()
@@ -130,13 +132,16 @@ class SkewIsometryDecomposition:
     residual: float
 
 
-def _center_distance(U, V, roots: np.ndarray) -> float | np.ndarray:
-    """min over z in ``roots`` of max-entry |U - z V|: U's distance from V
-    modulo the action's kernel; per member, a (k,) array, for a stack.  U
-    and V pass :func:`_square_stack` with one n (one k if both are stacks)."""
-    U, V = _square_stack(U), _square_stack(V)
-    if U.shape[-1] != V.shape[-1] or (U.ndim == V.ndim == 3 and len(U) != len(V)):
+def _center_distance(U, V, unitary: bool) -> float | np.ndarray:
+    """min over z in the action's kernel (the n-th roots of unity when
+    ``unitary``, else +-1) of max-entry |U - z V|: U's distance from V
+    modulo that kernel; per member, a (k,) array, for a stack.  U and V
+    pass :func:`_square_stack` with one n (one k if both are stacks)."""
+    U, V = (_square_stack(W, "need a finite (n, n) matrix or (k, n, n) stack") for W in (U, V))
+    n = U.shape[-1]
+    if V.shape[-1] != n or (U.ndim == V.ndim == 3 and len(U) != len(V)):
         raise InvalidDimension(f"cannot compare shapes {U.shape} and {V.shape}")
+    roots = np.exp(2j * np.pi * np.arange(n) / n) if unitary else np.array([1.0, -1.0])
     dist = np.abs(U[..., None, :, :] - roots[:, None, None] * V[..., None, :, :])
     dist = dist.max(axis=(-2, -1)).min(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
@@ -144,21 +149,12 @@ def _center_distance(U, V, roots: np.ndarray) -> float | np.ndarray:
 
 def unitary_phase_distance(U: np.ndarray, V: np.ndarray) -> float | np.ndarray:
     """min over n-th roots of unity z of max-entry |U - z V| (:func:`_center_distance`)."""
-    n = _square_stack(U).shape[-1]
-    return _center_distance(U, V, np.exp(2j * np.pi * np.arange(n) / n))
+    return _center_distance(U, V, unitary=True)
 
 
 def orthogonal_sign_distance(Q: np.ndarray, P: np.ndarray) -> float | np.ndarray:
     """min over s = +-1 of max-entry |Q - s P| (:func:`_center_distance`)."""
-    return _center_distance(Q, P, np.array([1.0, -1.0]))
-
-
-def _coordinate_map(M) -> np.ndarray:
-    """M as a finite real (d, d) map or (k, d, d) stack of maps, else
-    InvalidDimension.  Only a real numeric dtype casts to float
-    (:func:`_numeric`): a complex, object, string or ragged M is refused.
-    M is converted once, then shape-checked as a group element is."""
-    return _finite_square(_numeric(M, "a coordinate map is a real numeric array", real=True))
+    return _center_distance(Q, P, unitary=False)
 
 
 def _map_basis(M: np.ndarray, space: str) -> Basis:
@@ -289,7 +285,7 @@ def recover_unitary_from_ad(M: np.ndarray) -> tuple[np.ndarray, float]:
     the form has no positive diagonal entry (the zero map, say).  A (k, d,
     d) stack is taken as :func:`recover_orthogonal_from_adso` takes one.
     """
-    M = _coordinate_map(M)
+    M = _square_stack(M, _MAP, real=True)
     return _inverted(M, _map_basis(M, HERMITIAN_TRACELESS))
 
 
@@ -311,7 +307,7 @@ def recover_orthogonal_from_adso(M: np.ndarray):
     reproduces (at odd n the rotation -Q is returned instead); in a stack,
     for the first member refused.
     """
-    M = _coordinate_map(M)
+    M = _square_stack(M, _MAP, real=True)
     basis = _map_basis(M, SKEW_REAL)
     if basis.n < 3:
         raise InvalidDimension("orthogonal recovery needs n >= 3")
@@ -377,7 +373,7 @@ def classify_eta_sigma(M: np.ndarray) -> tuple[int, bool, np.ndarray]:
     (a stack is refused), n read off d = n^2 - 1, and
     :class:`NotInClassifiedForm` when no branch does.
     """
-    M = _coordinate_map(M)
+    M = _square_stack(M, _MAP, real=True)
     if M.ndim != 2:
         raise InvalidDimension(f"classify_eta_sigma takes one map, got shape {M.shape}")
     eta, sigma_flag, U, _ = _branch_search(M[None], _map_basis(M, HERMITIAN_TRACELESS))
@@ -389,8 +385,8 @@ def classify_eta_sigma(M: np.ndarray) -> tuple[int, bool, np.ndarray]:
 def _check_isometry(M: np.ndarray, spec: NormSpec, basis: Basis, seed, members=None) -> None:
     """Distance test on random pairs.  An affine map L with linear part M
     has L(A) - L(B) = M(A - B), so the test compares the norms of M(D) and
-    D over 50 random differences D per member of the (k, d, d) stack M on
-    ``basis``.  It works in coordinates: the (50 k, d) standard normal
+    D over 50 random differences D per member of M, one map or a (k, d, d)
+    stack on ``basis``.  It works in coordinates: the (50 k, d) standard normal
     coordinates of the differences are drawn from ``seed`` (a seed or a
     Generator, drawn from in place) in one call, member after member, the
     draws that ``random_element(spec.space, n, seed, count=50 k)`` makes
@@ -406,6 +402,7 @@ def _check_isometry(M: np.ndarray, spec: NormSpec, basis: Basis, seed, members=N
     large that it leaves the floating-point range; no overflow warning
     escapes), naming the failing members by their entries in ``members``
     (M's indices in the caller's stack; ``range(k)`` when None)."""
+    M = M.reshape(-1, basis.d, basis.d)
     k, d = len(M), basis.d
     x = _rng(seed).standard_normal((50 * k, d))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,7 +430,7 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     of M's leading shape by d (zero when None; a real numeric array, by
     :func:`_numeric`), a ``seed`` that ``np.random.default_rng`` accepts,
     and spec parameters that fit n.  Returns ``(M, basis, offset, seed)``
-    with M a (k, d, d) stack, ``basis`` the space's at that n
+    with M the checked map or stack, ``basis`` the space's at that n
     (:func:`_map_basis`), ``offset`` a (k, d) array and ``seed`` checked
     but no generator built from it (:func:`matspace._seed`), so a
     decomposition that the residual certifies builds none.  Every failure
@@ -443,7 +440,7 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
     The distance test is not among these checks: it runs after the branch
     search, and only when the residual cannot certify the map (see the
     module docstring)."""
-    M = _coordinate_map(M)
+    M = _square_stack(M, _MAP, real=True)
     if spec.space != space:
         raise InvalidDimension(f"the norm acts on {spec.space}, the map on {space}")
     basis = _map_basis(M, space)
@@ -455,7 +452,7 @@ def _checked_input(M, spec: NormSpec, space: str, seed, offset=None):
             raise InvalidDimension(f"offset must be a finite array of shape {M.shape[:-1]}, got {offset.shape}")
     seed = _seed(seed)
     _check_parameters(spec, basis.n)
-    return M.reshape(-1, basis.d, basis.d), basis, offset.reshape(-1, basis.d), seed
+    return M, basis, offset.reshape(-1, basis.d), seed
 
 
 def _certified_branches(M, spec: NormSpec, seed, basis: Basis):
@@ -463,7 +460,8 @@ def _certified_branches(M, spec: NormSpec, seed, basis: Basis):
     residual)``, after one distance test over the members whose ``n d
     residual`` exceeds ``ISOMETRY_TOL``, those that no branch reproduces
     (infinite residual) among them.  Then :class:`NotInClassifiedForm`
-    names the latter in ``members``."""
+    names the latter in ``members``.  M is one checked map or a stack."""
+    M = M.reshape(-1, basis.d, basis.d)
     sign, flag, conjugator, residual = _branch_search(M, basis)
     uncertified = basis.n * basis.d * residual > ISOMETRY_TOL
     if uncertified.any():
@@ -505,15 +503,15 @@ def decompose_isometry(M: np.ndarray, spec: NormSpec, offset: np.ndarray | None 
     branch reproduces; the distance test runs before the latter is raised,
     so a non-isometry is always :class:`NotIsometry`.
     """
-    stack, basis, offset, seed = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
-    eta, sigma_flag, U, residual = _certified_branches(stack, spec, seed, basis)
+    M, basis, offset, seed = _checked_input(M, spec, HERMITIAN_TRACELESS, seed, offset)
+    eta, sigma_flag, U, residual = _certified_branches(M, spec, seed, basis)
     translation = _combination(offset, basis)
     # copies, so that a decomposition kept alone keeps no stack alive
     decompositions = tuple(
         IsometryDecomposition(e, f, u.copy(), b.copy(), r)
         for e, f, u, b, r in zip(eta.tolist(), sigma_flag.tolist(), U, translation, residual.tolist())
     )
-    return decompositions[0] if np.ndim(M) == 2 else decompositions
+    return decompositions[0] if M.ndim == 2 else decompositions
 
 
 def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
@@ -534,13 +532,13 @@ def decompose_skew_isometry(M: np.ndarray, spec: NormSpec, seed=0):
     those members in ``exc.members``; at n = 2 an isometry raises
     :class:`InvalidDimension`, since congruence recovery needs n >= 3.
     """
-    stack, basis, _, seed = _checked_input(M, spec, SKEW_REAL, seed)
+    M, basis, _, seed = _checked_input(M, spec, SKEW_REAL, seed)
     if basis.n < 3:
-        _check_isometry(stack, spec, basis, seed)
+        _check_isometry(M, spec, basis, seed)
         raise InvalidDimension("orthogonal recovery needs n >= 3")
-    sign, flag, Q, residual = _certified_branches(stack, spec, seed, basis)
+    sign, flag, Q, residual = _certified_branches(M, spec, seed, basis)
     decompositions = tuple(
         SkewIsometryDecomposition(sign=s, psi_flag=f, orthogonal=q.copy(), residual=r)
         for s, f, q, r in zip(sign.tolist(), flag.tolist(), Q, residual.tolist())
     )
-    return decompositions[0] if np.ndim(M) == 2 else decompositions
+    return decompositions[0] if M.ndim == 2 else decompositions

@@ -49,13 +49,13 @@ class YoulaForm:
 
 
 def _skew_stack(A) -> np.ndarray:
-    """A as a (k, n, n) float stack of real skew-symmetric matrices; raises
-    :class:`InvalidDimension` unless every member is one."""
+    """A as float (:func:`_numeric`) if it is one real skew-symmetric (n, n)
+    matrix or a (k, n, n) stack of them, else :class:`InvalidDimension`."""
     refusal = "input is not a real skew-symmetric matrix or a stack of them"
     A = _numeric(A, refusal, real=True)
     if A.ndim not in (2, 3) or not np.all(is_element(A, SKEW_REAL)):
         raise InvalidDimension(refusal)
-    return A.reshape(-1, *A.shape[-2:])
+    return A
 
 
 def youla_decompose(A: np.ndarray):
@@ -85,8 +85,9 @@ def youla_decompose(A: np.ndarray):
     stack, giving a tuple of k forms from one stacked ``eigh``, each what
     its member gets alone.
     """
-    stack = _skew_stack(A)
-    n = stack.shape[-1]
+    A = _skew_stack(A)
+    n = A.shape[-1]
+    stack = A.reshape(-1, n, n)
     w, V = np.linalg.eigh(1j * stack)
     tol = ZERO_MODE_TOL * np.max(np.abs(w), axis=-1)
     order = np.argsort(-w, axis=-1)
@@ -118,21 +119,20 @@ def youla_decompose(A: np.ndarray):
         YoulaForm(n=n, orthogonal=q.copy(), a=row[:r].copy(), r=int(r), residual=float(res))
         for q, row, r, res in zip(Q, w, ranks, residual)
     )
-    return forms[0] if np.ndim(A) == 2 else forms
+    return forms[0] if A.ndim == 2 else forms
 
 
 def psi_apply(A: np.ndarray) -> np.ndarray:
     """The n = 4 entry swap a_14 <-> a_23 (skew-symmetry restored), on one
     4 x 4 matrix or on each member of a (k, 4, 4) stack; raises
     :class:`InvalidDimension` unless every member is real skew-symmetric."""
-    single = np.ndim(A) == 2
     A = _skew_stack(A)
     if A.shape[-2:] != (4, 4):
         raise InvalidDimension(f"entry swap is defined on 4 x 4 only, got {A.shape[-2:]}")
     B = A.copy()
     B[..., 0, 3], B[..., 1, 2] = A[..., 1, 2], A[..., 0, 3]
     B[..., 3, 0], B[..., 2, 1] = -A[..., 1, 2], -A[..., 0, 3]
-    return B[0] if single else B
+    return B
 
 
 def char_poly_skew(A: np.ndarray) -> np.ndarray:
@@ -143,17 +143,18 @@ def char_poly_skew(A: np.ndarray) -> np.ndarray:
     (n + 1,) array, or a (k, n, n) stack, giving (k, n + 1), each row what
     its member gets alone.
     """
-    stack = _skew_stack(A)
-    n = stack.shape[-1]
+    A = _skew_stack(A)
+    n = A.shape[-1]
     if n > 8:
         raise InvalidDimension(f"characteristic polynomial supported for n <= 8, got {n}")
+    stack = A.reshape(-1, n, n)
     coeffs = np.zeros((len(stack), n + 1))
     coeffs[:, 0] = 1.0
     M = np.zeros_like(stack)
     for k in range(1, n + 1):
         M = stack @ M + coeffs[:, k - 1, None, None] * np.eye(n)
         coeffs[:, k] = -np.trace(stack @ M, axis1=-2, axis2=-1) / k
-    return coeffs[0] if np.ndim(A) == 2 else coeffs
+    return coeffs[0] if A.ndim == 2 else coeffs
 
 
 def pfaffian4(A: np.ndarray) -> float | np.ndarray:
@@ -165,9 +166,8 @@ def pfaffian4(A: np.ndarray) -> float | np.ndarray:
     independent entries.  Raises :class:`InvalidDimension` unless every
     member is real skew-symmetric.
     """
-    single = np.ndim(A) == 2
     A = _skew_stack(A)
     if A.shape[-2:] != (4, 4):
         raise InvalidDimension(f"Pfaffian implemented for 4 x 4 only, got {A.shape[-2:]}")
     pf = A[..., 0, 1] * A[..., 2, 3] - A[..., 0, 2] * A[..., 1, 3] + A[..., 0, 3] * A[..., 1, 2]
-    return float(pf[0]) if single else pf
+    return float(pf) if A.ndim == 2 else pf

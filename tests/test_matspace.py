@@ -83,6 +83,17 @@ def test_a_non_integer_n_fails_closed(call):
         call()
 
 
+def test_one_basis_cache_serves_both_spaces_after_the_size_check():
+    """The per-space constructors are basis_for; n is checked before the
+    cache lookup, so an integer of any type finds the entry of its value,
+    and an unhashable or bool n is refused rather than looked up."""
+    assert il.gell_mann_basis(3) is il.basis_for(il.HERMITIAN_TRACELESS, np.int64(3))
+    assert il.skew_basis(4) is il.basis_for(il.SKEW_REAL, 4)
+    for n in (np.array([3]), True):
+        with pytest.raises(InvalidDimension, match="need an integer n"):
+            il.gell_mann_basis(n)
+
+
 def test_vectorize_basis_element_gives_unit_vector():
     basis = il.gell_mann_basis(3)
     v = il.vectorize(basis.mats[0], basis)
