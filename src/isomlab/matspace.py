@@ -238,17 +238,23 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
 def _seed(seed):
     """``seed`` checked as ``np.random.default_rng`` checks it, without
     building a Generator, so ``default_rng(_seed(seed))`` draws what
-    ``default_rng(seed)`` draws.  A non-negative Python int, or a list or
-    tuple of them, comes back unchanged: numpy takes each as it is, and
-    checking it costs less than the entropy mixing of a SeedSequence.  A
+    ``default_rng(seed)`` draws.  A non-negative Python int (not a
+    subclass), or a list or tuple of them, comes back unchanged: numpy
+    takes each as it is, and checking it costs less than the entropy
+    mixing of a SeedSequence.  A
     Generator, BitGenerator, SeedSequence or RandomState comes back
     unchanged too, and anything else as the SeedSequence that default_rng
-    makes of it.  A seed numpy refuses raises InvalidSeed."""
+    makes of it.  A seed numpy refuses raises InvalidSeed, and so does a
+    bool, alone or in a list or tuple, which numpy would read as 0 or 1."""
+    # ``type(word) is int`` leaves bools (and other int subclasses) to the
+    # slower checks below
     if isinstance(seed, (list, tuple)):
-        if all(isinstance(word, int) and word >= 0 for word in seed):
+        if all(type(word) is int and word >= 0 for word in seed):
             return seed
-    elif isinstance(seed, int) and seed >= 0:
+    elif type(seed) is int and seed >= 0:
         return seed
+    if any(isinstance(word, bool) for word in (seed if isinstance(seed, (list, tuple)) else (seed,))):
+        raise InvalidSeed(f"cannot seed a generator from {seed!r}: a bool is not a seed")
     # np.random is read here, not imported, so importing isomlab leaves it unloaded
     kinds = (
         np.random.Generator,

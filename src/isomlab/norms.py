@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
+from .errors import DegeneratePoint, InvalidDimension, InvalidNormSpec, SpecMismatch
 from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps norms.devectorize
     HERMITIAN_TRACELESS,
     SKEW_REAL,
@@ -119,6 +119,8 @@ def schatten(p: float, space: str = HERMITIAN_TRACELESS) -> NormSpec:
 
 def ky_fan(k: int, space: str = HERMITIAN_TRACELESS) -> NormSpec:
     try:
+        if isinstance(k, bool):  # operator.index(True) is 1
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise InvalidNormSpec(f"Ky Fan needs an integer k, got {k!r}") from None
@@ -169,11 +171,18 @@ def _check_space(A, spec: NormSpec):
     (k = 1 for one matrix) if it is one element of the spec's space or a
     stack of them, each member's largest entry modulus, a (k,) array, and
     A's own shape.  Each member is held to 1e-10 times (1 + its largest
-    entry modulus); one non-member fails the whole argument.  One matrix
-    becomes a stack of one, so it gets the bits it gets inside any stack."""
+    entry modulus); one non-member, or one entry that is not finite, fails
+    the whole argument.  One matrix becomes a stack of one, so it gets the
+    bits it gets inside any stack."""
     A = _numeric(A, "a norm's argument is a numeric array")
     largest = np.abs(A).max(axis=(-2, -1), initial=0.0) if A.ndim in (2, 3) else None
-    if largest is None or not is_element(A, spec.space, tol=1e-10 * (1.0 + largest)).all():
+    # a NaN or infinite entry makes its member's largest modulus non-finite
+    # and is refused before the membership test could warn on it
+    if (
+        largest is None
+        or not np.isfinite(largest).all()
+        or not is_element(A, spec.space, tol=1e-10 * (1.0 + largest)).all()
+    ):
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"
         )
@@ -240,11 +249,20 @@ def norm_value(A: np.ndarray, spec: NormSpec):
     eigvalsh call on H = A or iA.  Both shapes take the same code, so a
     member of a stack gets the value it would get alone.  Schatten-p values
     are ``s_max * ||s / s_max||_p``, so no power leaves the floating-point
-    range.
+    range.  A norm that leaves that range all the same (the trace norm of
+    ``diag(1.5e308, -1.5e308, 0)``, say) raises :class:`InvalidDimension`
+    rather than returning inf; the argument itself is finite, by
+    :func:`_check_space`.
     """
     A, largest, shape = _check_space(A, spec)
     _check_parameters(spec, A.shape[-1])
-    value = _norm_values(A, largest, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _norm_values(A, largest, spec)
+    if not np.isfinite(value).all():
+        raise InvalidDimension(
+            f"the {spec.token()} norm of an argument with entries up to "
+            f"{largest.max():.3e} leaves the floating-point range"
+        )
     return float(value[0]) if len(shape) == 2 else value
 
 

@@ -344,6 +344,16 @@ def test_run_suite_refuses_an_unknown_space_or_a_bad_tolerance(kw, message):
         run_suite(SuiteConfig(**{"suite": "invariance", "n_values": (2,), "samples": 2, **kw}))
 
 
+def test_the_pointwise_preserver_record_takes_its_tolerance_key():
+    """cnr/preserver_wc_pointwise reads the wc_pointwise key, so --tol
+    reaches it; its default is the 1e-12 the record always had."""
+    cfg = dict(suite="cnr", n_values=(3,), samples=3)
+    for tol, expected in (({}, 1e-12), ({"wc_pointwise": 1e-9}, 1e-9)):
+        doc = run_suite(SuiteConfig(**cfg, tol=tol))
+        [record] = [r for r in doc.records if r.check_id == "cnr/preserver_wc_pointwise/n=3"]
+        assert record.tolerance == expected and record.passed
+
+
 def test_norms_that_differ_past_six_digits_are_two_norms():
     cfg = SuiteConfig(
         suite="invariance", n_values=(3,), norms=("schatten:3.0000001", "schatten:3"), samples=2
@@ -371,6 +381,23 @@ def test_record_groups_draw_from_independent_streams(monkeypatch):
     assert doc.overall_pass
     assert len(states) <= len(doc.records)
     assert len(set(states)) == len(states)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_a_group_stream_is_the_byte_tuple_stream(seed):
+    """_stream passes the check id as one uint32 array of its bytes, which
+    SeedSequence assembles into the same entropy as the tuple of the byte
+    values: for every check id of an all report in both spaces the two
+    generators start in the same state and draw the same numbers."""
+    from isomlab.cli import _stream
+
+    for space in ("hermitian", "skew"):
+        cfg = SuiteConfig(suite="all", seed=seed, space=space)
+        for check_id in {r.check_id for r in run_suite(SuiteConfig(suite="all", space=space)).records}:
+            rng = _stream(cfg, check_id)
+            byte_tuple = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(check_id.encode())))
+            assert rng.bit_generator.state == byte_tuple.bit_generator.state
+            assert rng.integers(2**63, size=2).tolist() == byte_tuple.integers(2**63, size=2).tolist()
 
 
 @pytest.mark.parametrize("seed", [2, 2**32 + 1, 2**63, 2**64 - 1])

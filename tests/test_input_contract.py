@@ -199,3 +199,20 @@ def test_a_bool_is_neither_a_size_nor_a_count(name, parameter):
     fn = getattr(il, name)
     with pytest.raises(il.InvalidDimension):
         fn(**{**_arguments(name, fn), parameter: True})
+
+
+#: (callable, parameter, error) where a bool, which numpy reads as 0 or 1,
+#: is refused: Ky Fan's k, and the seed of every public callable that draws
+BOOL_REFUSALS = [("ky_fan", "k", il.InvalidNormSpec)] + [
+    (name, "seed", il.InvalidSeed)
+    for name, fn in _public()
+    if "seed" in inspect.signature(fn).parameters
+]
+
+
+@pytest.mark.parametrize("name, parameter, error", BOOL_REFUSALS)
+def test_a_bool_is_neither_a_norm_parameter_nor_a_seed(name, parameter, error):
+    fn = getattr(il, name)
+    for value in (True, False, [3, True]) if parameter == "seed" else (True, False):
+        with pytest.raises(error):
+            fn(**{**_arguments(name, fn), parameter: value})

@@ -315,7 +315,6 @@ _SEED_KINDS = {
     "int": (lambda: 4, True),
     "zero": (lambda: 0, True),
     "huge-int": (lambda: 2**70, True),
-    "bool": (lambda: True, True),
     "list": (lambda: [4, 5], True),
     "four-int-list": (lambda: [5, 4, 3, 1], True),
     "empty-list": (lambda: [], True),
@@ -347,8 +346,9 @@ def test_a_checked_seed_draws_what_the_seed_draws(make, passes):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, [1, -2], (3, -1), "x", [[1]], [1.5], None])
 def test_the_seed_check_refuses_exactly_what_numpy_refuses(seed):
-    """_seed raises InvalidSeed where default_rng raises, and nowhere else
-    (numpy takes a nested list of non-negative ints)."""
+    """_seed raises InvalidSeed where default_rng raises, and elsewhere only
+    for a bool (test_input_contract); numpy takes a nested list of
+    non-negative ints."""
     from isomlab.matspace import _seed
 
     try:

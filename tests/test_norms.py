@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isomlab as il
-from isomlab.errors import DegeneratePoint, InvalidNormSpec, SpecMismatch
+from isomlab.errors import DegeneratePoint, InvalidDimension, InvalidNormSpec, SpecMismatch
 
 
 def two_block_skew(a1, a2):
@@ -426,6 +426,32 @@ def test_gradient_of_a_member_whose_frobenius_norm_overflows():
     npt.assert_allclose(g, [[0.0, 0.5], [-0.5, 0.0]], rtol=1e-15, atol=0.0)
     g = il.norm_gradient(A, il.frobenius(il.SKEW_REAL))
     npt.assert_allclose(g, [[0.0, 0.5**0.5], [-(0.5**0.5), 0.0]], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_norm_that_leaves_the_float_range_is_refused():
+    """A finite argument whose norm overflows raises InvalidDimension (in a
+    stack too), where it used to return inf or warn; a norm that stays in
+    range is still evaluated, and a non-finite entry is refused as a
+    non-member before any warning (warnings are errors here)."""
+    H = np.diag([1.5e308, -1.5e308, 0.0]).astype(complex)
+    S = np.zeros((3, 3))
+    S[0, 1], S[1, 0] = 1.5e308, -1.5e308
+    for A, space, tokens in (
+        (H, il.HERMITIAN_TRACELESS, ("schatten:1", "schatten:3", "frobenius", "kyfan:3", "kyfan:2")),
+        (S, il.SKEW_REAL, ("schatten:1", "frobenius", "kyfan:2")),
+    ):
+        for token in tokens:
+            spec = il.parse_norm(token, space)
+            for argument in (A, np.stack([A / 2**1000, A])):
+                with pytest.raises(InvalidDimension, match="leaves the floating-point range"):
+                    il.norm_value(argument, spec)
+        assert il.norm_value(A, il.parse_norm("schatten:inf", space)) == 1.5e308
+        assert il.norm_value(A, il.parse_norm("kyfan:1", space)) == 1.5e308
+    assert il.norm_value(S, il.c_spectral([1.0])) == 1.5e308
+    for bad in (np.diag([np.inf, -np.inf, 0.0]), np.diag([np.nan, 0.0, 0.0])):
+        with pytest.raises(SpecMismatch):
+            il.norm_value(bad, il.frobenius())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -666,7 +666,8 @@ def test_conjugator_is_the_top_eigenvector_of_the_squared_form(space, n):
 
     basis, maps, S = _squared_forms(n, space, 20, [77, n])
     top = np.linalg.eigh(S)[1][..., -1] * np.sqrt(n)
-    C, _, refused = recover._conjugator(maps, basis)
+    column, refused = recover._candidate(maps, basis)
+    C, _ = recover._polished(column, basis)
     assert not refused.any()
     vec = C.reshape(len(C), n * n)
     overlap = np.sum(top.conj() * vec, axis=-1)
@@ -707,7 +708,8 @@ def test_degenerate_maps_fail_closed(space, n):
     import isomlab.recover as recover
 
     basis = il.gell_mann_basis(n) if space == il.HERMITIAN_TRACELESS else il.skew_basis(n)
-    C, _, refused = recover._conjugator(np.zeros((1, d, d)), basis)
+    column, refused = recover._candidate(np.zeros((1, d, d)), basis)
+    C, _ = recover._polished(column, basis)
     assert refused[0] and np.all(np.isfinite(C))
     projector = np.diag(np.r_[np.ones(d - 1), 0.0])
     for M in (np.zeros((d, d)), projector, np.stack([np.eye(d), np.zeros((d, d)), projector])):
@@ -716,6 +718,133 @@ def test_degenerate_maps_fail_closed(space, n):
         with pytest.raises(NotIsometry) as err:
             decompose(M, spec, seed=0)
         assert err.value.members == ((0,) if M.ndim == 2 else (1, 2))
+
+
+def _svd_sizes(monkeypatch) -> list:
+    """A list that records the stack size of every ``np.linalg.svd`` call
+    made from now on in the test."""
+    sizes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a) if np.ndim(a) == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return sizes
+
+
+def _branch_images(space, n, rng):
+    """One exact image per branch of the space at n, in the branch order:
+    sign +-1, then the involution flag where the space has one at n."""
+    basis = il.basis_for(space, n)
+    if space == il.HERMITIAN_TRACELESS:
+        flags = (False, True) if n >= 3 else (False,)
+        return [
+            canonical_map(n, sign, flag, il.haar_unitary(n, rng, special=True))
+            for flag in flags
+            for sign in (1, -1)
+        ]
+    flags = (False, True) if n == 4 else (False,)
+    return [
+        sign * il.ad_matrix(il.haar_orthogonal(n, rng), basis) @ (il.psi_matrix() if flag else np.eye(basis.d))
+        for flag in flags
+        for sign in (1, -1)
+    ]
+
+
+def test_a_euclidean_rotation_makes_no_svd_in_the_branch_search(monkeypatch):
+    """A Haar rotation of so(15) is an isometry of the Frobenius norm on the
+    Hermitian space at n = 4 but no image: both involution flags fail the
+    length test, so the decomposition makes no SVD.  Without the test (an
+    infinite window) each flag made one."""
+    import isomlab.recover as recover
+
+    M = il.haar_orthogonal(15, 93, special=True)
+    sizes = _svd_sizes(monkeypatch)
+    with pytest.raises(NotInClassifiedForm):
+        il.decompose_isometry(M, il.frobenius(), seed=0)
+    assert sizes == []
+    monkeypatch.setattr(recover, "LENGTH_WINDOW", np.inf)
+    with pytest.raises(NotInClassifiedForm):
+        il.decompose_isometry(M, il.frobenius(), seed=0)
+    assert sizes == [1, 1]
+
+
+_LENGTH_CASES = [(il.HERMITIAN_TRACELESS, n) for n in (2, 3, 4, 6)] + [
+    (il.SKEW_REAL, n) for n in (3, 4, 5, 6)
+]
+
+
+@pytest.mark.parametrize("space, n", _LENGTH_CASES)
+def test_the_length_test_keeps_every_branch_the_residual_accepts(monkeypatch, space, n):
+    """Every branch's image, exact and perturbed by up to 7e-7 per entry
+    (residuals up to just under RESIDUAL_TOL) or by 1e-6 (where some are
+    refused on the residual): the branch search gives, bit for bit, what it
+    gives without the length test (an infinite window, which polishes
+    every candidate as the search did before), for the stack and for each
+    member alone.  The exact images and those perturbed by 1e-9 decompose
+    to the same bits too."""
+    import isomlab.recover as recover
+
+    rng = np.random.default_rng([94, n])
+    basis = il.basis_for(space, n)
+    images = np.stack(_branch_images(space, n, rng))
+    scales = (0.0, 1e-9, 3e-7, 7e-7, 1e-6)
+    M = np.concatenate([images + t * rng.uniform(-1, 1, images.shape) for t in scales])
+    if space == il.HERMITIAN_TRACELESS:
+        spec = SPEC3
+
+        def decompose(maps):
+            return il.decompose_isometry(maps, spec, seed=0)
+    else:
+        spec = il.c_spectral(tuple(float(n // 2 - i) for i in range(n // 2)))
+
+        def decompose(maps):
+            return il.decompose_skew_isometry(maps, spec, seed=0)
+
+    exact = M[: 2 * len(images)]  # the exact and the 1e-9 images
+    results = [recover._branch_search(M, basis), decompose(exact)]
+    alone = [recover._branch_search(m[None], basis) for m in M]
+    monkeypatch.setattr(recover, "LENGTH_WINDOW", np.inf)
+    reference = [recover._branch_search(M, basis), decompose(exact)]
+    for got, want in zip(results[0], reference[0]):
+        assert got.tobytes() == want.tobytes()
+    for i, single in enumerate(alone):
+        for got, want in zip(single, reference[0]):
+            assert got[0].tobytes() == want[i].tobytes()
+    assert all(_same_bits(a, b) for a, b in zip(results[1], reference[1]))
+    sign, _, _, residual = results[0]
+    below = len(images) * 4  # every member perturbed by at most 7e-7
+    assert sign[:below].all()
+    assert 5e-7 < residual[:below].max() <= recover.RESIDUAL_TOL
+
+
+def test_a_stack_polishes_only_the_members_its_length_test_keeps(monkeypatch):
+    """A Hermitian n = 3 stack of an image on the flag False, a Haar
+    rotation of so(8), an image on the flag True and another rotation: the
+    flag False SVD takes only the first member and the flag True one only
+    the third, where without the length test they took all four and the
+    three still open.  The outcome is the same."""
+    import isomlab.recover as recover
+
+    basis = il.gell_mann_basis(3)
+    rng = np.random.default_rng(95)
+    rotations = il.haar_orthogonal(8, rng, special=True, count=2)
+    M = np.stack([
+        canonical_map(3, 1, False, il.haar_unitary(3, rng, special=True)),
+        rotations[0],
+        canonical_map(3, -1, True, il.haar_unitary(3, rng, special=True)),
+        rotations[1],
+    ])
+    sizes = _svd_sizes(monkeypatch)
+    sign, flag, _, _ = recover._branch_search(M, basis)
+    assert sizes == [1, 1]
+    assert sign.tolist() == [1, 0, -1, 0] and flag.tolist() == [False, False, True, False]
+    monkeypatch.setattr(recover, "LENGTH_WINDOW", np.inf)
+    sizes.clear()
+    assert [x.tolist() for x in recover._branch_search(M, basis)[:2]] == [sign.tolist(), flag.tolist()]
+    assert sizes == [4, 3]
 
 
 def test_unitary_phase_distance_of_stacks_is_per_member():
