@@ -39,6 +39,9 @@ dimension check then shows:
    block's size plus d samples (84 at Hermitian n = 7, where so(d) has 1128
    unknowns), takes the singular values of each block in one stacked SVD
    per block size, and reads the gap off all of them merged and sorted.
+   The full (samples, d(d-1)/2) row matrix is never built: each block
+   size's rows are formed directly over its cached index pairs (a, b),
+   entry ``g_a x_b - x_a g_b``, as the (k, rows, s) stack its SVD takes.
 5. Containment: the adjoint algebra's generators T_j, X -> i[B_j, X] on
    the Hermitian space and X -> [B_j, X] on the skew space, must lie in
    that null space; the report carries their residual over the full rows.
@@ -141,11 +144,11 @@ class RangeSample:
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_blocks(basis) -> tuple[np.ndarray, ...]:
+def _sign_blocks(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The so(d) unknowns t_ab grouped by sign character (module docstring,
-    step 4), as read-only index arrays into the ``np.triu_indices(d, 1)``
-    order: one (k, s) array per distinct block size s, largest first, each
-    row one block.
+    step 4), as the index pairs (a, b), a < b, that :func:`_so_rows` takes:
+    per distinct block size s, largest first, two read-only (k, s) arrays
+    of a and of b, each row one block.
 
     D B D = s_r s_c B for any nonzero entry (r, c) of a basis element B, so
     B's mask is {r} xor {c}; t_ab's is m_a xor m_b, up to complement (each
@@ -161,37 +164,43 @@ def _sign_blocks(basis) -> tuple[np.ndarray, ...]:
     chars ^= chars[:, :1]
     _, block_of, sizes = np.unique(chars, axis=0, return_inverse=True, return_counts=True)
     blocks = np.split(np.argsort(block_of.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
-    stacks = tuple(
-        np.stack([block for block in blocks if len(block) == size])
-        for size in sorted(set(sizes.tolist()), reverse=True)
-    )
-    for stack in stacks:
-        stack.setflags(write=False)
-    return stacks
+    pairs = []
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        stack = np.stack([block for block in blocks if len(block) == size])
+        pairs.append((upper_a[stack], upper_b[stack]))
+        for index in pairs[-1]:
+            index.setflags(write=False)
+    return tuple(pairs)
 
 
-def _so_rows(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i holds ``g_a x_b - g_b x_a`` for the pairs a < b, in
-    ``np.triu_indices`` order, of the coordinate rows g[i] and x[i]: the
-    pairing <g, T x> as a linear form in the upper entries of a skew T.
-    Filled one a at a time, so no temporary is wider than d."""
-    m, d = g.shape
-    rows = np.empty((m, d * (d - 1) // 2))
-    start = 0
-    for a in range(d - 1):
-        block = rows[:, start:start + d - 1 - a]
-        np.multiply(g[:, a, None], x[:, a + 1:], out=block)
-        block -= x[:, a, None] * g[:, a + 1:]
-        start += d - 1 - a
-    return rows
+def _so_rows(g: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i holds ``g_a x_b - x_a g_b`` over the index pairs (a, b) of the
+    coordinate rows g[i] and x[i] of two (m, d) arrays: the pairing
+    <g, T x> as a linear form in the entries t_ab of a skew T.  Over the
+    last axis of the pair arrays, the result has shape
+    ``a.shape[:-1] + (m, a.shape[-1])``: ``np.triu_indices(d, 1)`` gives
+    the (m, d(d-1)/2) matrix of all so(d) columns, and a block stack of
+    :func:`_sign_blocks` the (k, m, s) stack that a stacked SVD takes.  It
+    is gathered from the transposed (d, m) factors, whose rows are
+    contiguous, and built in place: beside the result it holds only those
+    factors and the two gathers of the term it subtracts."""
+    g, x = np.ascontiguousarray(g.T), np.ascontiguousarray(x.T)
+    rows = g[a]
+    rows *= x[b]
+    other = x[a]
+    other *= g[b]
+    rows -= other
+    return rows.swapaxes(-1, -2)
 
 
 def _constraint_rows(spec: NormSpec, basis, num_samples: int, seed):
-    """The so(d) constraint rows (:func:`_so_rows`) of one stack of samples
-    at n = ``basis.n`` drawn from ``default_rng(seed)`` (``seed`` may be a
-    Generator, which is drawn from in place), each row's scale ``|g| |x|``,
-    and the (num_samples, n, n) stacks X of samples and G of their
-    gradients that the rows were built from; all gradients come from one
+    """The so(d) constraint rows of one stack of samples at n =
+    ``basis.n`` drawn from ``default_rng(seed)`` (``seed`` may be a
+    Generator, which is drawn from in place), as their two factors: the
+    (num_samples, d) coordinates g of the gradients and x of the samples,
+    whose rows over any index pairs :func:`_so_rows` builds.  With them
+    come each row's scale ``|g| |x|`` and the (num_samples, n, n) stacks X
+    of samples and G of their gradients; all gradients come from one
     stacked call.  A sample at which the norm is not smooth is redrawn from
     the same generator after the stack, so only its row changes, up to
     MAX_RESAMPLE tries per row.  A zero or non-finite row scale raises
@@ -223,7 +232,7 @@ def _constraint_rows(spec: NormSpec, basis, num_samples: int, seed):
     if bad.any():
         row = int(np.argmax(bad))
         raise InconclusiveDimension(f"row {row} has scale |g| |x| = {scales[row]!r}")
-    return _so_rows(g, x), scales, X, G
+    return g, x, scales, X, G
 
 
 def _null_space_dimension(svals: np.ndarray, scale: float):
@@ -273,12 +282,12 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
             "is 0, and one singular value has no gap to read"
         )
     blocks = _sign_blocks(basis)
-    num_samples = blocks[0].shape[1] + basis.d
-    rows, scales, X, G = _constraint_rows(spec, basis, num_samples, seed)
-    # one stacked SVD per block size, each over a (k, rows, s) stack
+    num_samples = blocks[0][0].shape[1] + basis.d
+    g, x, scales, X, G = _constraint_rows(spec, basis, num_samples, seed)
+    # one stacked SVD per block size, over the rows of that size's blocks alone
     svals = np.concatenate([
-        np.linalg.svd(rows[:, idx].swapaxes(0, 1), compute_uv=False).ravel()
-        for idx in blocks
+        np.linalg.svd(_so_rows(g, x, a, b), compute_uv=False).ravel()
+        for a, b in blocks
     ])
     svals = np.sort(svals)[::-1]
     null_dim, gap_ratio = _null_space_dimension(svals, float(scales.max()))
@@ -311,26 +320,21 @@ def skew_isometry_algebra_dimension(spec: NormSpec, n: int, seed=0) -> Dimension
 
 
 def _range_endpoints(A: np.ndarray, C: np.ndarray):
-    """Exact endpoints (lo, hi) of W_C(A) for Hermitian A and C.
+    """Exact endpoints (lo, hi) of W_C(A) for Hermitian A and C that are
+    already checked.
 
     With eigenvalues sorted ascending, hi pairs them in the same order and
     lo in opposite orders (rearrangement inequality over the doubly
     stochastic matrix |u_ij|^2).  ``A`` is one matrix, giving two floats,
-    or a (k, n, n) stack against the one C, giving two (k,) arrays from one
-    stacked eigvalsh; a member gets the bits it gets alone.  Fails closed on
-    mismatched inputs and on what :func:`_require_hermitian` refuses, where
-    the formula does not hold.
+    or a (k, n, n) stack, giving two (k,) arrays from one stacked eigvalsh;
+    ``C`` is one matrix against every member or a stack of A's shape, one
+    per member.  A member gets the bits it gets alone.
     """
-    A, C = _numeric(A, "A is a numeric array"), _numeric(C, "C is a numeric array")
-    if A.shape[-2:] != C.shape:
-        raise InvalidDimension(f"need matrices of one shape, got {A.shape} and {C.shape}")
-    _require_hermitian(A, "A")
-    _require_hermitian(C, "C")
     lam_a = np.linalg.eigvalsh(A)[..., None, :]
-    lam_c = np.linalg.eigvalsh(C)
-    lo = (lam_a @ lam_c[::-1, None])[..., 0, 0]
-    hi = (lam_a @ lam_c[:, None])[..., 0, 0]
-    return (float(lo), float(hi)) if A.ndim == 2 else (lo, hi)
+    lam_c = np.linalg.eigvalsh(C)[..., None]
+    lo = (lam_a @ lam_c[..., ::-1, :])[..., 0, 0]
+    hi = (lam_a @ lam_c)[..., 0, 0]
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 def _one_matrix(A, name: str) -> np.ndarray:
@@ -339,6 +343,17 @@ def _one_matrix(A, name: str) -> np.ndarray:
     if A.ndim != 2:
         raise InvalidDimension(f"need one square matrix {name}, got shape {A.shape}")
     return A
+
+
+def _hermitian_pair(A, C) -> tuple[np.ndarray, np.ndarray]:
+    """A and C through :func:`_require_hermitian` if they have one shape,
+    so two (n, n) matrices or two (k, n, n) stacks: a shape mismatch raises
+    InvalidDimension before any Hermiticity test, as the closed form needs
+    both."""
+    A, C = _numeric(A, "A is a numeric array"), _numeric(C, "C is a numeric array")
+    if A.shape != C.shape:
+        raise InvalidDimension(f"need A and C of one shape, got {A.shape} and {C.shape}")
+    return _require_hermitian(A, "A"), _require_hermitian(C, "C")
 
 
 def c_numerical_range_sample(
@@ -355,16 +370,27 @@ def c_numerical_range_sample(
     ``kron(A, C.T) vec(U) = vec(A U C)``: one product of the (trials, n^2)
     rows u with ``kron(A, C.T).T = kron(A.T, C)``.  It is built from A, C and U
     alone, not from eigenvalues, so the sample stays independent of the
-    endpoints.  A negative or non-integer ``trials`` raises
-    InvalidDimension.
+    endpoints.
+
+    ``A`` and ``C`` are one pair of (n, n) matrices, giving float endpoints
+    and (trials,) values, or two (k, n, n) stacks of pairs, giving (k,)
+    endpoints and (k, trials) values.  Both are checked once and the
+    endpoints come from one stacked call; then each member's ``trials``
+    unitaries are drawn as one stack, member after member, from the one
+    generator, so a member gets the bits of a lone call that continues the
+    stream.  A negative or non-integer ``trials`` raises InvalidDimension.
     """
     trials = _trial_count(trials)
-    A, C = _one_matrix(A, "A"), _one_matrix(C, "C")
+    A, C = _hermitian_pair(A, C)
     lo, hi = _range_endpoints(A, C)
-    n = len(A)
-    u = haar_unitary(n, seed, count=trials).reshape(trials, n * n)
-    values = np.einsum("ti,ti->t", u.conj(), u @ _kron(A.T, C)).real
-    return RangeSample(values=values, lo=lo, hi=hi)
+    rng = _rng(seed)
+    n = A.shape[-1]
+    pairs = A.reshape(-1, n, n), C.reshape(-1, n, n)
+    values = np.empty((len(pairs[0]), trials))
+    for row, a, c in zip(values, *pairs):
+        u = haar_unitary(n, rng, count=trials).reshape(trials, n * n)
+        row[:] = np.einsum("ti,ti->t", u.conj(), u @ _kron(a.T, c)).real
+    return RangeSample(values=values.reshape(A.shape[:-2] + (trials,)), lo=lo, hi=hi)
 
 
 def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
@@ -373,7 +399,7 @@ def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
     W_C(A) is the interval ``[lo, hi]`` of :func:`_range_endpoints`, so the
     radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977).
     """
-    lo, hi = _range_endpoints(_one_matrix(A, "A"), C)
+    lo, hi = _range_endpoints(*_hermitian_pair(_one_matrix(A, "A"), C))
     return max(abs(lo), abs(hi))
 
 

@@ -9,6 +9,9 @@ the skew space is -I there, since A.T = -A).
 Both kernels work on whole stacks.  A Haar draw is the Q factor, with R's
 diagonal positive, of a Ginibre matrix, found by Gram-Schmidt with each
 column projected twice; that Q has exactly the Haar law (Mezzadri 2007).
+The complex Ginibre stack is filled in place, real parts then imaginary
+parts, and the Gram-Schmidt loop keeps conj(Q) beside Q rather than
+conjugating the finished columns again for every new one.
 Conjugation is one action on both spaces, A -> U A U* by a unitary U on
 the traceless Hermitians and A -> Q A Q.T by a real orthogonal Q on the
 skew matrices, so one kernel (:func:`_conjugation_map`, which
@@ -49,19 +52,25 @@ def _haar_shape(n, count) -> tuple:
 def _orthonormal_columns(Z: np.ndarray) -> np.ndarray:
     """Q of the factorisation Z = QR with R's diagonal positive, for each
     member of a stack of square matrices of full rank: classical
-    Gram-Schmidt over the columns, each column projected out of the ones
-    before it twice, which leaves Q orthonormal to rounding (Giraud, Langou
-    and Rozloznik 2005: "twice is enough").  Every step is an elementwise
-    or einsum product over the stack, so a member gets the bits it gets
-    alone."""
+    Gram-Schmidt over the columns, each column after the first projected
+    out of the ones before it twice, which leaves Q orthonormal to rounding
+    (Giraud, Langou and Rozloznik 2005: "twice is enough").  The
+    projections read a conjugate copy of Q filled column by column beside
+    it, and each column's length is ``np.linalg.norm``'s arithmetic taken
+    inline.  Every step is an elementwise or einsum product over the stack,
+    so a member gets the bits it gets alone."""
     Q = np.empty_like(Z)
+    Q_conj = np.empty_like(Z) if np.iscomplexobj(Z) else Q
     for j in range(Z.shape[-1]):
         v = Z[..., :, j]
-        done = Q[..., :, :j]
-        adjoint = done.conj()
-        for _ in range(2):
-            v = v - np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", adjoint, v))
-        Q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        if j:
+            done, adjoint = Q[..., :, :j], Q_conj[..., :, :j]
+            for _ in range(2):
+                v = v - np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", adjoint, v))
+        q = v / np.sqrt(np.add.reduce((v.conj() * v).real, -1))[..., None]
+        Q[..., :, j] = q
+        if Q_conj is not Q:
+            Q_conj[..., :, j] = q.conj()
     return Q
 
 
@@ -81,7 +90,11 @@ def haar_unitary(n: int, seed, special: bool = False, count: int | None = None) 
     shape = _haar_shape(n, count)
     # each member's real block, then its imaginary block: k single draws in turn
     G = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
-    Q = _orthonormal_columns((G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2))
+    Z = np.empty(shape, dtype=complex)
+    Z.real = G[..., 0, :, :]
+    Z.imag = G[..., 1, :, :]
+    Z /= np.sqrt(2)
+    Q = _orthonormal_columns(Z)
     if special:
         Q = Q * (np.linalg.det(Q) ** (-1.0 / n))[..., None, None]
     return Q

@@ -205,19 +205,31 @@ def is_element(A: np.ndarray, space: str, tol: float | np.ndarray | None = None)
     The answer is a numpy boolean for one matrix and a (k,) boolean array,
     one entry per member, for a (k, n, n) stack; ``tol`` may then be a (k,)
     array.  By default each matrix is held to ``STRUCT_TOL`` times (1 + its
-    own largest entry modulus).  :func:`_numeric` converts A and tol.
+    own largest entry modulus).  A matrix with a NaN or infinite entry is no
+    element.  :func:`_numeric` converts A and tol.
     """
     A = _numeric(A, "a matrix to test is a numeric array")
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 2:
         return np.False_
+    size = np.abs(A).max(axis=(-2, -1))
     if tol is None:
-        tol = STRUCT_TOL * (1.0 + np.abs(A).max(axis=(-2, -1)))
+        tol = STRUCT_TOL * (1.0 + size)
     tol = _numeric(tol, "a tolerance is a real numeric array", real=True)
-    if space == HERMITIAN_TRACELESS:
-        trace = np.abs(A.trace(axis1=-2, axis2=-1))
-        return (hermiticity_defect(A) <= tol) & (trace <= tol)
-    if space == SKEW_REAL:
-        return (_skewness_defect(A) <= tol) & (not np.iscomplexobj(A))
+    return _within(A, space, tol) & np.isfinite(size)
+
+
+def _within(A: np.ndarray, space: str, tol) -> np.ndarray:
+    """:func:`is_element`'s structural test of an (n, n) or (k, n, n) array
+    A, n >= 2, that is already converted, without its finiteness test: a
+    caller that has refused non-finite entries (``norms._check_space``)
+    reads the answer as it is.  The defects are taken under ``errstate``, so
+    a non-finite entry gives a NaN or inf defect, never a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if space == HERMITIAN_TRACELESS:
+            trace = np.abs(A.trace(axis1=-2, axis2=-1))
+            return (hermiticity_defect(A) <= tol) & (trace <= tol)
+        if space == SKEW_REAL:
+            return (_skewness_defect(A) <= tol) & (not np.iscomplexobj(A))
     return np.False_
 
 

@@ -33,8 +33,8 @@ from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps n
     _numeric,
     _rng,
     _trial_count,
+    _within,
     devectorize,
-    is_element,
     project_traceless,
     random_element,
 )
@@ -175,13 +175,15 @@ def _check_space(A, spec: NormSpec):
     the whole argument.  One matrix becomes a stack of one, so it gets the
     bits it gets inside any stack."""
     A = _numeric(A, "a norm's argument is a numeric array")
-    largest = np.abs(A).max(axis=(-2, -1), initial=0.0) if A.ndim in (2, 3) else None
+    square = A.ndim in (2, 3) and A.shape[-1] == A.shape[-2] >= 2
+    largest = np.abs(A).max(axis=(-2, -1)) if square else None
     # a NaN or infinite entry makes its member's largest modulus non-finite
-    # and is refused before the membership test could warn on it
+    # and is refused first; the structural test is is_element's, on A as
+    # converted here
     if (
         largest is None
         or not np.isfinite(largest).all()
-        or not is_element(A, spec.space, tol=1e-10 * (1.0 + largest)).all()
+        or not _within(A, spec.space, 1e-10 * (1.0 + largest)).all()
     ):
         raise SpecMismatch(
             f"argument is not a {spec.space} element within tolerance"

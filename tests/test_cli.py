@@ -567,14 +567,18 @@ def test_cnr_suite_writes_failing_records_when_a_range_sample_raises(monkeypatch
 
     error = NotHermitian("hermiticity defect")
     real = cli.c_numerical_range_sample
+    shapes = []
 
     def broken(A, C, trials, seed=0):
-        if A.shape[0] == 3:
+        shapes.append((A.shape, C.shape, trials))
+        if A.shape[-1] == 3:
             raise error
         return real(A, C, trials, seed=seed)
 
     monkeypatch.setattr(cli, "c_numerical_range_sample", broken)
     doc = _run_twice(small_config("cnr", n_values=(2, 3), samples=3))
+    # one call per n and run, on the stack of its three pairs
+    assert shapes == [((3, n, n), (3, n, n), 400) for n in (2, 3)] * 2
     assert _failing_ids(doc, error) == ["cnr/range_containment/n=3"]
     assert [r.check_id for r in doc.records if r.passed] == [
         "cnr/n2_analytic",

@@ -147,9 +147,10 @@ def test_sign_blocks_are_characters_of_the_sign_flips(space, n):
     basis = il.basis_for(space, n)
     d = basis.d
     blocks = est._sign_blocks(basis)
-    covered = sorted(i for stack in blocks for i in stack.ravel().tolist())
-    assert covered == list(range(d * (d - 1) // 2))
+    covered = sorted(pair for a, b in blocks for pair in zip(a.ravel().tolist(), b.ravel().tolist()))
     upper_a, upper_b = np.triu_indices(d, 1)
+    assert covered == list(zip(upper_a.tolist(), upper_b.tolist()))
+    assert all(a.shape == b.shape and not a.flags.writeable for a, b in blocks)
     mixed = False
     for signs in product((1.0, -1.0), repeat=n):
         D = np.diag(signs)
@@ -158,7 +159,7 @@ def test_sign_blocks_are_characters_of_the_sign_flips(space, n):
         chi = np.round(np.diag(S))
         np.testing.assert_array_equal(np.abs(chi), 1.0)
         np.testing.assert_allclose(S, np.diag(chi), rtol=0, atol=1e-15)
-        moves = [(chi[upper_a] * chi[upper_b])[stack] for stack in blocks]
+        moves = [chi[a] * chi[b] for a, b in blocks]
         constant = all(np.all(m == m[:, :1]) for m in moves)
         # a mask and its complement share a block, one sign when det D = 1;
         # at odd n, D or -D has det 1 and both act alike
@@ -176,8 +177,8 @@ def _full_width_dimension(spec, n, seed):
 
     basis = il.basis_for(spec.space, n)
     unknowns = basis.d * (basis.d - 1) // 2
-    rows, scales, _, _ = est._constraint_rows(spec, basis, unknowns + basis.d, seed)
-    svals = np.linalg.svd(rows, compute_uv=False)
+    g, x, scales, _, _ = est._constraint_rows(spec, basis, unknowns + basis.d, seed)
+    svals = np.linalg.svd(est._so_rows(g, x, *np.triu_indices(basis.d, 1)), compute_uv=False)
     return est._null_space_dimension(svals, float(scales.max()))[0]
 
 
@@ -197,6 +198,52 @@ def test_sign_blocks_match_the_full_width_svd(spec, n):
         assert rep.estimated_dim == _full_width_dimension(spec, n, seed)
 
 
+def _parent_so_rows(g, x):
+    """Oracle: the full-width row fill the estimator once ran, one a at a
+    time, in ``np.triu_indices`` order."""
+    m, d = g.shape
+    rows = np.empty((m, d * (d - 1) // 2))
+    start = 0
+    for a in range(d - 1):
+        block = rows[:, start:start + d - 1 - a]
+        np.multiply(g[:, a, None], x[:, a + 1:], out=block)
+        block -= x[:, a, None] * g[:, a + 1:]
+        start += d - 1 - a
+    return rows
+
+
+# every default norm on both spaces at n <= 7, each (space, token, n) once
+_BLOCK_ROW_CASES = {
+    f"{spec.space}/{spec.token()}/n={n}": (spec, n)
+    for space, sizes in (("hermitian", range(2, 8)), ("skew", range(3, 8)))
+    for n in sizes
+    for spec in _specs(DEFAULT_NORMS, space, n)
+}
+
+
+@pytest.mark.parametrize("spec,n", _BLOCK_ROW_CASES.values(), ids=_BLOCK_ROW_CASES.keys())
+def test_block_rows_give_the_singular_values_of_the_full_width_gather(spec, n):
+    """The rows built per sign block give, bit for bit, the singular values
+    that each block's columns gathered from the full-width matrix give."""
+    import isomlab.estimate as est
+
+    basis = il.basis_for(spec.space, n)
+    blocks = est._sign_blocks(basis)
+    rep = est._algebra_dimension(spec, n, [60, n])
+    g, x, _, _, _ = est._constraint_rows(spec, basis, rep.samples_used, [60, n])
+    rows = _parent_so_rows(g, x)
+    position = np.zeros((basis.d, basis.d), dtype=int)
+    position[np.triu_indices(basis.d, 1)] = np.arange(rows.shape[1])
+    for a, b in blocks:
+        gathered = rows[:, position[a, b]].swapaxes(0, 1)
+        assert est._so_rows(g, x, a, b).tobytes() == np.ascontiguousarray(gathered).tobytes()
+    svals = np.concatenate([
+        np.linalg.svd(rows[:, position[a, b]].swapaxes(0, 1), compute_uv=False).ravel()
+        for a, b in blocks
+    ])
+    assert rep.singular_values.tobytes() == np.sort(svals)[::-1].tobytes()
+
+
 def test_block_solve_makes_no_svd_wider_than_the_largest_block(monkeypatch):
     import isomlab.estimate as est
 
@@ -214,19 +261,39 @@ def test_block_solve_makes_no_svd_wider_than_the_largest_block(monkeypatch):
     assert widths == [36, 32, 12]
 
 
-def test_constraint_rows_build_no_d_squared_wide_temporary():
+def test_constraint_rows_build_no_d_squared_wide_temporary(monkeypatch):
+    """No full-width row matrix is built: a dimension call forms its rows
+    one block size at a time, and no temporary is wider than the largest
+    block stack (at Hermitian n = 7, 21 blocks of 32 unknowns over 84
+    rows: 672 of the 1128 so(d) columns)."""
     import isomlab.estimate as est
 
     spec, n, basis = il.schatten(3), 7, il.gell_mann_basis(7)
-    num = 84  # the largest sign block, 36, plus d = 48
+    m, d = 84, basis.d
+    builds = []
+    real = est._so_rows
+
+    def so_rows(g, x, a, b):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        rows = real(g, x, a, b)
+        builds.append((rows.shape, tracemalloc.get_traced_memory()[1] - before))
+        return rows
+
+    il.isometry_algebra_dimension(spec, n, seed=[0, n])  # fill the per-basis caches
+    monkeypatch.setattr(est, "_so_rows", so_rows)
     tracemalloc.start()
     try:
-        rows = est._constraint_rows(spec, basis, num, [0, n])[0]
-        _, peak = tracemalloc.get_traced_memory()
+        rep = il.isometry_algebra_dimension(spec, n, seed=[0, n])
     finally:
         tracemalloc.stop()
-    assert rows.shape == (84, 1128)
-    assert peak < 2 * rows.nbytes
+    assert rep.estimated_dim == 48
+    assert [shape for shape, _ in builds] == [(1, m, 36), (21, m, 32), (35, m, 12)]
+    # each build holds its result, the two gathered factors of the term it
+    # subtracts and the transposed (d, m) coordinate arrays
+    assert all(used < 3 * math.prod(shape) * 8 + 2 * d * m * 8 + 4096 for shape, used in builds)
+    # so no build comes near the (m, 1128) full-width matrix
+    assert max(used for _, used in builds) < 2 * m * 1128 * 8
 
 
 def test_a_dimension_call_stays_within_a_few_row_matrices():
@@ -292,7 +359,7 @@ def test_the_row_scale_keeps_its_bits_on_ordinary_gradients():
 
     spec, n = il.c_spectral((2.0, 1.0)), 4
     basis = il.skew_basis(n)
-    _, scales, X, G = est._constraint_rows(spec, basis, 12, 3)
+    _, _, scales, X, G = est._constraint_rows(spec, basis, 12, 3)
     plain = np.linalg.norm(il.vectorize(G, basis), axis=1) * np.linalg.norm(il.vectorize(X, basis), axis=1)
     assert scales.tobytes() == plain.tobytes()
 
@@ -352,12 +419,13 @@ def test_commutator_pairings_match_the_generator_coordinates(space, n):
     scales = np.linalg.norm(g, axis=1) * np.linalg.norm(x, axis=1)
     pairing = est._adjoint_pairings(X, G, scales, basis)
     assert np.abs(pairing).max() > 0.05
-    np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x), scales), rtol=0, atol=1e-15)
+    upper = np.triu_indices(basis.d, 1)
+    np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x, *upper), scales), rtol=0, atol=1e-15)
     # and on the estimator's own samples and gradients
-    num = est._sign_blocks(basis)[0].shape[1] + basis.d
-    rows, scales, X, G = est._constraint_rows(il.schatten(3, space), basis, num, [0, n])
+    num = est._sign_blocks(basis)[0][0].shape[1] + basis.d
+    g, x, scales, X, G = est._constraint_rows(il.schatten(3, space), basis, num, [0, n])
     pairing = est._adjoint_pairings(X, G, scales, basis)
-    np.testing.assert_allclose(pairing, oracle(rows, scales), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x, *upper), scales), rtol=0, atol=1e-15)
 
 
 def test_containment_tells_the_adjoint_algebra_from_other_directions():
@@ -366,7 +434,8 @@ def test_containment_tells_the_adjoint_algebra_from_other_directions():
     spec, n = il.schatten(3), 4
     basis = il.gell_mann_basis(n)
     # the estimator's 43 rows: the largest sign block, 28, plus d = 15
-    rows, scales, _, _ = est._constraint_rows(spec, basis, 43, 5)
+    g, x, scales, _, _ = est._constraint_rows(spec, basis, 43, 5)
+    rows = est._so_rows(g, x, *np.triu_indices(basis.d, 1))
 
     def residual(t):
         return np.max(np.abs(rows @ t) / scales) / np.linalg.norm(t)
@@ -497,6 +566,39 @@ def test_range_sample_values_match_the_trace_oracle(n):
     U = il.haar_unitary(n, [34, n], count=50)
     oracle = np.einsum("ij,kji->k", A, U @ C @ U.conj().transpose(0, 2, 1)).real
     np.testing.assert_allclose(s.values, oracle, rtol=0, atol=1e-12 * np.linalg.norm(A) * np.linalg.norm(C))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_stacked_range_sample_is_the_per_member_calls_on_one_generator(n):
+    """A (k, n, n) stack of pairs draws each member's unitaries in turn from
+    one generator: member k gets the bits of a lone call that continues the
+    stream, and the generator ends where the lone calls leave it."""
+    A = il.random_element(il.HERMITIAN_TRACELESS, n, [90, n], count=6)
+    C = il.random_element(il.HERMITIAN_TRACELESS, n, [91, n], count=6)
+    stacked_rng = np.random.default_rng([92, n])
+    s = il.c_numerical_range_sample(A, C, 40, seed=stacked_rng)
+    assert s.values.shape == (6, 40) and s.lo.shape == s.hi.shape == (6,)
+    rng = np.random.default_rng([92, n])
+    for k, (a, c) in enumerate(zip(A, C)):
+        lone = il.c_numerical_range_sample(a, c, 40, seed=rng)
+        assert type(lone.lo) is float and type(lone.hi) is float
+        assert lone.values.shape == (40,)
+        assert lone.values.tobytes() == s.values[k].tobytes()
+        assert (lone.lo, lone.hi) == (s.lo[k], s.hi[k])
+    assert rng.bit_generator.state == stacked_rng.bit_generator.state
+    assert il.c_numerical_range_sample(A, C, 0).values.shape == (6, 0)
+    assert il.c_numerical_range_sample(A[:0], C[:0], 3).values.shape == (0, 3)
+
+
+def test_a_range_sample_refuses_pairs_of_different_shapes():
+    A = il.random_element(il.HERMITIAN_TRACELESS, 3, 93, count=2)
+    for C in (A[0], A[:1], np.stack([A[0]] * 3)):
+        with pytest.raises(InvalidDimension, match="need A and C of one shape"):
+            il.c_numerical_range_sample(A, C, 5)
+    bad = A.copy()
+    bad[1, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian, match="A: hermiticity defect"):
+        il.c_numerical_range_sample(bad, A, 5)
 
 
 def test_range_endpoints_attained_by_eigenbasis_alignment():
@@ -696,12 +798,17 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
 
     monkeypatch.setattr(est, "random_element", draw)
     monkeypatch.setattr(est, "norm_gradient", grad)
-    rows, scales, samples, gradients = est._constraint_rows(spec, basis, num, 7)
+    g, x, scales, samples, gradients = est._constraint_rows(spec, basis, num, 7)
     assert draws == [num, 1]
     assert grads == [num, num]
-    assert np.flatnonzero(np.any(rows != clean[0], axis=1)).tolist() == [5]
-    assert np.flatnonzero(scales != clean[1]).tolist() == [5]
-    assert np.flatnonzero(np.any(samples != clean[2], axis=(1, 2))).tolist() == [5]
+    upper = np.triu_indices(basis.d, 1)
+    rows, clean_rows = est._so_rows(g, x, *upper), est._so_rows(clean[0], clean[1], *upper)
+    assert np.flatnonzero(np.any(rows != clean_rows, axis=1)).tolist() == [5]
+    assert np.flatnonzero(scales != clean[2]).tolist() == [5]
+    assert np.flatnonzero(np.any(samples != clean[3], axis=(1, 2))).tolist() == [5]
+    # the factors are the coordinates of the returned stacks
+    np.testing.assert_array_equal(g, il.vectorize(gradients, basis))
+    np.testing.assert_array_equal(x, il.vectorize(samples, basis))
     # the returned stacks are the ones the rows were built from
     np.testing.assert_array_equal(gradients, real_grad(samples, spec))
     # the redrawn sample is the generator's next one, and its row pairs
@@ -711,7 +818,6 @@ def test_constraint_rows_redraw_only_the_degenerate_row(monkeypatch):
     X = real_draw(spec.space, n, rng, count=1)[0]
     np.testing.assert_array_equal(samples[5], X)
     g, x = il.vectorize(real_grad(X, spec), basis), il.vectorize(X, basis)
-    upper = np.triu_indices(basis.d, 1)
     np.testing.assert_array_equal(rows[5], (np.outer(g, x) - np.outer(x, g))[upper])
     assert scales[5] == np.linalg.norm(g) * np.linalg.norm(x)
 

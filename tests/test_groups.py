@@ -265,6 +265,45 @@ def test_haar_draw_is_the_positive_diagonal_qr_factor(n, haar, special):
     assert haar(n, 0, special=special, count=0).shape == (0, n, n)
 
 
+def _cgs2_haar(n, seed, complex_, special, count):
+    """Oracle: the Gram-Schmidt Haar sampler as it stood before its lean
+    kernel, with three complex temporaries for the Ginibre stack, the
+    empty projection at column 0, a fresh conjugate of the finished
+    columns for every new one and np.linalg.norm for each length."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if count is None else (count, n, n)
+    if complex_:
+        G = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+        Z = (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
+    else:
+        Z = rng.standard_normal(shape)
+    Q = np.empty_like(Z)
+    for j in range(n):
+        v = Z[..., :, j]
+        done = Q[..., :, :j]
+        adjoint = done.conj()
+        for _ in range(2):
+            v = v - np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", adjoint, v))
+        Q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    if special and complex_:
+        Q = Q * (np.linalg.det(Q) ** (-1.0 / n))[..., None, None]
+    elif special:
+        Q[..., -1] *= np.sign(np.linalg.det(Q))[..., None]
+    return Q
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("haar", [il.haar_unitary, il.haar_orthogonal])
+@pytest.mark.parametrize("count", [None, 1, 20, 400])
+def test_haar_draw_keeps_the_bits_of_the_plain_gram_schmidt_loop(count, haar, special):
+    complex_ = haar is il.haar_unitary
+    for n in [*range(1, 9), 15]:
+        Q = haar(n, [70, n], special=special, count=count)
+        oracle = _cgs2_haar(n, [70, n], complex_, special, count)
+        assert Q.shape == oracle.shape and Q.dtype == oracle.dtype
+        assert Q.tobytes() == oracle.tobytes(), n
+
+
 def _einsum_ad(U, basis):
     conjugated = U[..., None, :, :] @ basis.mats @ U.conj().swapaxes(-1, -2)[..., None, :, :]
     return np.einsum("ajk,...ikj->...ai", basis.mats, conjugated).real

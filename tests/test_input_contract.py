@@ -111,8 +111,11 @@ def _arguments(name: str, fn) -> dict:
 
 def _malformed_arrays(good) -> dict:
     shape = np.shape(good)
-    nan = np.array(good, dtype=complex if np.iscomplexobj(good) else float)
+    dtype = complex if np.iscomplexobj(good) else float
+    nan, plus_inf, minus_inf = (np.array(good, dtype=dtype) for _ in range(3))
     nan.flat[0] = np.nan
+    plus_inf.flat[0] = np.inf
+    minus_inf.flat[0] = -np.inf
     return {
         "ragged": [[1.0, 2.0], [3.0]],
         "string": np.full(shape, "a"),
@@ -124,6 +127,8 @@ def _malformed_arrays(good) -> dict:
         "4-d": np.zeros((2, 2, 3, 3)),
         "empty": np.zeros((0, 0)),
         "NaN": nan,
+        "+inf": plus_inf,
+        "-inf": minus_inf,
     }
 
 

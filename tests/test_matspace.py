@@ -204,6 +204,27 @@ def test_is_element_judges_each_member_of_a_stack():
     assert not il.is_element(stack[1], il.HERMITIAN_TRACELESS)
 
 
+def test_is_element_refuses_an_infinite_entry_without_a_warning():
+    """The trace of diag(inf, -inf, 0) is inf - inf: such a member is no
+    element, and no RuntimeWarning escapes (they are errors in the tests)."""
+    inf = np.inf
+    cases = [
+        (np.diag([inf, -inf, 0.0]), il.HERMITIAN_TRACELESS),
+        (np.array([[0, inf], [-inf, 0]]), il.HERMITIAN_TRACELESS),
+        (np.array([[0, inf * 1j], [-inf * 1j, 0]]), il.HERMITIAN_TRACELESS),
+        (np.array([[0.0, inf], [-inf, 0.0]]), il.SKEW_REAL),
+    ]
+    for A, space in cases:
+        assert il.is_element(A, space) is np.False_
+        # not even under a tolerance that any finite defect meets
+        assert not il.is_element(A, space, tol=inf)
+    # a finite matrix whose Hermiticity defect overflows
+    assert not il.is_element(np.array([[0.0, 1e308], [-1e308, 0.0]]), il.HERMITIAN_TRACELESS)
+    stack = il.random_element(il.HERMITIAN_TRACELESS, 3, 5, count=3)
+    stack[2, 0, 0] = -inf
+    npt.assert_array_equal(il.is_element(stack, il.HERMITIAN_TRACELESS), [True, True, False])
+
+
 def test_project_traceless_examples():
     npt.assert_allclose(il.project_traceless(np.eye(3)), np.zeros((3, 3)), atol=1e-15)
     A = np.diag([2.0, 1.0, 0.0]).astype(complex)
