@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "invariance, decompose and skew suites, but sigma_identity clamps it to "
         "[10, 50], psi/normalizer_closure caps it at 100, and cnr at 10 range "
         "pairs and 20 preserver trials; the dimension suite ignores it and uses "
-        "the largest sign block plus d constraint rows",
+        "the largest character block plus d plus n constraint rows",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override; repeatable")

@@ -24,24 +24,29 @@ dimension check then shows:
    first singular value.  For the classified norms the answer is
    dichotomous: the adjoint-group dimension d for genuinely invariant
    norms, d(d-1)/2 for the Euclidean one, never anything in between.
-4. Sign blocks: the adjoint group contains X -> D X D for every
-   D = diag(+-1) of determinant 1 (D lies in SO(n), inside SU(n)), and in
-   both bases that map flips coordinate signs: D B D = chi_B(D) B, with
-   chi_B(D) = s_j s_k for an off-diagonal pair {j, k} and 1 on the
-   diagonal ladder.  Its coordinate map S is then a diagonal +-1 matrix,
-   and t_ab moves by chi_a chi_b under T -> S T S; on determinant-1 D a
-   mask and its complement give one sign, so the characters are the masks
-   {j, k} xor {j', k'} taken up to complement.  The gradient is equivariant
-   (grad N(S x) = S grad N(x)), so Lie(G) is invariant under T -> S T S and
-   is the direct sum of its parts in the character blocks; each part is the
-   null space of the rows restricted to that block's columns.  One sample
-   gives one row to every block, so the estimator draws the largest
-   block's size plus d samples (84 at Hermitian n = 7, where so(d) has 1128
-   unknowns), takes the singular values of each block in one stacked SVD
-   per block size, and reads the gap off all of them merged and sorted.
-   The full (samples, d(d-1)/2) row matrix is never built: each block
-   size's rows are formed directly over its cached index pairs (a, b),
-   entry ``g_a x_b - x_a g_b``, as the (k, rows, s) stack its SVD takes.
+4. Character blocks: the isometry group contains X -> D X D for every
+   D = diag(+-1) (for determinant -1, Ad(e^{i pi/n} D) with e^{i pi/n} D in
+   SU(n) on the Hermitian space, a reflection's congruence on the skew
+   space, step 2), and in both bases that map flips coordinate signs:
+   D B D = chi_B(D) B, with chi_B(D) = s_j s_k for an off-diagonal pair
+   {j, k} and 1 on the diagonal ladder.  On the Hermitian space it also
+   contains sigma: X -> -X.T, which maps each basis element to +-itself
+   (``cartan_matrix`` is diagonal).  The coordinate map S of each is a
+   diagonal +-1 matrix, and t_ab moves by chi_a chi_b under T -> S T S, so
+   t_ab's character is the mask {j, k} xor {j', k'} (no two masks give one
+   sign on every flip), with the sign s_a s_b of sigma on the Hermitian
+   space.  The gradient is equivariant (grad N(S x) = S grad N(x)), so
+   Lie(G) is invariant under T -> S T S and is the direct sum of its parts
+   in the character blocks; each part is the null space of the rows
+   restricted to that block's columns.  One sample gives one row to every
+   block, so the estimator draws the largest block's size plus d plus n
+   samples (76 at Hermitian n = 7, where so(d) has 1128 unknowns in blocks
+   of 21, 16, 15 and 6), takes the singular values of each block in one
+   stacked SVD per block size, and reads the gap off all of them merged
+   and sorted.  The full (samples, d(d-1)/2) row matrix is never built:
+   each block size's rows are formed directly over its cached index pairs
+   (a, b), entry ``g_a x_b - x_a g_b``, as the (k, rows, s) stack its SVD
+   takes.
 5. Containment: the adjoint algebra's generators T_j, X -> i[B_j, X] on
    the Hermitian space and X -> [B_j, X] on the skew space, must lie in
    that null space; the report carries their residual over the full rows.
@@ -99,7 +104,7 @@ from .matspace import (
     vectorize,
 )
 from .norms import NormSpec, frobenius, norm_gradient, norm_value
-from .groups import _kron, haar_unitary
+from .groups import _kron, cartan_matrix, haar_unitary
 
 #: smallest acceptable ratio across the singular-value gap
 GAP_RATIO_MIN = 1e3
@@ -113,15 +118,16 @@ class DimensionReport:
     """Outcome of one Lie-algebra dimension estimation run.
 
     ``samples_used`` is the number of constraint rows built: the largest
-    sign block's size plus d.  ``singular_values`` holds every sign
-    block's singular values merged in descending order, d(d-1)/2 of them,
-    one per so(d) unknown.  ``containment_residual`` is the largest pairing
-    ``<g, T x>`` of a known generator T of the adjoint algebra with a
-    constraint row, relative to that row's ``|g| |x|`` and to T's size;
-    about 1e-16 when the null space contains the adjoint algebra.  It is
-    read off the commutators ``i[X, G]`` (``[X, G]`` on the skew space) of
-    the samples and their gradients, over T's Killing-form size sqrt(n)
-    (sqrt((n - 2)/2)); see the module docstring, step 5."""
+    character block's size plus d plus n (module docstring, step 4).
+    ``singular_values`` holds every block's singular values merged in
+    descending order, d(d-1)/2 of them, one per so(d) unknown.
+    ``containment_residual`` is the largest pairing ``<g, T x>`` of a known
+    generator T of the adjoint algebra with a constraint row, relative to
+    that row's ``|g| |x|`` and to T's size; about 1e-16 when the null
+    space contains the adjoint algebra.  It is read off the commutators
+    ``i[X, G]`` (``[X, G]`` on the skew space) of the samples and their
+    gradients, over T's Killing-form size sqrt(n) (sqrt((n - 2)/2)); see
+    the module docstring, step 5."""
 
     space: str
     n: int
@@ -145,23 +151,25 @@ class RangeSample:
 
 @functools.lru_cache(maxsize=None)
 def _sign_blocks(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The so(d) unknowns t_ab grouped by sign character (module docstring,
+    """The so(d) unknowns t_ab grouped by character (module docstring,
     step 4), as the index pairs (a, b), a < b, that :func:`_so_rows` takes:
     per distinct block size s, largest first, two read-only (k, s) arrays
     of a and of b, each row one block.
 
     D B D = s_r s_c B for any nonzero entry (r, c) of a basis element B, so
-    B's mask is {r} xor {c}; t_ab's is m_a xor m_b, up to complement (each
-    mask is complemented so that it leaves out coordinate 0).  Cached per
-    basis, which is cached per (space, n)."""
+    B's mask is {r} xor {c}, and t_ab's is m_a xor m_b.  On the Hermitian
+    space, B's sign under A -> -A.T (the diagonal of ``cartan_matrix``)
+    extends the mask by one bit.  Cached per basis, which is cached per
+    (space, n)."""
     n, d = basis.n, basis.d
     r, c = np.divmod(np.abs(basis.mats).reshape(d, n * n).argmax(axis=1), n)
-    masks = np.zeros((d, n), dtype=bool)
+    masks = np.zeros((d, n + 1), dtype=bool)
     masks[np.arange(d), r] = True
     masks[np.arange(d), c] ^= True
+    if basis.space == HERMITIAN_TRACELESS:
+        masks[:, n] = np.diag(cartan_matrix(basis)) < 0
     upper_a, upper_b = np.triu_indices(d, 1)
     chars = masks[upper_a] ^ masks[upper_b]
-    chars ^= chars[:, :1]
     _, block_of, sizes = np.unique(chars, axis=0, return_inverse=True, return_counts=True)
     blocks = np.split(np.argsort(block_of.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
     pairs = []
@@ -282,7 +290,10 @@ def _algebra_dimension(spec: NormSpec, n: int, seed) -> DimensionReport:
             "is 0, and one singular value has no gap to read"
         )
     blocks = _sign_blocks(basis)
-    num_samples = blocks[0][0].shape[1] + basis.d
+    # the n rows past the largest block plus d widen the gap: over the
+    # default dimension suite at seeds 0-99 its lowest ratio reads 1.5e13,
+    # and 7.8e12 without them
+    num_samples = blocks[0][0].shape[1] + basis.d + n
     g, x, scales, X, G = _constraint_rows(spec, basis, num_samples, seed)
     # one stacked SVD per block size, over the rows of that size's blocks alone
     svals = np.concatenate([
@@ -328,12 +339,17 @@ def _range_endpoints(A: np.ndarray, C: np.ndarray):
     stochastic matrix |u_ij|^2).  ``A`` is one matrix, giving two floats,
     or a (k, n, n) stack, giving two (k,) arrays from one stacked eigvalsh;
     ``C`` is one matrix against every member or a stack of A's shape, one
-    per member.  A member gets the bits it gets alone.
+    per member.  A member gets the bits it gets alone.  Endpoints that
+    leave the floating-point range (A = C = diag(1e308, -1e308, 0), say)
+    raise InvalidDimension.
     """
     lam_a = np.linalg.eigvalsh(A)[..., None, :]
     lam_c = np.linalg.eigvalsh(C)[..., None]
-    lo = (lam_a @ lam_c[..., ::-1, :])[..., 0, 0]
-    hi = (lam_a @ lam_c)[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = (lam_a @ lam_c[..., ::-1, :])[..., 0, 0]
+        hi = (lam_a @ lam_c)[..., 0, 0]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InvalidDimension("an endpoint of the C-numerical range leaves the floating-point range")
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
@@ -397,7 +413,8 @@ def c_numerical_radius(A: np.ndarray, C: np.ndarray) -> float:
     """Maximum modulus over the C-numerical range of Hermitian A and C.
 
     W_C(A) is the interval ``[lo, hi]`` of :func:`_range_endpoints`, so the
-    radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977).
+    radius is ``max(|lo|, |hi|)`` (C.-K. Li 1994; Goldberg-Straus 1977);
+    a radius that leaves the floating-point range raises InvalidDimension.
     """
     lo, hi = _range_endpoints(*_hermitian_pair(_one_matrix(A, "A"), C))
     return max(abs(lo), abs(hi))

@@ -239,9 +239,26 @@ def project_traceless(A: np.ndarray) -> np.ndarray:
 
     Symmetrizes roundoff and subtracts tr(A)/n times the identity; idempotent,
     and the identity on inputs that are already traceless.  Each member
-    must pass :func:`_require_hermitian`.
+    must pass :func:`_require_hermitian`; a finite A whose projection
+    leaves the floating-point range (``diag(1e308, -1e308, 0)``, say)
+    raises InvalidDimension.
     """
-    A = _require_hermitian(A, "A").astype(complex, copy=False)
+    A = _require_hermitian(A, "A")
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _traceless_part(A)
+    if not np.isfinite(P).all():
+        raise InvalidDimension(
+            f"the traceless part of A, with entries up to {np.abs(A).max():.3e}, "
+            "leaves the floating-point range"
+        )
+    return P
+
+
+def _traceless_part(A: np.ndarray) -> np.ndarray:
+    """:func:`project_traceless` of an (n, n) matrix or (k, n, n) stack A
+    after its checks, for a caller that built A Hermitian up to rounding
+    and within range; the result is complex."""
+    A = A.astype(complex, copy=False)
     n = A.shape[-1]
     H = (A + A.swapaxes(-1, -2).conj()) / 2.0
     return H - (H.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)

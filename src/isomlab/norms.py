@@ -32,10 +32,10 @@ from .matspace import (  # noqa: F401  devectorize: perfbench/tracing.py wraps n
     SKEW_REAL,
     _numeric,
     _rng,
+    _traceless_part,
     _trial_count,
     _within,
     devectorize,
-    project_traceless,
     random_element,
 )
 
@@ -350,7 +350,7 @@ def _spectral_gradient(A: np.ndarray, spec: NormSpec, fro: np.ndarray) -> np.nda
         J = G.imag
         G = (J - J.swapaxes(-1, -2)) / 2.0
     else:
-        G = project_traceless(G)
+        G = _traceless_part(G)
     return G * factor[..., None, None]
 
 

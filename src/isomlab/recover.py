@@ -39,14 +39,15 @@ entry has squared modulus at least 1/n), and ``|S e_j|`` is within delta
 of ``|S0 e_j| = sqrt(n S0_jj)``, so ``|c|^2 / n`` is within ``(n + 2
 sqrt(n)) delta / (1 - n delta)`` of 1.  At ``r = RESIDUAL_TOL`` that is at
 most 1.8e-3 (Hermitian) and 2.3e-3 (skew) for n <= 8, and below the window
-1/2 for every n <= 51.  A map far from every image has no such bound.
-Measured over 200 maps each, ``|c|^2 / n`` reads 0.03-0.44 for a Haar
+1/4 for every n <= 42.  A map far from every image has no such bound.
+Measured over 200 maps each, ``|c|^2 / n`` reads 0.03-0.47 for a Haar
 rotation of so(d) (an isometry of the Euclidean norm) on the Hermitian
-space at n >= 3 and 0.017-0.21 for an image on the wrong involution flag,
-so these branches make no SVD; on the skew space a Haar rotation reads
-0.06-0.66 at n >= 4 and an image on the wrong psi flag at n = 4 0.63-0.71,
-so some of them still take the polish and fail on the residual.  At d = 3
-every rotation is an adjoint image, and it passes.
+space at n >= 3 and 0.017-0.21 for an image on the wrong involution flag;
+on the skew space an image on the wrong psi flag at n = 4 reads
+0.63-0.71, so none of these branches makes an SVD.  A Haar rotation on the
+skew space reads 0.10-0.75 at n >= 4 (0.17-0.82 over 2000 at n = 4, 0.4 %
+of them inside the window), so a few still take the polish and fail on
+the residual.  At d = 3 every rotation is an adjoint image, and it passes.
 
 Residual certificate.  Let R be the map rebuilt from the winning branch
 and ``r = max |R - M|`` its residual.  R is ``+-Ad(U)``, ``+-Ad(U) sigma``
@@ -120,7 +121,7 @@ ISOMETRY_TOL = 1e-8
 
 #: the branch search polishes a candidate only when its squared length is
 #: within this fraction of n from n (see the module docstring)
-LENGTH_WINDOW = 0.5
+LENGTH_WINDOW = 0.25
 
 #: the message with which :func:`matspace._square_stack` refuses a coordinate map
 _MAP = "a coordinate map is a real numeric array: a finite (d, d) map or (k, d, d) stack"

@@ -141,7 +141,9 @@ def char_poly_skew(A: np.ndarray) -> np.ndarray:
     Uses the Faddeev-LeVerrier recursion (exact in exact arithmetic, stable
     for the n <= 8 sizes supported here).  ``A`` is one matrix, giving an
     (n + 1,) array, or a (k, n, n) stack, giving (k, n + 1), each row what
-    its member gets alone.
+    its member gets alone.  A finite A whose coefficients leave the
+    floating-point range (one entry of 1e308, say) raises
+    :class:`InvalidDimension`.
     """
     A = _skew_stack(A)
     n = A.shape[-1]
@@ -151,9 +153,15 @@ def char_poly_skew(A: np.ndarray) -> np.ndarray:
     coeffs = np.zeros((len(stack), n + 1))
     coeffs[:, 0] = 1.0
     M = np.zeros_like(stack)
-    for k in range(1, n + 1):
-        M = stack @ M + coeffs[:, k - 1, None, None] * np.eye(n)
-        coeffs[:, k] = -np.trace(stack @ M, axis1=-2, axis2=-1) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            M = stack @ M + coeffs[:, k - 1, None, None] * np.eye(n)
+            coeffs[:, k] = -np.trace(stack @ M, axis1=-2, axis2=-1) / k
+    if not np.isfinite(coeffs).all():
+        raise InvalidDimension(
+            f"the characteristic polynomial of A, with entries up to {np.abs(A).max():.3e}, "
+            "leaves the floating-point range"
+        )
     return coeffs[0] if A.ndim == 2 else coeffs
 
 

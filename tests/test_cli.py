@@ -242,8 +242,8 @@ def test_dimension_suite_ignores_a_huge_sample_count(monkeypatch, capsys):
     seen = _capture_dimension_rows(monkeypatch)
     assert main(["dimension", "--n", "2", "--samples", "100000000"]) == 0
     capsys.readouterr()
-    # d = 3 at n = 2, one sign block of all 3 unknowns, so 3 + d = 6 rows;
-    # cspec:1,0 does not fit n = 2
+    # d = 3 at n = 2, three character blocks of one unknown each, so
+    # 1 + d + n = 6 rows; cspec:1,0 does not fit n = 2
     assert seen == [("schatten:1", 2, 6), ("schatten:3", 2, 6), ("frobenius", 2, 6)]
 
 
@@ -452,21 +452,38 @@ def test_dimension_suite_writes_a_failing_record_when_the_estimator_raises(monke
     assert not doc.overall_pass
 
 
+@pytest.mark.parametrize("space", ["hermitian", "skew"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_frobenius_gradient_fails_a_dimension_record(monkeypatch, space, seed):
+    """Control: the dimension records bear load.  With the Frobenius
+    gradient planted in place of each norm's own, the estimator reads
+    every norm as Euclidean, and at least one dimension record of
+    ``isomlab all`` fails at each seed, in both spaces."""
+    import isomlab.estimate as estimate
+    from isomlab.norms import frobenius, norm_gradient
+
+    monkeypatch.setattr(estimate, "norm_gradient", lambda X, spec: norm_gradient(X, frobenius(spec.space)))
+    doc = run_suite(SuiteConfig("all", seed=seed, space=space))
+    failing = [r.check_id for r in doc.records if not r.passed]
+    assert failing and all(check.startswith("dimension/") for check in failing)
+
+
 def test_dimension_suite_passes_the_default_row_count(monkeypatch):
     seen = _capture_dimension_rows(monkeypatch)
     norms = ("schatten:3", "cspec:1,0")
     doc = run_suite(SuiteConfig(suite="dimension", n_values=(2, 3, 4), norms=norms, seed=7))
     assert doc.overall_pass
     # d = n^2 - 1 on the Hermitian space, n(n-1)/2 on the skew space; the
-    # largest sign block plus d rows: 3 + 3, 8 + 8, 28 + 15 and 4 + 6
+    # largest character block plus d plus n rows: 1 + 3 + 2, 4 + 8 + 3,
+    # 7 + 15 + 4 and 3 + 6 + 4
     assert seen == [
-        ("schatten:3", 2, 6), ("schatten:3", 3, 16), ("schatten:3", 4, 43), ("cspec:1,0", 4, 10),
+        ("schatten:3", 2, 6), ("schatten:3", 3, 15), ("schatten:3", 4, 26), ("cspec:1,0", 4, 13),
     ]
     seen.clear()
     # --samples does not change the row count
     cfg = SuiteConfig(suite="dimension", n_values=(3, 4), norms=("schatten:3",), samples=100, seed=7)
     run_suite(cfg)
-    assert seen == [("schatten:3", 3, 16), ("schatten:3", 4, 43)]
+    assert seen == [("schatten:3", 3, 15), ("schatten:3", 4, 26)]
 
 
 def _failing_ids(doc, error):

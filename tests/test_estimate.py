@@ -97,9 +97,10 @@ def test_skew_dimension_dichotomy():
         (il.skew_isometry_algebra_dimension, il.frobenius(il.SKEW_REAL), 5, 10),
     ],
 )
-def test_row_count_is_so_d_dim_plus_d(estimator, spec, n, d):
-    # the largest sign block plus d: 8 + 8, 28 + 15, 4 + 6 and 3 + 10 rows
-    rows = {8: 16, 15: 43, 6: 10, 10: 13}[d]
+def test_row_count_is_the_largest_block_plus_d_plus_n(estimator, spec, n, d):
+    # the largest character block plus d plus n: 4 + 8 + 3, 7 + 15 + 4, 3 + 6 + 4
+    # and 3 + 10 + 5 rows
+    rows = {8: 15, 15: 26, 6: 13, 10: 18}[d]
     rep = estimator(spec, n, seed=8)
     assert rep.samples_used == rows
     assert rep.singular_values.shape == (d * (d - 1) // 2,)
@@ -108,8 +109,8 @@ def test_row_count_is_so_d_dim_plus_d(estimator, spec, n, d):
 def _gl_dimension(spec, n, seed):
     """Oracle: the dimension read from d^2 + d rows vec(g) (x) vec(x) over
     all d^2 entries of a generator, the same samples' gradients (the
-    so(d) estimate's samples, the largest sign block's size plus d, are the
-    first of these), cut at the largest ratio of consecutive singular
+    so(d) estimate's samples, the largest character block's size plus d plus n,
+    are the first of these), cut at the largest ratio of consecutive singular
     values."""
     basis = il.basis_for(spec.space, n)
     d = basis.d
@@ -142,6 +143,11 @@ def test_so_d_rows_match_the_gl_d_oracle(spec, n):
 @pytest.mark.parametrize("space", [il.HERMITIAN_TRACELESS, il.SKEW_REAL])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_sign_blocks_are_characters_of_the_sign_flips(space, n):
+    """Every diagonal isometry of the basis, X -> D X D for each of the
+    2^n sign flips D and, on the Hermitian space, sigma: X -> -X.T, is a
+    diagonal +-1 coordinate map S, and T -> S T S moves every unknown of a
+    block by one sign.  Distinct blocks move apart under some such map, so
+    no block could be split further by them."""
     import isomlab.estimate as est
 
     basis = il.basis_for(space, n)
@@ -151,23 +157,22 @@ def test_sign_blocks_are_characters_of_the_sign_flips(space, n):
     upper_a, upper_b = np.triu_indices(d, 1)
     assert covered == list(zip(upper_a.tolist(), upper_b.tolist()))
     assert all(a.shape == b.shape and not a.flags.writeable for a, b in blocks)
-    mixed = False
-    for signs in product((1.0, -1.0), repeat=n):
-        D = np.diag(signs)
-        # row j holds the coordinates of D B_j D: a diagonal +-1 map
-        S = il.vectorize(D @ basis.mats @ D, basis)
+    # row j holds the coordinates of the image of B_j
+    flips = [np.diag(signs) for signs in product((1.0, -1.0), repeat=n)]
+    maps = [il.vectorize(D @ basis.mats @ D, basis) for D in flips]
+    if space == il.HERMITIAN_TRACELESS:
+        maps.append(il.vectorize(-basis.mats.swapaxes(-1, -2), basis))
+    characters = []
+    for S in maps:
         chi = np.round(np.diag(S))
         np.testing.assert_array_equal(np.abs(chi), 1.0)
         np.testing.assert_allclose(S, np.diag(chi), rtol=0, atol=1e-15)
         moves = [chi[a] * chi[b] for a, b in blocks]
-        constant = all(np.all(m == m[:, :1]) for m in moves)
-        # a mask and its complement share a block, one sign when det D = 1;
-        # at odd n, D or -D has det 1 and both act alike
-        if math.prod(signs) > 0 or n % 2:
-            assert constant
-        mixed |= not constant
-    # complementary masks merge at even n (skew n = 2 has no unknowns)
-    assert mixed == (n % 2 == 0 and d > 1)
+        assert all(np.all(m == m[:, :1]) for m in moves)
+        characters.append(np.concatenate([m[:, 0] for m in moves]) if blocks else np.zeros(0))
+    # one column per block: its sign under every map, distinct across blocks
+    characters = np.array(characters)
+    assert len(np.unique(characters, axis=1).T) == sum(len(a) for a, _ in blocks)
 
 
 def _full_width_dimension(spec, n, seed):
@@ -223,7 +228,7 @@ _BLOCK_ROW_CASES = {
 
 @pytest.mark.parametrize("spec,n", _BLOCK_ROW_CASES.values(), ids=_BLOCK_ROW_CASES.keys())
 def test_block_rows_give_the_singular_values_of_the_full_width_gather(spec, n):
-    """The rows built per sign block give, bit for bit, the singular values
+    """The rows built per character block give, bit for bit, the singular values
     that each block's columns gathered from the full-width matrix give."""
     import isomlab.estimate as est
 
@@ -257,19 +262,19 @@ def test_block_solve_makes_no_svd_wider_than_the_largest_block(monkeypatch):
     rep = il.isometry_algebra_dimension(il.schatten(3), 7, seed=[0, 7])
     assert rep.estimated_dim == 48
     assert rep.singular_values.shape == (1128,)
-    # blocks of 36, 32 and 12 unknowns: one stacked SVD per size
-    assert widths == [36, 32, 12]
+    # blocks of 21, 16, 15 and 6 unknowns: one stacked SVD per size
+    assert widths == [21, 16, 15, 6]
 
 
 def test_constraint_rows_build_no_d_squared_wide_temporary(monkeypatch):
     """No full-width row matrix is built: a dimension call forms its rows
     one block size at a time, and no temporary is wider than the largest
-    block stack (at Hermitian n = 7, 21 blocks of 32 unknowns over 84
+    block stack (at Hermitian n = 7, 42 blocks of 16 unknowns over 76
     rows: 672 of the 1128 so(d) columns)."""
     import isomlab.estimate as est
 
     spec, n, basis = il.schatten(3), 7, il.gell_mann_basis(7)
-    m, d = 84, basis.d
+    m, d = 76, basis.d
     builds = []
     real = est._so_rows
 
@@ -288,7 +293,7 @@ def test_constraint_rows_build_no_d_squared_wide_temporary(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.estimated_dim == 48
-    assert [shape for shape, _ in builds] == [(1, m, 36), (21, m, 32), (35, m, 12)]
+    assert [shape for shape, _ in builds] == [(1, m, 21), (42, m, 16), (1, m, 15), (70, m, 6)]
     # each build holds its result, the two gathered factors of the term it
     # subtracts and the transposed (d, m) coordinate arrays
     assert all(used < 3 * math.prod(shape) * 8 + 2 * d * m * 8 + 4096 for shape, used in builds)
@@ -305,7 +310,7 @@ def test_a_dimension_call_stays_within_a_few_row_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    row_matrix = rep.samples_used * rep.singular_values.size * 8  # 84 x 1128 floats
+    row_matrix = rep.samples_used * rep.singular_values.size * 8  # 76 x 1128 floats
     # the rows, one block stack and the SVD work; the adjoint generators'
     # (d, d, d) coordinate tensor and (d, d, n, n) commutator stacks would
     # not fit
@@ -422,7 +427,7 @@ def test_commutator_pairings_match_the_generator_coordinates(space, n):
     upper = np.triu_indices(basis.d, 1)
     np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x, *upper), scales), rtol=0, atol=1e-15)
     # and on the estimator's own samples and gradients
-    num = est._sign_blocks(basis)[0][0].shape[1] + basis.d
+    num = est._sign_blocks(basis)[0][0].shape[1] + basis.d + n
     g, x, scales, X, G = est._constraint_rows(il.schatten(3, space), basis, num, [0, n])
     pairing = est._adjoint_pairings(X, G, scales, basis)
     np.testing.assert_allclose(pairing, oracle(est._so_rows(g, x, *upper), scales), rtol=0, atol=1e-15)
@@ -433,8 +438,9 @@ def test_containment_tells_the_adjoint_algebra_from_other_directions():
 
     spec, n = il.schatten(3), 4
     basis = il.gell_mann_basis(n)
-    # the estimator's 43 rows: the largest sign block, 28, plus d = 15
-    g, x, scales, _, _ = est._constraint_rows(spec, basis, 43, 5)
+    # the estimator's 26 rows: the largest character block, 7, plus d = 15
+    # plus n = 4
+    g, x, scales, _, _ = est._constraint_rows(spec, basis, 26, 5)
     rows = est._so_rows(g, x, *np.triu_indices(basis.d, 1))
 
     def residual(t):

@@ -221,3 +221,22 @@ def test_a_bool_is_neither_a_norm_parameter_nor_a_seed(name, parameter, error):
     for value in (True, False, [3, True]) if parameter == "seed" else (True, False):
         with pytest.raises(error):
             fn(**{**_arguments(name, fn), parameter: value})
+
+
+#: (callable, arguments): finite inputs whose results leave the
+#: floating-point range, refused with InvalidDimension rather than a
+#: RuntimeWarning (an error in tier-1), an inf or a NaN
+_HUGE = np.diag([1e308, -1e308, 0.0]).astype(complex)
+OUT_OF_RANGE = {
+    "char_poly_skew": (1e308 * np.pad([[0.0, 1.0], [-1.0, 0.0]], (0, 2)),),
+    "project_traceless": (_HUGE,),
+    "c_numerical_radius": (_HUGE, _HUGE),
+    "c_numerical_range_sample": (_HUGE, _HUGE, 3),
+    "norm_value": (_HUGE, il.schatten(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_a_finite_input_with_an_out_of_range_result_raises_invalid_dimension(name):
+    with pytest.raises(il.InvalidDimension, match="floating-point range"):
+        getattr(il, name)(*OUT_OF_RANGE[name])

@@ -847,6 +847,29 @@ def test_a_stack_polishes_only_the_members_its_length_test_keeps(monkeypatch):
     assert sizes == [4, 3]
 
 
+def test_a_psi_image_makes_no_failed_polish(monkeypatch):
+    """Skew n = 4 images on the psi flag, of both signs and both
+    determinants: each flag False candidate fails the length test (its
+    |c|^2 / n reads 0.63-0.71), so the one SVD is the flag True polish
+    over the whole stack, and every member it polishes is accepted.  At
+    the window 1/2 the flag False branch polished them all first."""
+    import isomlab.recover as recover
+
+    basis, k = il.skew_basis(4), 200
+    signs = np.resize([1, -1], k)
+    Q = il.haar_orthogonal(4, 96, count=k)
+    M = signs[:, None, None] * il.ad_matrix(Q, basis) @ il.psi_matrix()
+    spec = il.c_spectral((2.0, 1.0))
+    sizes = _svd_sizes(monkeypatch)
+    maps = il.decompose_skew_isometry(M, spec, seed=0)
+    assert sizes == [k]
+    assert [(m.sign, m.psi_flag) for m in maps] == [(int(s), True) for s in signs]
+    monkeypatch.setattr(recover, "LENGTH_WINDOW", 0.5)
+    sizes.clear()
+    il.decompose_skew_isometry(M, spec, seed=0)
+    assert sizes == [k, k]
+
+
 def test_unitary_phase_distance_of_stacks_is_per_member():
     U = il.haar_unitary(4, 74, special=True, count=3)
     V = il.haar_unitary(4, 75, special=True, count=3)
